@@ -10,20 +10,22 @@ operational errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
-from typing import TextIO
+from typing import Any, Callable, TextIO
 
+from .bounds import ALL_BOUND_NAMES, bound_efgw
+from .context import GraphContext
 from .errors import SquareEnergyError
 from .families import gq_collinearity_graph, gq_predicted_spectrum
-from .graphs import enumerate_graphs, write_graph6
+from .graphs import Graph, enumerate_graphs, write_graph6
 from .harness import (
-    ALL_BOUND_NAMES,
     RecordWriter,
     RunConfig,
     RunSummary,
     filter_minimal_counterexample_candidates,
     graph6_or_none,
+    graph_fields,
+    open_out,
     resolve_source,
     run_to_path,
 )
@@ -36,25 +38,20 @@ from .partitions import (
 )
 from .spectral import spectrum, square_energies
 
+# Shared options; each subcommand declares only the ones it reads.
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0, "help": "base RNG seed"},
+    "--jobs": {"type": int, "default": 1, "help": "worker processes"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--out": {"default": "-", "help": "output path, '-' for stdout"},
+    "--budget-n": {"type": int, "default": SEARCH_BUDGET_N,
+                   "help": "max n for exact exponential oracles"},
+}
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            yield handle
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument(
-        "--budget-n", type=int, default=SEARCH_BUDGET_N,
-        help="max n for exact exponential oracles",
-    )
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def _print_summary(summary: RunSummary, stream: TextIO | None = None) -> None:
@@ -73,47 +70,35 @@ def _print_summary(summary: RunSummary, stream: TextIO | None = None) -> None:
         )
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as out:
+def _per_graph(args: argparse.Namespace, fields: Callable[[Graph], dict]) -> int:
+    """Write one record per source graph: its common fields plus ``fields(g)``."""
+    with open_out(args.out) as out:
         writer = RecordWriter(out, args.format)
         for index, g in enumerate(resolve_source(args.source)):
-            spec = spectrum(g)
-            writer.write(
-                {
-                    "graph_index": index,
-                    "graph6": graph6_or_none(g),
-                    "n": g.n,
-                    "m": g.m,
-                    "eigenvalues": list(spec.values),
-                    "residual_bound": spec.residual_bound,
-                }
-            )
+            writer.write({**graph_fields(index, g), **fields(g)})
     return 0
+
+
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    def fields(g: Graph) -> dict[str, Any]:
+        spec = spectrum(g)
+        return {"eigenvalues": list(spec.values), "residual_bound": spec.residual_bound}
+
+    return _per_graph(args, fields)
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as out:
-        writer = RecordWriter(out, args.format)
-        for index, g in enumerate(resolve_source(args.source)):
-            report = square_energies(g)
-            writer.write(
-                {
-                    "graph_index": index,
-                    "graph6": graph6_or_none(g),
-                    "n": g.n,
-                    "m": report.m,
-                    "s_plus": report.s_plus,
-                    "s_minus": report.s_minus,
-                    "energy": report.energy,
-                }
-            )
-    return 0
+    def fields(g: Graph) -> dict[str, Any]:
+        report = square_energies(g)
+        return {"s_plus": report.s_plus, "s_minus": report.s_minus, "energy": report.energy}
+
+    return _per_graph(args, fields)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
     config = RunConfig(
-        source=args.source,
-        bounds=tuple(args.set.split(",")),
+        source=source,
+        bounds=bounds,
         out=args.out,
         fmt=args.format,
         seed=args.seed,
@@ -125,51 +110,53 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 2 if summary.violations else 0
 
 
+def cmd_bounds(args: argparse.Namespace) -> int:
+    return _sweep(args, args.source, tuple(args.set.split(",")))
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    return _sweep(args, f"enumerate:{args.n}:connected", (args.conjecture,))
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as out:
+    with open_out(args.out) as out:
         for g in enumerate_graphs(args.n, connected_only=args.connected):
             out.write(write_graph6(g) + "\n")
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    with _open_out(args.out) as out:
-        writer = RecordWriter(out, args.format)
-        for index, g in enumerate(resolve_source(args.source)):
-            if args.method == "star-clique":
-                partition = star_clique_partition(g)
-            elif args.method == "domination":
-                partition = domination_partition(g, domination_number(g, args.budget_n))
-            else:
-                partition = degree_class_partition(g)
-            certificate = certify_superadditivity(g, partition)
-            writer.write(
-                {
-                    "graph_index": index,
-                    "graph6": graph6_or_none(g),
-                    "n": g.n,
-                    "m": g.m,
-                    "method": args.method,
-                    "parts": partition.as_lists(),
-                    "labels": list(partition.labels),
-                    "s_plus": certificate.s_plus_total,
-                    "s_minus": certificate.s_minus_total,
-                    "slack_plus": certificate.slack_plus,
-                    "slack_minus": certificate.slack_minus,
-                    "holds": certificate.holds,
-                }
-            )
-    return 0
+    def fields(g: Graph) -> dict[str, Any]:
+        if args.method == "star-clique":
+            partition = star_clique_partition(g)
+        elif args.method == "domination":
+            partition = domination_partition(g, domination_number(g, args.budget_n))
+        else:
+            partition = degree_class_partition(g)
+        certificate = certify_superadditivity(g, partition)
+        return {
+            "method": args.method,
+            "parts": partition.as_lists(),
+            "labels": list(partition.labels),
+            "s_plus": certificate.s_plus_total,
+            "s_minus": certificate.s_minus_total,
+            "slack_plus": certificate.slack_plus,
+            "slack_minus": certificate.slack_minus,
+            "holds": certificate.holds,
+        }
+
+    return _per_graph(args, fields)
 
 
 def cmd_gq(args: argparse.Namespace) -> int:
     params = gq_predicted_spectrum(args.q)
     g = gq_collinearity_graph(args.q)
-    spec = spectrum(g)
-    energies = square_energies(g)
+    ctx = GraphContext(g)
+    spec = ctx.spectrum
+    energies = ctx.energies
     predicted = sorted(params.spectrum_multiset(), reverse=True)
     deviation = max(abs(a - b) for a, b in zip(spec.values, predicted))
-    with _open_out(args.out) as out:
+    with open_out(args.out) as out:
         RecordWriter(out, args.format).write(
             {
                 "q": args.q,
@@ -190,21 +177,6 @@ def cmd_gq(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        source=f"enumerate:{args.n}:connected",
-        bounds=(args.conjecture,),
-        out=args.out,
-        fmt=args.format,
-        seed=args.seed,
-        jobs=args.jobs,
-        budget_n=args.budget_n,
-    )
-    summary = run_to_path(config)
-    _print_summary(summary)
-    return 2 if summary.violations else 0
-
-
 def cmd_hunt(args: argparse.Namespace) -> int:
     if args.filter != "minimal-candidates":
         raise SquareEnergyError(f"unknown filter {args.filter!r}")
@@ -213,24 +185,14 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         graphs, max_subset_size=args.max_subset_size, budget_n=args.budget_n
     )
     violations = 0
-    with _open_out(args.out) as out:
+    with open_out(args.out) as out:
         writer = RecordWriter(out, args.format)
         for index, g in enumerate(outcome.survivors):
-            report = square_energies(g)
-            low = min(report.s_plus, report.s_minus)
-            slack = low - (g.n - 1)
-            if slack < -1e-6:
+            verdict = bound_efgw(g)
+            if not verdict.holds:
                 violations += 1
-            writer.write(
-                {
-                    "graph_index": index,
-                    "graph6": graph6_or_none(g),
-                    "n": g.n,
-                    "m": g.m,
-                    "min_square_energy": low,
-                    "efgw_slack": slack,
-                }
-            )
+            writer.write({**graph_fields(index, g),
+                          "min_square_energy": verdict.lhs, "efgw_slack": verdict.slack})
     print(
         f"survivors: {len(outcome.survivors)}  rejected: {outcome.rejection_counts}",
         file=sys.stderr,
@@ -247,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="adjacency spectra of the source graphs")
     p.add_argument("source")
-    _add_common(p)
+    _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("energy", help="square energies of the source graphs")
     p.add_argument("source")
-    _add_common(p)
+    _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("bounds", help="evaluate bound certificates over a source")
@@ -261,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", default="all",
         help=f"comma-separated bound names or 'all' ({', '.join(ALL_BOUND_NAMES)})",
     )
-    _add_common(p)
+    _add_options(p, "--seed", "--jobs", "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("enumerate", help="stream graph6 lines, one per class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--connected", action="store_true")
-    _add_common(p)
+    _add_options(p, "--out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="vertex partitions plus their certificates")
@@ -275,25 +237,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("star-clique", "domination", "degree-class"), required=True
     )
-    _add_common(p)
+    _add_options(p, "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gq", help="generalized-quadrangle graph summary")
     p.add_argument("--q", type=int, required=True)
-    _add_common(p)
+    _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_gq)
 
     p = sub.add_parser("verify", help="sweep one bound over all connected graphs on n vertices")
     p.add_argument("--conjecture", default="efgw")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_options(p, "--seed", "--jobs", "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="filter minimal-counterexample candidates")
     p.add_argument("--filter", default="minimal-candidates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-subset-size", type=int, default=None)
-    _add_common(p)
+    _add_options(p, "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_hunt)
 
     return parser

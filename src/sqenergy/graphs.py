@@ -93,12 +93,12 @@ class Graph:
                 out.append((u, v))
         return out
 
-    def adjacency_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=np.float64)
-        for i, row in enumerate(self.adj):
-            for j in _iter_bits(row):
-                mat[i, j] = 1.0
-        return mat
+    def adjacency_matrix(self, dtype: type = np.float64) -> np.ndarray:
+        """Dense 0/1 adjacency matrix, unpacked from the row bitsets."""
+        width = (self.n + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.adj)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,10 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(g.n)):
         raise ContractViolation("perm must be a permutation of 0..n-1")
-    rows = [0] * g.n
-    for i, row in enumerate(g.adj):
-        bits = 0
-        for j in _iter_bits(row):
-            bits |= 1 << perm[j]
-        rows[perm[i]] = bits
-    return Graph(g.n, tuple(rows))
+    old = [0] * g.n
+    for i, p in enumerate(perm):
+        old[p] = i
+    return Graph(g.n, _induced_rows(g.adj, old))
 
 
 def _component_masks(adj: Sequence[int], domain: int) -> list[int]:
@@ -418,23 +415,10 @@ def _canonical_keys_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, argidx
 
 
-def _bool_matrix(g: Graph) -> np.ndarray:
-    mat = np.zeros((g.n, g.n), dtype=bool)
-    for i, row in enumerate(g.adj):
-        for j in _iter_bits(row):
-            mat[i, j] = True
-    return mat
-
-
 def _graph_from_bool_matrix(mat: np.ndarray) -> Graph:
-    n = mat.shape[0]
-    rows = []
-    for i in range(n):
-        bits = 0
-        for j in np.flatnonzero(mat[i]):
-            bits |= 1 << int(j)
-        rows.append(bits)
-    return Graph(n, tuple(rows))
+    """Inverse of ``Graph.adjacency_matrix``: pack each row into a bitset."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return Graph(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
 
 def canonical_key(g: Graph) -> int:
@@ -443,7 +427,7 @@ def canonical_key(g: Graph) -> int:
         raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
     if g.n == 0:
         return 0
-    keys, _ = _canonical_keys_batch(_bool_matrix(g)[None])
+    keys, _ = _canonical_keys_batch(g.adjacency_matrix(bool)[None])
     return int(keys[0])
 
 
@@ -453,7 +437,7 @@ def canonical_form(g: Graph) -> Graph:
         raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
     if g.n == 0:
         return g
-    mat = _bool_matrix(g)
+    mat = g.adjacency_matrix(bool)
     keys, argidx = _canonical_keys_batch(mat[None])
     perms, _, _, _ = _permutation_tables(g.n)
     p = perms[argidx[0]]
@@ -479,7 +463,7 @@ def _isomorphism_classes(n: int) -> tuple[Graph, ...]:
     reps: dict[int, Graph] = {}
     for parent in parents:
         base = np.zeros((n, n), dtype=bool)
-        base[:nb, :nb] = _bool_matrix(parent)
+        base[:nb, :nb] = parent.adjacency_matrix(bool)
         cands = np.broadcast_to(base, (count, n, n)).copy()
         cands[:, nb, :nb] = mask_bits
         cands[:, :nb, nb] = mask_bits

@@ -8,22 +8,18 @@ lives only in the summary, never in the record sink.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .bounds import (
-    BOUND_FUNCTIONS,
-    BoundVerdict,
-    bound_domination,
-    bound_surplus,
-    conjecture_checks,
-)
-from .errors import BudgetExceeded, ContractViolation
+from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict
+from .context import GraphContext
+from .errors import BudgetExceeded, ContractViolation, Graph6Error
 from .families import (
     complete,
     cycle,
@@ -48,31 +44,12 @@ from .oracles import (
     SEARCH_BUDGET_N,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
-    find_induced_p3,
 )
-from .sdp import p3_removal_witness, verify_min_characterization
-
-RANDOMIZED_BOUNDS = ("sdp-min", "removal")
-ALL_BOUND_NAMES = tuple(BOUND_FUNCTIONS) + ("conjectures",) + RANDOMIZED_BOUNDS
 
 
 # ---------------------------------------------------------------------------
 # Graph sources
 # ---------------------------------------------------------------------------
-
-FAMILY_PARAM_NAMES = {
-    "complete": ("n",),
-    "star": ("n",),
-    "path": ("n",),
-    "cycle": ("n",),
-    "u_n3": ("n",),
-    "c_k3": ("k",),
-    "petersen": (),
-    "gq": ("q",),
-    "join_complement": ("h",),
-    "unicyclic_glue": ("tree", "cycle_len", "attach"),
-}
-
 
 def _int_param(params: dict[str, Any], key: str) -> int:
     try:
@@ -81,41 +58,44 @@ def _int_param(params: dict[str, Any], key: str) -> int:
         raise ContractViolation(f"parameter {key}={params[key]!r} is not an integer") from exc
 
 
+def _graph6_param(params: dict[str, Any], key: str) -> Graph:
+    return parse_graph6(str(params[key]))
+
+
+ParamParser = Callable[[dict[str, Any], str], Any]
+
+# Family name -> (constructor, its parameters in call order with their parsers).
+FAMILIES: dict[str, tuple[Callable[..., Graph], dict[str, ParamParser]]] = {
+    "complete": (complete, {"n": _int_param}),
+    "star": (star, {"n": _int_param}),
+    "path": (path, {"n": _int_param}),
+    "cycle": (cycle, {"n": _int_param}),
+    "u_n3": (star_plus_edge, {"n": _int_param}),
+    "c_k3": (cycle_with_triangles, {"k": _int_param}),
+    "petersen": (petersen, {}),
+    "gq": (gq_collinearity_graph, {"q": _int_param}),
+    "join_complement": (join_complement, {"h": _graph6_param}),
+    "unicyclic_glue": (unicyclic_glue, {
+        "tree": _graph6_param,
+        "cycle_len": lambda params, key: cycle(_int_param(params, key)),
+        "attach": _int_param,
+    }),
+}
+
+
 def build_family(name: str, params: dict[str, Any]) -> Graph:
-    expected = FAMILY_PARAM_NAMES.get(name)
-    if expected is None:
-        raise ContractViolation(f"unknown family {name!r}; known: {sorted(FAMILY_PARAM_NAMES)}")
+    entry = FAMILIES.get(name)
+    if entry is None:
+        raise ContractViolation(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
+    constructor, parsers = entry
+    expected = tuple(parsers)
     missing = [p for p in expected if p not in params]
     extra = [p for p in params if p not in expected]
     if missing or extra:
         raise ContractViolation(
             f"family {name!r} takes parameters {expected}; missing {missing}, extra {extra}"
         )
-    if name == "complete":
-        return complete(_int_param(params, "n"))
-    if name == "star":
-        return star(_int_param(params, "n"))
-    if name == "path":
-        return path(_int_param(params, "n"))
-    if name == "cycle":
-        return cycle(_int_param(params, "n"))
-    if name == "u_n3":
-        return star_plus_edge(_int_param(params, "n"))
-    if name == "c_k3":
-        return cycle_with_triangles(_int_param(params, "k"))
-    if name == "petersen":
-        return petersen()
-    if name == "gq":
-        return gq_collinearity_graph(_int_param(params, "q"))
-    if name == "join_complement":
-        return join_complement(parse_graph6(str(params["h"])))
-    if name == "unicyclic_glue":
-        return unicyclic_glue(
-            parse_graph6(str(params["tree"])),
-            cycle(_int_param(params, "cycle_len")),
-            _int_param(params, "attach"),
-        )
-    raise AssertionError(name)
+    return constructor(*(parse(params, key) for key, parse in parsers.items()))
 
 
 def parse_family_spec(spec: str) -> Graph:
@@ -134,11 +114,17 @@ def parse_family_spec(spec: str) -> Graph:
     return build_family(name, params)
 
 
-def graphs_from_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
+def graphs_from_graph6_lines(lines: Iterable[bytes]) -> Iterator[Graph]:
+    """Parse graph6 lines read in binary; blank lines are skipped. Bytes are
+    decoded as latin-1, so a non-ASCII byte reaches the graph6 range check,
+    and every parse error names its 1-based line number."""
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip().decode("latin-1")
         if line:
-            yield parse_graph6(line)
+            try:
+                yield parse_graph6(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"line {number}: {exc}") from exc
 
 
 def resolve_source(source: str) -> Iterator[Graph]:
@@ -155,10 +141,10 @@ def resolve_source(source: str) -> Iterator[Graph]:
         connected = len(pieces) > 2 and pieces[2] == "connected"
         return enumerate_graphs(n, connected_only=connected)
     if source == "-":
-        return graphs_from_graph6_lines(sys.stdin)
+        return graphs_from_graph6_lines(sys.stdin.buffer)
 
     def _from_file() -> Iterator[Graph]:
-        with open(source, "r", encoding="ascii") as handle:
+        with open(source, "rb") as handle:
             yield from graphs_from_graph6_lines(handle)
 
     return _from_file()
@@ -168,119 +154,42 @@ def graph6_or_none(g: Graph) -> str | None:
     return write_graph6(g) if g.n <= GRAPH6_MAX_N else None
 
 
+def graph_fields(index: int, g: Graph) -> dict[str, Any]:
+    """The fields that every per-graph record starts with."""
+    return {"graph_index": index, "graph6": graph6_or_none(g), "n": g.n, "m": g.m}
+
+
 # ---------------------------------------------------------------------------
 # Bound evaluation
 # ---------------------------------------------------------------------------
 
-
-def _sdp_min_verdict(g: Graph, seed: int) -> BoundVerdict:
-    report = verify_min_characterization(g, trials=20, seed=seed)
-    worst = 0.0
-    for violation in report.violations:
-        worst = min(worst, violation.objective - violation.optimum)
-    return BoundVerdict(
-        "sdp-min",
-        worst,
-        0.0,
-        worst,
-        report.ok,
-        {"equality_gap": report.equality_gap, "trials": report.trials},
-    )
+_SKIPPED = {"status": "skipped", "applicable": False, "informational": False,
+            "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
-def _removal_verdict(g: Graph) -> BoundVerdict:
-    triple = find_induced_p3(g)
-    if triple is None:
-        return BoundVerdict(
-            "removal", 0.0, 0.0, 0.0, True,
-            {"note": "no induced 3-vertex path"}, applicable=False,
-        )
-    witness = p3_removal_witness(g, triple)
-    lhs = min(witness.drop_minus, witness.drop_plus)
-    return BoundVerdict(
-        "removal",
-        lhs,
-        1.0,
-        lhs - 1.0,
-        lhs > 1.0,
-        {
-            "triple": list(triple),
-            "vertex_minus": witness.vertex_minus,
-            "drop_minus": witness.drop_minus,
-            "vertex_plus": witness.vertex_plus,
-            "drop_plus": witness.drop_plus,
-        },
-    )
+def evaluate_bound(name: str, ctx: GraphContext) -> list[BoundVerdict]:
+    """The verdicts of one registered bound on one graph's context."""
+    return BOUNDS[name](ctx)
 
 
-def evaluate_bound(name: str, g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
-    if name == "domination":
-        return [bound_domination(g, budget_n)]
-    if name == "surplus":
-        return [bound_surplus(g, budget_n)]
-    if name == "conjectures":
-        return conjecture_checks(g, budget_n)
-    if name == "sdp-min":
-        return [_sdp_min_verdict(g, seed)]
-    if name == "removal":
-        return [_removal_verdict(g)]
-    func = BOUND_FUNCTIONS.get(name)
-    if func is None:
-        raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
-    return [func(g)]
-
-
-def _verdict_record(index: int, g: Graph, verdict: BoundVerdict) -> dict[str, Any]:
-    return {
-        "graph_index": index,
-        "graph6": graph6_or_none(g),
-        "n": g.n,
-        "m": g.m,
-        "name": verdict.bound_name,
-        "status": "ok",
-        "applicable": verdict.applicable,
-        "informational": verdict.informational,
-        "lhs": verdict.lhs,
-        "rhs": verdict.rhs,
-        "slack": verdict.slack,
-        "holds": verdict.holds,
-        "witness": verdict.witness,
-        "reason": None,
-    }
-
-
-def _skip_record(index: int, g: Graph, name: str, reason: str) -> dict[str, Any]:
-    return {
-        "graph_index": index,
-        "graph6": graph6_or_none(g),
-        "n": g.n,
-        "m": g.m,
-        "name": name,
-        "status": "skipped",
-        "applicable": False,
-        "informational": False,
-        "lhs": None,
-        "rhs": None,
-        "slack": None,
-        "holds": None,
-        "witness": None,
-        "reason": reason,
-    }
-
-
-def evaluate_graph(
-    task: tuple[int, Graph, tuple[str, ...], int, int]
-) -> list[dict[str, Any]]:
-    """Evaluate the selected bounds on one graph; preconditions that the graph
-    does not meet become per-bound 'skipped' records, never fatal errors."""
+def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[dict[str, Any]]:
+    """Evaluate the selected bounds on one graph, sharing one context among
+    them; preconditions that the graph does not meet become per-bound
+    'skipped' records, never fatal errors."""
     index, g, names, budget_n, seed = task
+    ctx = GraphContext(g, budget_n, seed + index)
+    head = graph_fields(index, g)
     records: list[dict[str, Any]] = []
     for name in names:
         try:
-            for verdict in evaluate_bound(name, g, budget_n, seed + index):
-                records.append(_verdict_record(index, g, verdict))
+            records += [
+                {**head, "name": v.bound_name, "status": "ok", "applicable": v.applicable,
+                 "informational": v.informational, "lhs": v.lhs, "rhs": v.rhs,
+                 "slack": v.slack, "holds": v.holds, "witness": v.witness, "reason": None}
+                for v in evaluate_bound(name, ctx)
+            ]
         except (ContractViolation, BudgetExceeded) as exc:
-            records.append(_skip_record(index, g, name, str(exc)))
+            records.append({**head, "name": name, **_SKIPPED, "reason": str(exc)})
     return records
 
 
@@ -382,13 +291,14 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     record per (graph, bound) to the sink in input order, and aggregate the
     per-bound minimum slack and any violations."""
     start = time.monotonic()
+    if config.jobs < 1:
+        raise ContractViolation(f"jobs must be >= 1, got {config.jobs}")
     names = config.bound_names()
     for name in names:
         if name not in ALL_BOUND_NAMES:
             raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
-    graphs = (
-        resolve_source(config.source) if isinstance(config.source, str) else config.source
-    )
+    source = config.source
+    graphs = resolve_source(source) if isinstance(source, str) else source
     tasks = ((i, g, names, config.budget_n, config.seed) for i, g in enumerate(graphs))
     summary = RunSummary()
 
@@ -424,12 +334,20 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     return summary
 
 
+@contextlib.contextmanager
+def open_out(path: str | None) -> Iterator[TextIO]:
+    """The record stream for an output path: stdout for None or '-'."""
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            yield handle
+
+
 def run_to_path(config: RunConfig) -> RunSummary:
     """Run a sweep writing records to ``config.out`` (stdout when '-')."""
-    if config.out in (None, "-"):
-        return run(config, RecordWriter(sys.stdout, config.fmt, CSV_COLUMNS))
-    with open(config.out, "w", encoding="ascii", newline="") as handle:
-        return run(config, RecordWriter(handle, config.fmt, CSV_COLUMNS))
+    with open_out(config.out) as stream:
+        return run(config, RecordWriter(stream, config.fmt, CSV_COLUMNS))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ explicit budgets; none of them approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceeded, ContractViolation
 from .graphs import (
@@ -180,18 +181,21 @@ def triangle_count_exact(g: Graph) -> int:
     return total
 
 
+def _induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Every (u, v, w) with u < w, edges uv and vw, and uw absent, in
+    lexicographic order."""
+    for u in range(g.n):
+        for v in _iter_bits(g.adj[u]):
+            # No self-loops, so w != v; the shift keeps w > u.
+            rest = g.adj[v] & ~g.adj[u]
+            for w in _iter_bits(rest >> (u + 1) << (u + 1)):
+                yield (u, v, w)
+
+
 def find_induced_p3(g: Graph) -> tuple[int, int, int] | None:
     """Lexicographically least (u, v, w) with u < w, edges uv and vw, and uw
     absent; None exactly when the graph is a disjoint union of cliques."""
-    for u in range(g.n):
-        for v in range(g.n):
-            if v == u or not g.has_edge(u, v):
-                continue
-            rest = g.adj[v] & ~g.adj[u]
-            for w in _iter_bits(rest >> (u + 1) << (u + 1)):
-                if w != v:
-                    return (u, v, w)
-    return None
+    return next(_induced_p3s(g), None)
 
 
 def induces_p3(g: Graph, triple: tuple[int, int, int]) -> bool:
@@ -217,25 +221,16 @@ def check_p3_cut_vertex_property(g: Graph, max_listed: int = 20) -> P3CutVertexR
     graph when removed? Vacuously true without induced paths."""
     if not is_connected(g):
         raise ContractViolation("property check requires a connected graph")
-    cuts = 0
-    for v in cut_vertices(g):
-        cuts |= 1 << v
+    cuts = sum(1 << v for v in cut_vertices(g))
     violations: list[tuple[int, int, int]] = []
     count = 0
     checked = 0
-    for u in range(g.n):
-        for v in range(g.n):
-            if v == u or not g.has_edge(u, v):
-                continue
-            rest = g.adj[v] & ~g.adj[u]
-            for w in _iter_bits(rest >> (u + 1) << (u + 1)):
-                if w == v:
-                    continue
-                checked += 1
-                if not (cuts & ((1 << u) | (1 << v) | (1 << w))):
-                    count += 1
-                    if len(violations) < max_listed:
-                        violations.append((u, v, w))
+    for u, v, w in _induced_p3s(g):
+        checked += 1
+        if not (cuts & ((1 << u) | (1 << v) | (1 << w))):
+            count += 1
+            if len(violations) < max_listed:
+                violations.append((u, v, w))
     return P3CutVertexReport(count == 0, tuple(violations), count, checked)
 
 

@@ -18,15 +18,11 @@ from typing import Literal
 
 import numpy as np
 
+from .context import GraphContext
 from .errors import ContractViolation, ConvergenceError, NumericError
 from .graphs import Graph, delete_vertex
 from .oracles import induces_p3
-from .spectral import (
-    eigen_decompose_symmetric,
-    numeric_tolerance,
-    spectral_split,
-    square_energies,
-)
+from .spectral import eigen_decompose_symmetric, numeric_tolerance, square_energies
 
 Sign = Literal["plus", "minus"]
 
@@ -101,15 +97,22 @@ class MinCharacterizationReport:
 def verify_min_characterization(
     g: Graph, trials: int = 20, seed: int = 0
 ) -> MinCharacterizationReport:
+    return min_characterization(GraphContext(g), trials, seed)
+
+
+def min_characterization(
+    ctx: GraphContext, trials: int = 20, seed: int = 0
+) -> MinCharacterizationReport:
     """Check both sides of the PSD minimization form of s+/s-.
 
     Equality: ||A + A-||^2 = s+ and ||A - A+||^2 = s-. Lower bound: for
     seeded random PSD M, ||A + M||^2 >= s+ and ||A - M||^2 >= s- up to the
     global tolerance. Violations carry the offending matrix.
     """
-    a = g.adjacency_matrix()
-    report = square_energies(g)
-    split = spectral_split(g)
+    g = ctx.g
+    a = ctx.adjacency
+    report = ctx.energies
+    split = ctx.split
     obj_plus = float(np.square(a + split.a_minus).sum())
     obj_minus = float(np.square(a - split.a_plus).sum())
     gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
@@ -127,14 +130,8 @@ def verify_min_characterization(
                     )
                 )
     return MinCharacterizationReport(
-        report.s_plus,
-        report.s_minus,
-        obj_plus,
-        obj_minus,
-        gap,
-        trials,
-        tuple(violations),
-        gap <= tau and not violations,
+        report.s_plus, report.s_minus, obj_plus, obj_minus, gap, trials,
+        tuple(violations), gap <= tau and not violations,
     )
 
 
@@ -277,15 +274,20 @@ class P3RemovalWitness:
 
 
 def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitness:
+    return removal_witness(GraphContext(g), triple)
+
+
+def removal_witness(ctx: GraphContext, triple: tuple[int, int, int]) -> P3RemovalWitness:
     """Search the three vertices of an induced 3-path for removal witnesses.
 
     For each sign independently, returns the vertex maximizing the square
     energy drop (ties to the least index); the drop must exceed 1 by at least
     a strictness margin, which the removal bound guarantees.
     """
+    g = ctx.g
     if not induces_p3(g, triple):
         raise ContractViolation(f"triple {triple} does not induce a 3-vertex path")
-    whole = square_energies(g)
+    whole = ctx.energies
     drops_plus = []
     drops_minus = []
     for u in triple:

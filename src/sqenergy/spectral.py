@@ -11,6 +11,7 @@ zero are counted as zero and contribute to neither square energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,53 +101,69 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(tuple(float(v) for v in vals), residual), vecs
 
 
-def spectrum(g: Graph) -> Spectrum:
-    """Adjacency spectrum of a graph, sorted descending."""
-    spec, _ = eigen_decompose_symmetric(g.adjacency_matrix())
-    tau = numeric_tolerance(g.n)
-    values = np.array(spec.values)
-    if values.size and abs(float(values.sum())) > tau:
-        raise NumericError("adjacency spectrum trace deviates from zero")
-    if abs(float(np.square(values).sum()) - 2.0 * g.m) > tau * max(1.0, 2.0 * g.m):
-        raise NumericError("adjacency spectrum square-sum deviates from 2m")
-    return spec
-
-
-def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyReport:
-    """Sum of squared positive / negative adjacency eigenvalues.
+def energy_report(s: Spectrum, m: int, zero_tolerance: float | None = None) -> EnergyReport:
+    """Sum of squared positive / negative eigenvalues of a graph spectrum.
 
     Eigenvalues with |lambda| <= zero_tolerance count as zero and contribute
     to neither sum.
     """
-    if zero_tolerance is None:
-        zero_tolerance = default_zero_tolerance(g.n)
-    values = np.array(spectrum(g).values)
+    zero_tolerance = default_zero_tolerance(s.n) if zero_tolerance is None else zero_tolerance
+    values = np.array(s.values)
     if values.size == 0:
         return EnergyReport(0.0, 0.0, 0.0, 0)
     s_plus = float(np.square(values[values > zero_tolerance]).sum())
     s_minus = float(np.square(values[values < -zero_tolerance]).sum())
-    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), g.m)
+    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), m)
 
 
-def spectral_split(g: Graph, zero_tolerance: float | None = None) -> SpectralSplit:
-    """PSD matrices built from the positive / negative spectral projectors."""
-    if zero_tolerance is None:
-        zero_tolerance = default_zero_tolerance(g.n)
-    spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
-    values = np.array(spec.values)
+def psd_split(
+    s: Spectrum, vecs: np.ndarray, adjacency: Callable[[], np.ndarray],
+    zero_tolerance: float | None = None,
+) -> SpectralSplit:
+    """PSD matrices built from the positive / negative spectral projectors of
+    the decomposition ``(s, vecs)``, checked PSD and checked to reconstruct
+    ``adjacency()``. Only that last check asks for the matrix, so a caller
+    that does not keep it need not hold it while the halves are built."""
+    zero_tolerance = default_zero_tolerance(s.n) if zero_tolerance is None else zero_tolerance
+    values = np.array(s.values)
     plus = values > zero_tolerance
     minus = values < -zero_tolerance
     a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
     a_minus = (vecs[:, minus] * (-values[minus])) @ vecs[:, minus].T
     a_plus = (a_plus + a_plus.T) / 2.0
     a_minus = (a_minus + a_minus.T) / 2.0
-    tau = numeric_tolerance(g.n)
-    for name, mat in (("a_plus", a_plus), ("a_minus", a_minus)):
-        if mat.size and float(np.linalg.eigvalsh(mat)[0]) < -tau:
+    tau = numeric_tolerance(s.n)
+    for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
+        if part.size and float(np.linalg.eigvalsh(part)[0]) < -tau:
             raise NumericError(f"{name} is not PSD within tolerance")
-    if np.max(np.abs(a_plus - a_minus - g.adjacency_matrix()), initial=0.0) > tau:
+    if np.max(np.abs(a_plus - a_minus - adjacency()), initial=0.0) > tau:
         raise NumericError("split does not reconstruct the adjacency matrix")
     return SpectralSplit(a_plus, a_minus)
+
+
+def _context(g: Graph):
+    """A fresh GraphContext, for the one-quantity graph-level functions below."""
+    from .context import GraphContext  # context.py builds on this module
+
+    return GraphContext(g)
+
+
+def spectrum(g: Graph) -> Spectrum:
+    """Adjacency spectrum of a graph, sorted descending."""
+    return _context(g).spectrum
+
+
+def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyReport:
+    """Sum of squared positive / negative adjacency eigenvalues."""
+    return energy_report(_context(g).spectrum, g.m, zero_tolerance)
+
+
+def spectral_split(g: Graph, zero_tolerance: float | None = None) -> SpectralSplit:
+    """PSD matrices built from the positive / negative spectral projectors."""
+    # Keep no context, so the matrix is not alive while the halves are built;
+    # rebuilding it for the last check keeps the peak memory of the old split.
+    spec, vecs = _context(g).decomposition
+    return psd_split(spec, vecs, g.adjacency_matrix, zero_tolerance)
 
 
 def inertia(s: Spectrum, zero_tolerance: float | None = None) -> Inertia:
@@ -165,7 +182,7 @@ def inertia(s: Spectrum, zero_tolerance: float | None = None) -> Inertia:
 
 
 def graph_inertia(g: Graph, zero_tolerance: float | None = None) -> Inertia:
-    return inertia(spectrum(g), zero_tolerance)
+    return inertia(_context(g).spectrum, zero_tolerance)
 
 
 def triangle_count_spectral(s: Spectrum) -> float:

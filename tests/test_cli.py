@@ -202,3 +202,46 @@ def test_unknown_bound_is_operational_error(capsys):
 def test_record_writer_rejects_bad_format():
     with pytest.raises(ContractViolation):
         RecordWriter(io.StringIO(), "xml")
+
+
+def test_non_ascii_graph6_file_is_clean_error(tmp_path, capsys):
+    path6 = tmp_path / "bad.g6"
+    path6.write_bytes(b"Bw\nB\xe9\n")
+    assert main(["bounds", str(path6), "--set", "efgw", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: body byte 233 out of range 63..126")
+
+
+def test_non_ascii_graph6_stdin_is_clean_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xffw\n")))
+    assert main(["energy", "-"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: size byte 255 out of range")
+
+
+def test_graph6_errors_name_their_line(tmp_path, capsys):
+    path6 = tmp_path / "truncated.g6"
+    path6.write_text("Bw\n\nC\n")
+    assert main(["spectrum", str(path6), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: truncated body")
+
+
+def test_jobs_below_one_is_operational_error(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["bounds", "enumerate:3", "--set", "efgw", "--jobs", jobs]) == 1
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_subcommands_reject_flags_they_never_read():
+    from sqenergy.cli import build_parser
+
+    parser = build_parser()
+    for argv in (
+        ["enumerate", "--n", "3", "--format", "csv"],
+        ["spectrum", "family:petersen", "--seed", "1"],
+        ["gq", "--q", "2", "--budget-n", "10"],
+        ["hunt", "--n", "5", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    args = parser.parse_args(["decompose", "--method", "domination", "x", "--budget-n", "9"])
+    assert args.budget_n == 9

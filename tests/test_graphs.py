@@ -195,3 +195,27 @@ def test_canonical_form_is_isomorphism_invariant():
         perm = list(rng.permutation(g.n))
         assert canonical_key(relabel(g, perm)) == canonical_key(g)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+def test_bitset_matrix_conversions_match_loop_reference():
+    from sqenergy.graphs import _graph_from_bool_matrix
+
+    rng = np.random.default_rng(5)
+    graphs = [Graph(0, ()), Graph(1, (0,))] + [gnp(rng, n, 0.4) for n in (2, 7, 8, 9, 64, 65, 130)]
+    for g in graphs:
+        ref = np.zeros((g.n, g.n))
+        for i, row in enumerate(g.adj):
+            for j in range(g.n):
+                ref[i, j] = (row >> j) & 1
+        mat = g.adjacency_matrix()
+        assert mat.dtype == np.float64 and np.array_equal(mat, ref)
+        assert np.array_equal(g.adjacency_matrix(bool), ref.astype(bool))
+        if g.n:
+            assert _graph_from_bool_matrix(ref.astype(bool)) == g
+        perm = rng.permutation(g.n)
+        rows = [0] * g.n
+        for i, row in enumerate(g.adj):
+            for j in range(g.n):
+                if (row >> j) & 1:
+                    rows[perm[i]] |= 1 << int(perm[j])
+        assert relabel(g, perm) == Graph(g.n, tuple(rows))
