@@ -4,12 +4,13 @@ small graphs up to isomorphism.
 Vertices are integers ``0..n-1``. Adjacency is stored as one Python-int bitset
 per vertex, so structural algorithms (components, subset searches, canonical
 forms) run on plain integer arithmetic and every value is immutable and
-hashable.
+hashable. Each isomorphism class is represented by its canonical form, the
+relabeling with the least column-major upper-triangle key; the classes on n
+vertices are generated in ascending key order from those on n - 1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -21,9 +22,6 @@ from .errors import BudgetExceeded, ContractViolation, Graph6Error
 GRAPH6_MAX_N = 62
 ENUMERATION_MAX_N = 8
 CANONICAL_MAX_N = 8
-
-# Gathers per canonicalization chunk are capped to keep temporaries small.
-_CANONICAL_CHUNK_ELEMS = 8_000_000
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -49,15 +47,25 @@ class Graph:
                 f"expected {self.n} adjacency rows, got {len(self.adj)}"
             )
         full = (1 << self.n) - 1
+        upper = 0
         for i, row in enumerate(self.adj):
             if row & ~full:
                 raise ContractViolation(f"row {i} has bits outside 0..{self.n - 1}")
             if (row >> i) & 1:
                 raise ContractViolation(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.adj[i] >> j) & 1 != (self.adj[j] >> i) & 1:
+            above = row >> (i + 1) << (i + 1)
+            for j in _iter_bits(above):
+                if not (self.adj[j] >> i) & 1:
                     raise ContractViolation(f"adjacency not symmetric at ({i}, {j})")
+            upper += above.bit_count()
+        # Every edge above the diagonal is mirrored below it; any further bit
+        # below the diagonal has no mirror above.
+        if 2 * upper != sum(row.bit_count() for row in self.adj):
+            i, j = next(
+                (i, j) for j, row in enumerate(self.adj)
+                for i in _iter_bits(row & ((1 << j) - 1)) if not (self.adj[i] >> j) & 1
+            )
+            raise ContractViolation(f"adjacency not symmetric at ({i}, {j})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -367,113 +375,97 @@ def isolated_vertices(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # Canonical forms and enumeration up to isomorphism
 #
-# The canonical form of a graph is the relabeling whose upper-triangle
-# adjacency bit-string (same column-major order as graph6) is
-# lexicographically minimal over all n! vertex permutations. Feasible for
-# n <= 8; the permutation tables are cached per n.
+# The key of a vertex order v_0, ..., v_{n-1} is the upper adjacency triangle
+# read column-major, as in graph6: column j holds the adjacency of v_j to
+# v_0, ..., v_{j-1}, v_0 most significant. The canonical key is the least key
+# over all orders, and the canonical form is the graph relabeled by an order
+# that reaches it.
+#
+# The columns are fixed-width and concatenated, so the least key is found
+# level by level: keep every partial order whose key prefix is least, and
+# extend it only by the remaining vertices of least column. Twins (vertices
+# whose neighbourhoods agree outside the pair) are interchangeable: swapping
+# two remaining twins is an automorphism that fixes the chosen prefix, so only
+# the least of them is branched on. Without that, empty and complete graphs
+# would branch n! ways.
+#
+# The key is hereditary: a canonical graph's key without its last column is
+# the key of the graph with its last vertex deleted, and that key must be
+# least too, so the parent is canonical. Every class on n vertices therefore
+# extends a canonical parent on n-1 vertices by a last column, and is kept
+# exactly when that extension is its own canonical form (Read's orderly
+# generation). Parents in ascending key order, each with ascending last
+# columns, give the classes in ascending key order with no store of the
+# classes already seen.
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _permutation_tables(n: int):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    rows = []
-    cols = []
-    for j in range(n):
-        for i in range(j):
-            rows.append(i)
-            cols.append(j)
-    rowi = np.array(rows, dtype=np.int64)
-    colj = np.array(cols, dtype=np.int64)
-    prow = perms[:, rowi] if len(rows) else np.zeros((len(perms), 0), dtype=np.int64)
-    pcol = perms[:, colj] if len(cols) else np.zeros((len(perms), 0), dtype=np.int64)
-    nbits = len(rows)
-    # Bit values stay below 2^28 for n <= 8, exactly representable in float64,
-    # which lets the packing run through BLAS.
-    pow2 = np.power(2.0, np.arange(nbits - 1, -1, -1, dtype=np.float64))
-    return perms, prow, pcol, pow2
-
-
-def _canonical_keys_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical keys and argmin permutation indices for a (B, n, n) bool stack."""
-    b, n, _ = mats.shape
-    perms, prow, pcol, pow2 = _permutation_tables(n)
-    keys = np.empty(b, dtype=np.int64)
-    argidx = np.empty(b, dtype=np.int64)
-    per_graph = max(1, prow.size)
-    chunk = max(1, _CANONICAL_CHUNK_ELEMS // per_graph)
-    for s in range(0, b, chunk):
-        sub = mats[s : s + chunk]
-        if prow.size == 0:
-            keys[s : s + chunk] = 0
-            argidx[s : s + chunk] = 0
-            continue
-        bits = sub[:, prow, pcol].astype(np.float64)
-        vals = bits @ pow2
-        keys[s : s + chunk] = vals.min(axis=1).astype(np.int64)
-        argidx[s : s + chunk] = vals.argmin(axis=1)
-    return keys, argidx
-
-
-def _graph_from_bool_matrix(mat: np.ndarray) -> Graph:
-    """Inverse of ``Graph.adjacency_matrix``: pack each row into a bitset."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return Graph(mat.shape[0], tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
+    """Least key of the graph on rows ``adj`` and one vertex order reaching it."""
+    if n > CANONICAL_MAX_N:
+        raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
+    # Bit w of lower_twins[u] is set for each twin w < u.
+    lower_twins = [
+        sum(1 << w for w in range(u) if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w))
+        for u in range(n)
+    ]
+    # Each node is a chosen order and its remaining vertices grouped by their
+    # column against that order, as (column, mask) cells in ascending column.
+    nodes = [((), [(0, (1 << n) - 1)])]
+    key = 0
+    for level in range(n):
+        best = min(cells[0][0] for _, cells in nodes)
+        key = key << level | best
+        children = []
+        for order, cells in nodes:
+            head, first = cells[0]
+            if head != best:
+                continue
+            for v in _iter_bits(first):
+                # Twins share a column, so a remaining lower twin is in ``first``.
+                if lower_twins[v] & first:
+                    continue
+                row = adj[v]
+                split = []
+                for col, mask in cells:
+                    mask &= ~(1 << v)
+                    if mask & ~row:
+                        split.append((col << 1, mask & ~row))
+                    if mask & row:
+                        split.append((col << 1 | 1, mask & row))
+                children.append((order + (v,), split))
+        nodes = children
+    return key, nodes[0][0]
 
 
 def canonical_key(g: Graph) -> int:
-    """Packed minimal adjacency bit-string, an isomorphism invariant."""
-    if g.n > CANONICAL_MAX_N:
-        raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
-    if g.n == 0:
-        return 0
-    keys, _ = _canonical_keys_batch(g.adjacency_matrix(bool)[None])
-    return int(keys[0])
+    """Least column-major upper-triangle key over all vertex orders, an
+    isomorphism invariant."""
+    return _canonical_search(g.adj, g.n)[0]
 
 
 def canonical_form(g: Graph) -> Graph:
-    """Representative of g's isomorphism class with minimal adjacency bit-string."""
-    if g.n > CANONICAL_MAX_N:
-        raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
-    if g.n == 0:
-        return g
-    mat = g.adjacency_matrix(bool)
-    keys, argidx = _canonical_keys_batch(mat[None])
-    perms, _, _, _ = _permutation_tables(g.n)
-    p = perms[argidx[0]]
-    return _graph_from_bool_matrix(mat[np.ix_(p, p)])
+    """Representative of g's isomorphism class with the least key."""
+    return Graph(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1]))
 
 
 @lru_cache(maxsize=None)
 def _isomorphism_classes(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on exactly n vertices, ascending canonical key.
-
-    Built by extending every class on n-1 vertices with one new vertex over
-    all 2^(n-1) neighborhoods and deduplicating by canonical key. Every class
-    on n vertices arises this way because deleting a vertex lands in some
-    class on n-1 vertices.
-    """
+    """All isomorphism classes on exactly n vertices in canonical form,
+    ascending canonical key, by orderly generation from those on n-1."""
     if n == 1:
         return (Graph(1, (0,)),)
-    parents = _isomorphism_classes(n - 1)
-    perms, _, _, _ = _permutation_tables(n)
-    nb = n - 1
-    count = 1 << nb
-    mask_bits = ((np.arange(count)[:, None] >> np.arange(nb)[None, :]) & 1).astype(bool)
-    reps: dict[int, Graph] = {}
-    for parent in parents:
-        base = np.zeros((n, n), dtype=bool)
-        base[:nb, :nb] = parent.adjacency_matrix(bool)
-        cands = np.broadcast_to(base, (count, n, n)).copy()
-        cands[:, nb, :nb] = mask_bits
-        cands[:, :nb, nb] = mask_bits
-        keys, argidx = _canonical_keys_batch(cands)
-        for i in range(count):
-            key = int(keys[i])
-            if key not in reps:
-                p = perms[argidx[i]]
-                reps[key] = _graph_from_bool_matrix(cands[i][np.ix_(p, p)])
-    return tuple(reps[k] for k in sorted(reps))
+    classes = []
+    for parent in _isomorphism_classes(n - 1):
+        base = canonical_key(parent) << (n - 1)
+        for c in range(1 << (n - 1)):
+            # Bit n-2-i of the last column c is the edge from vertex i.
+            nbrs = sum(1 << i for i in range(n - 1) if (c >> (n - 2 - i)) & 1)
+            rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent.adj))
+            rows += (nbrs,)
+            if _canonical_search(rows, n)[0] == base | c:
+                classes.append(Graph(n, rows))
+    return tuple(classes)
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

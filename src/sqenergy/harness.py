@@ -138,8 +138,9 @@ def resolve_source(source: str) -> Iterator[Graph]:
             n = int(pieces[1])
         except ValueError as exc:
             raise ContractViolation(f"malformed enumerate source {source!r}") from exc
-        connected = len(pieces) > 2 and pieces[2] == "connected"
-        return enumerate_graphs(n, connected_only=connected)
+        if pieces[2:] not in ([], ["connected"]):
+            raise ContractViolation(f"malformed enumerate source {source!r}")
+        return enumerate_graphs(n, connected_only=len(pieces) == 3)
     if source == "-":
         return graphs_from_graph6_lines(sys.stdin.buffer)
 

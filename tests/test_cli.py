@@ -199,6 +199,14 @@ def test_unknown_bound_is_operational_error(capsys):
     assert "unknown bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["enumerate:4:conected", "enumerate:4:connected:x"])
+def test_bad_enumerate_suffix_is_operational_error(source, capsys):
+    assert main(["bounds", source, "--set", "efgw"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed enumerate source '{source}'")
+
+
 def test_record_writer_rejects_bad_format():
     with pytest.raises(ContractViolation):
         RecordWriter(io.StringIO(), "xml")

@@ -41,6 +41,14 @@ def test_graph_validation():
     assert g.edges() == [(0, 1), (1, 2)]
 
 
+def test_asymmetry_names_a_pair_above_the_diagonal():
+    # Rows 0..2 as bitsets: an edge above the diagonal without its mirror,
+    # then a bit below the diagonal without its mirror.
+    for adj in ((0b100, 0, 0), (0, 0, 0b001)):
+        with pytest.raises(ContractViolation, match=r"adjacency not symmetric at \(0, 2\)"):
+            Graph(3, adj)
+
+
 def test_vertex_set():
     s = VertexSet.of([0, 2, 3], 5)
     assert len(s) == 3 and s.vertices == (0, 2, 3)
@@ -179,7 +187,7 @@ def _brute_canonical(g: Graph) -> tuple[int, ...]:
 
 
 def test_canonical_form_matches_brute_force():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for g in enumerate_graphs(n):
             c = canonical_form(g)
             bits = []
@@ -187,6 +195,67 @@ def test_canonical_form_matches_brute_force():
                 for i in range(j):
                     bits.append(1 if c.has_edge(i, j) else 0)
             assert tuple(bits) == _brute_canonical(g)
+
+
+def _symmetric_graphs_on_8():
+    """Twin-rich and vertex-transitive graphs on 8 vertices, by name."""
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    matching = Graph.from_edges(8, [(2 * i, 2 * i + 1) for i in range(4)])
+    return {
+        "C8": cycle(8),
+        "Q3": Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]),
+        "Wagner": Graph.from_edges(8, ring + [(i, i + 4) for i in range(4)]),
+        "K4,4": join(Graph(4, (0,) * 4), Graph(4, (0,) * 4)),
+        "co-C8": complement(cycle(8)),
+        "2K4": disjoint_union(complete(4), complete(4)),
+        "2C4": disjoint_union(cycle(4), cycle(4)),
+        "K2,2,2,2": complement(matching),
+        "P8": path(8),
+        "E8": Graph(8, (0,) * 8),
+        "K8": complete(8),
+    }
+
+
+def _numpy_least_key(g: Graph) -> int:
+    """Least column-major upper-triangle key over all n! vertex orders."""
+    mat = np.array([[(row >> j) & 1 for j in range(g.n)] for row in g.adj], dtype=np.int64)
+    perms = np.array(list(permutations(range(g.n))), dtype=np.int64)
+    pairs = [(i, j) for j in range(g.n) for i in range(j)]
+    bits = np.stack([mat[perms[:, i], perms[:, j]] for i, j in pairs], axis=1)
+    weights = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    return int((bits @ weights).min())
+
+
+def test_canonical_key_on_symmetric_graphs_matches_numpy_brute_force():
+    rng = np.random.default_rng(8)
+    for name, g in _symmetric_graphs_on_8().items():
+        expected = _numpy_least_key(g)
+        form = canonical_form(g)
+        assert _numpy_least_key(form) == expected, name
+        for _ in range(5):
+            h = relabel(g, rng.permutation(8))
+            assert canonical_key(h) == expected, name
+            assert canonical_form(h) == form, name
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_enumeration_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    for n in range(1, 8):
+        buckets: dict[str, list] = {}
+        for g in enumerate_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        for bucket in buckets.values():
+            for a in range(len(bucket)):
+                for b in range(a):
+                    assert not nx.is_isomorphic(bucket[a], bucket[b])
+        for ref in (a for a in atlas if a.number_of_nodes() == n):
+            bucket = buckets.get(nx.weisfeiler_lehman_graph_hash(ref), [])
+            assert any(nx.is_isomorphic(ref, h) for h in bucket), nx.to_graph6_bytes(ref)
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -198,8 +267,6 @@ def test_canonical_form_is_isomorphism_invariant():
 
 
 def test_bitset_matrix_conversions_match_loop_reference():
-    from sqenergy.graphs import _graph_from_bool_matrix
-
     rng = np.random.default_rng(5)
     graphs = [Graph(0, ()), Graph(1, (0,))] + [gnp(rng, n, 0.4) for n in (2, 7, 8, 9, 64, 65, 130)]
     for g in graphs:
@@ -210,8 +277,6 @@ def test_bitset_matrix_conversions_match_loop_reference():
         mat = g.adjacency_matrix()
         assert mat.dtype == np.float64 and np.array_equal(mat, ref)
         assert np.array_equal(g.adjacency_matrix(bool), ref.astype(bool))
-        if g.n:
-            assert _graph_from_bool_matrix(ref.astype(bool)) == g
         perm = rng.permutation(g.n)
         rows = [0] * g.n
         for i, row in enumerate(g.adj):
