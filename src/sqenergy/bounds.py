@@ -22,7 +22,6 @@ from .context import GraphContext
 from .errors import ContractViolation
 from .graphs import (
     Graph,
-    _iter_bits,
     dominating_vertices,
     induced_subgraph,
     is_clique,
@@ -31,7 +30,7 @@ from .graphs import (
     is_star,
     isolated_vertices,
 )
-from .oracles import SEARCH_BUDGET_N, _subset_edges
+from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
 from .sdp import min_characterization, removal_witness
 from .spectral import numeric_tolerance, spectrum
@@ -116,7 +115,7 @@ def _dominating_vertex(ctx: GraphContext) -> list[BoundVerdict]:
         raise ContractViolation("no dominating vertex")
     e = ctx.energies
     slack = e.s_minus - (g.n - 1)
-    equality = abs(slack) <= 1e-6
+    equality = abs(slack) <= numeric_tolerance(g.n)
     classification = "strict"
     if equality:
         classification = "clique" if is_clique(g) else "star" if is_star(g) else "unexpected"
@@ -239,7 +238,7 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
     k = len(partition.parts)
     masks = [part.members for part in partition.parts]
     sizes = [part.members.bit_count() for part in partition.parts]
-    inside = [_subset_edges(g.adj, mask) for mask in masks]
+    inside = [_edges_between(g.adj, mask, mask) // 2 for mask in masks]
     m = g.m
     e = ctx.energies
     witness: dict[str, Any] = {
@@ -270,7 +269,7 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
     best_cross = -1
     for i in range(k):
         for j in range(i + 1, k):
-            cross = sum((g.adj[v] & masks[j]).bit_count() for v in _iter_bits(masks[i]))
+            cross = _edges_between(g.adj, masks[i], masks[j])
             if cross > best_cross:
                 best_cross = cross
                 best_pair = (i, j)
@@ -331,7 +330,7 @@ def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVe
 
 def _sdp_min(ctx: GraphContext) -> list[BoundVerdict]:
     """The PSD minimization form of s+/s- on 20 seeded random PSD matrices."""
-    report = min_characterization(ctx, trials=20, seed=ctx.seed)
+    report = min_characterization(ctx, trials=20)
     worst = min([0.0] + [v.objective - v.optimum for v in report.violations])
     witness = {"equality_gap": report.equality_gap, "trials": report.trials}
     return [BoundVerdict("sdp-min", worst, 0.0, worst, report.ok, witness)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
 from .bounds import ALL_BOUND_NAMES, bound_efgw
 from .context import GraphContext
@@ -19,6 +19,7 @@ from .errors import SquareEnergyError
 from .families import gq_collinearity_graph, gq_predicted_spectrum
 from .graphs import Graph, enumerate_graphs, write_graph6
 from .harness import (
+    CSV_COLUMNS,
     RecordWriter,
     RunConfig,
     RunSummary,
@@ -27,7 +28,7 @@ from .harness import (
     graph_fields,
     open_out,
     resolve_source,
-    run_to_path,
+    run,
 )
 from .oracles import SEARCH_BUDGET_N, domination_number
 from .partitions import (
@@ -54,19 +55,18 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_OPTIONS[flag])
 
 
-def _print_summary(summary: RunSummary, stream: TextIO | None = None) -> None:
-    stream = stream if stream is not None else sys.stderr
+def _print_summary(summary: RunSummary) -> None:
     print(
         f"graphs: {summary.graphs_processed}  records: {summary.records_written}  "
         f"skipped: {summary.skipped}  violations: {len(summary.violations)}  "
         f"wall: {summary.wall_time:.2f}s",
-        file=stream,
+        file=sys.stderr,
     )
     for name in sorted(summary.minima):
         entry = summary.minima[name]
         print(
             f"  min slack {name}: {entry['slack']:.6g} at {entry['graph6'] or entry['graph_index']}",
-            file=stream,
+            file=sys.stderr,
         )
 
 
@@ -96,16 +96,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
-    config = RunConfig(
-        source=source,
-        bounds=bounds,
-        out=args.out,
-        fmt=args.format,
-        seed=args.seed,
-        jobs=args.jobs,
-        budget_n=args.budget_n,
-    )
-    summary = run_to_path(config)
+    config = RunConfig(source, bounds, seed=args.seed, jobs=args.jobs, budget_n=args.budget_n)
+    with open_out(args.out) as stream:
+        summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
     _print_summary(summary)
     return 2 if summary.violations else 0
 

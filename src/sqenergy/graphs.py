@@ -101,12 +101,12 @@ class Graph:
                 out.append((u, v))
         return out
 
-    def adjacency_matrix(self, dtype: type = np.float64) -> np.ndarray:
+    def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix, unpacked from the row bitsets."""
         width = (self.n + 7) // 8
         packed = b"".join(row.to_bytes(width, "little") for row in self.adj)
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
-        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(dtype)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little").astype(np.float64)
 
 
 @dataclass(frozen=True)

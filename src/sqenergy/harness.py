@@ -257,16 +257,12 @@ class RecordWriter:
 
 @dataclass
 class RunConfig:
-    """One sweep: a graph source, a bound selection, and output options.
-
-    ``out`` is the record sink path ('-' or None for stdout) used by
-    ``run_to_path``; ``run`` itself accepts any prebuilt writer.
-    """
+    """One sweep: a graph source, a bound selection, the base seed of the
+    randomized checks, the worker count and the exact-search budget. The
+    record sink is passed to ``run`` separately."""
 
     source: str | Iterable[Graph]
     bounds: tuple[str, ...]
-    out: str | None = None
-    fmt: str = "json"
     seed: int = 0
     jobs: int = 1
     budget_n: int = SEARCH_BUDGET_N
@@ -343,12 +339,6 @@ def open_out(path: str | None) -> Iterator[TextIO]:
     else:
         with open(path, "w", encoding="ascii", newline="") as handle:
             yield handle
-
-
-def run_to_path(config: RunConfig) -> RunSummary:
-    """Run a sweep writing records to ``config.out`` (stdout when '-')."""
-    with open_out(config.out) as stream:
-        return run(config, RecordWriter(stream, config.fmt, CSV_COLUMNS))
 
 
 # ---------------------------------------------------------------------------

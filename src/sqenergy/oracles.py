@@ -24,6 +24,8 @@ from .graphs import (
 
 SEARCH_BUDGET_N = 24
 SUBSET_PROPERTY_BUDGET_N = 16
+# Violations a structural-property report lists; it counts all of them.
+MAX_LISTED_VIOLATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -137,12 +139,18 @@ def independence_number(
     return best, VertexSet(best_mask, n)
 
 
+def _edges_between(adj: tuple[int, ...], a: int, b: int) -> int:
+    """Number of (u, w) with u in ``a``, w in ``b`` and uw an edge: the edges
+    between disjoint sets, twice the edges inside ``a`` when ``a == b``."""
+    total = 0
+    for v in _iter_bits(a):
+        total += (adj[v] & b).bit_count()
+    return total
+
+
 def cut_size(g: Graph, side: int) -> int:
     """Number of edges with exactly one endpoint in ``side``."""
-    total = 0
-    for v in _iter_bits(side):
-        total += (g.adj[v] & ~side).bit_count()
-    return total
+    return _edges_between(g.adj, side, ~side)
 
 
 def max_cut(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> CutReport:
@@ -216,7 +224,7 @@ def cut_vertices(g: Graph) -> list[int]:
     return out
 
 
-def check_p3_cut_vertex_property(g: Graph, max_listed: int = 20) -> P3CutVertexReport:
+def check_p3_cut_vertex_property(g: Graph) -> P3CutVertexReport:
     """For every induced 3-vertex path, does some path vertex disconnect the
     graph when removed? Vacuously true without induced paths."""
     if not is_connected(g):
@@ -229,22 +237,13 @@ def check_p3_cut_vertex_property(g: Graph, max_listed: int = 20) -> P3CutVertexR
         checked += 1
         if not (cuts & ((1 << u) | (1 << v) | (1 << w))):
             count += 1
-            if len(violations) < max_listed:
+            if len(violations) < MAX_LISTED_VIOLATIONS:
                 violations.append((u, v, w))
     return P3CutVertexReport(count == 0, tuple(violations), count, checked)
 
 
-def _subset_edges(adj: tuple[int, ...], mask: int) -> int:
-    total = 0
-    for v in _iter_bits(mask):
-        total += (adj[v] & mask).bit_count()
-    return total // 2
-
-
 def check_bipartite_removal_property(
-    g: Graph,
-    max_subset_size: int | None = None,
-    max_listed: int = 20,
+    g: Graph, max_subset_size: int | None = None
 ) -> BipartiteRemovalReport:
     """For every subset U inducing a bipartite graph with at least |U| edges,
     is the rest of the graph empty or disconnected?
@@ -268,7 +267,7 @@ def check_bipartite_removal_property(
         if max_subset_size is not None and size > max_subset_size:
             continue
         # A bipartite subgraph with >= |U| edges needs |U| >= 4.
-        if size < 4 or _subset_edges(g.adj, mask) < size:
+        if size < 4 or _edges_between(g.adj, mask, mask) // 2 < size:
             continue
         if _bipartition_mask(g.adj, mask) is None:
             continue
@@ -277,6 +276,6 @@ def check_bipartite_removal_property(
         if rest == 0 or len(_component_masks(g.adj, rest)) > 1:
             continue
         count += 1
-        if len(violations) < max_listed:
+        if len(violations) < MAX_LISTED_VIOLATIONS:
             violations.append(tuple(_iter_bits(mask)))
     return BipartiteRemovalReport(count == 0, tuple(violations), count, qualifying)

@@ -27,6 +27,7 @@ from .graphs import (
     induced_subgraph,
     is_clique,
     is_star,
+    isolated_vertices,
 )
 from .oracles import DominationCertificate, is_dominating
 from .spectral import numeric_tolerance, square_energies
@@ -118,9 +119,9 @@ def star_clique_partition(g: Graph) -> Partition:
     branch vertex is the least vertex with a tree-leaf neighbor, and a leaf
     edge is picked lexicographically.
     """
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise ContractViolation(f"isolated vertex {v}")
+    isolated = isolated_vertices(g)
+    if isolated:
+        raise ContractViolation(f"isolated vertex {isolated[0]}")
     remaining = (1 << g.n) - 1
     parts: list[VertexSet] = []
     labels: list[str] = []
@@ -195,9 +196,9 @@ def degree_class_partition(g: Graph) -> Partition:
     retained with their index."""
     if g.m < 1:
         raise ContractViolation("degree-class partition needs m >= 1")
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise ContractViolation(f"isolated vertex {v}")
+    isolated = isolated_vertices(g)
+    if isolated:
+        raise ContractViolation(f"isolated vertex {isolated[0]}")
     ranges = degree_class_thresholds(g.m)
     masks = [0] * len(ranges)
     for v in range(g.n):

@@ -29,6 +29,10 @@ Sign = Literal["plus", "minus"]
 # Strictness margin for the "drop exceeds 1" removal witness.
 REMOVAL_STRICTNESS = 1e-9
 
+# Iteration cap and step size of the projected-gradient minimizer.
+GRADIENT_MAX_ITERS = 10000
+GRADIENT_STEP = 0.5
+
 _P3_ADJACENCY = np.array(
     [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 )
@@ -97,17 +101,16 @@ class MinCharacterizationReport:
 def verify_min_characterization(
     g: Graph, trials: int = 20, seed: int = 0
 ) -> MinCharacterizationReport:
-    return min_characterization(GraphContext(g), trials, seed)
+    return min_characterization(GraphContext(g, seed=seed), trials)
 
 
-def min_characterization(
-    ctx: GraphContext, trials: int = 20, seed: int = 0
-) -> MinCharacterizationReport:
+def min_characterization(ctx: GraphContext, trials: int = 20) -> MinCharacterizationReport:
     """Check both sides of the PSD minimization form of s+/s-.
 
     Equality: ||A + A-||^2 = s+ and ||A - A+||^2 = s-. Lower bound: for
-    seeded random PSD M, ||A + M||^2 >= s+ and ||A - M||^2 >= s- up to the
-    global tolerance. Violations carry the offending matrix.
+    random PSD M drawn from ``ctx.seed``, ||A + M||^2 >= s+ and
+    ||A - M||^2 >= s- up to the global tolerance. Violations carry the
+    offending matrix.
     """
     g = ctx.g
     a = ctx.adjacency
@@ -117,7 +120,7 @@ def min_characterization(
     obj_minus = float(np.square(a - split.a_plus).sum())
     gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
     tau = numeric_tolerance(g.n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ctx.seed)
     violations: list[MinCharacterizationViolation] = []
     for t in range(trials):
         m = random_psd(rng, g.n)
@@ -142,24 +145,17 @@ def _psd_projection(mat: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def projected_gradient_min(
-    g: Graph,
-    sign: Sign,
-    max_iters: int = 10000,
-    tol: float | None = None,
-    step: float = 0.5,
-) -> float:
+def projected_gradient_min(g: Graph, sign: Sign) -> float:
     """Minimize ||A +- M||_F^2 over the PSD cone by gradient steps followed by
     projection (eigenvalue clamping); an oracle for the square energies that
     never reads them.
 
-    Stops when the objective change drops below ``tol`` (default
-    ``1e-4 * max(1, 2m)``); raises ConvergenceError with the objective tail if
-    the iteration budget runs out first.
+    Stops when the objective change drops below ``1e-4 * max(1, 2m)``; raises
+    ConvergenceError with the objective tail if ``GRADIENT_MAX_ITERS`` steps
+    run out first.
     """
     _check_sign(sign)
-    if tol is None:
-        tol = 1e-4 * max(1.0, 2.0 * g.m)
+    tol = 1e-4 * max(1.0, 2.0 * g.m)
     a = g.adjacency_matrix()
     sgn = 1.0 if sign == "plus" else -1.0
 
@@ -169,16 +165,16 @@ def projected_gradient_min(
     m = np.zeros_like(a)
     prev = objective(m)
     tail: list[float] = [prev]
-    for _ in range(max_iters):
+    for _ in range(GRADIENT_MAX_ITERS):
         grad = 2.0 * sgn * (a + sgn * m)
-        m = _psd_projection(m - step * grad)
+        m = _psd_projection(m - GRADIENT_STEP * grad)
         obj = objective(m)
         tail.append(obj)
         if abs(obj - prev) <= tol:
             return obj
         prev = obj
     raise ConvergenceError(
-        f"projected gradient did not stabilize within {max_iters} iterations",
+        f"projected gradient did not stabilize within {GRADIENT_MAX_ITERS} iterations",
         tuple(tail[-10:]),
     )
 

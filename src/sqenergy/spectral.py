@@ -2,10 +2,12 @@
 quantities: positive/negative square energies, the PSD split of the adjacency
 matrix, inertia, and the spectral triangle count.
 
-Conventions. Eigenvalues are sorted descending. ``numeric_tolerance(n)`` is
-the global absolute tolerance ``1e-8 * max(1, n)`` used by downstream
-certificates; eigenvalues within ``zero_tolerance`` (default ``1e-8 * n``) of
-zero are counted as zero and contribute to neither square energy.
+Conventions. Eigenvalues are sorted descending. ``numeric_tolerance(n)``,
+``1e-8 * max(1, n)``, is the one absolute tolerance: downstream certificates
+allow it as slack, and it is the half-width of the zero band. Eigenvalues
+within the band count as zero: they enter the inertia's zero count and
+neither square energy nor either half of the PSD split.
+``square_energies`` alone accepts another band.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ RESIDUAL_SCALE = 1e-10
 def numeric_tolerance(n: int) -> float:
     """Global absolute tolerance for spectral quantities on n vertices."""
     return 1e-8 * max(1, n)
-
-
-def default_zero_tolerance(n: int) -> float:
-    """Default half-width of the zero-eigenvalue band."""
-    return 1e-8 * n
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,6 @@ class Inertia:
     n_plus: int
     n_zero: int
     n_minus: int
-    zero_tolerance: float
 
 
 def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
@@ -104,10 +100,10 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 def energy_report(s: Spectrum, m: int, zero_tolerance: float | None = None) -> EnergyReport:
     """Sum of squared positive / negative eigenvalues of a graph spectrum.
 
-    Eigenvalues with |lambda| <= zero_tolerance count as zero and contribute
-    to neither sum.
+    Eigenvalues with |lambda| <= zero_tolerance (default: the zero band
+    ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
     """
-    zero_tolerance = default_zero_tolerance(s.n) if zero_tolerance is None else zero_tolerance
+    zero_tolerance = numeric_tolerance(s.n) if zero_tolerance is None else zero_tolerance
     values = np.array(s.values)
     if values.size == 0:
         return EnergyReport(0.0, 0.0, 0.0, 0)
@@ -116,23 +112,19 @@ def energy_report(s: Spectrum, m: int, zero_tolerance: float | None = None) -> E
     return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), m)
 
 
-def psd_split(
-    s: Spectrum, vecs: np.ndarray, adjacency: Callable[[], np.ndarray],
-    zero_tolerance: float | None = None,
-) -> SpectralSplit:
+def psd_split(s: Spectrum, vecs: np.ndarray, adjacency: Callable[[], np.ndarray]) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors of
     the decomposition ``(s, vecs)``, checked PSD and checked to reconstruct
     ``adjacency()``. Only that last check asks for the matrix, so a caller
     that does not keep it need not hold it while the halves are built."""
-    zero_tolerance = default_zero_tolerance(s.n) if zero_tolerance is None else zero_tolerance
+    tau = numeric_tolerance(s.n)
     values = np.array(s.values)
-    plus = values > zero_tolerance
-    minus = values < -zero_tolerance
+    plus = values > tau
+    minus = values < -tau
     a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
     a_minus = (vecs[:, minus] * (-values[minus])) @ vecs[:, minus].T
     a_plus = (a_plus + a_plus.T) / 2.0
     a_minus = (a_minus + a_minus.T) / 2.0
-    tau = numeric_tolerance(s.n)
     for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
         if part.size and float(np.linalg.eigvalsh(part)[0]) < -tau:
             raise NumericError(f"{name} is not PSD within tolerance")
@@ -158,31 +150,31 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
     return energy_report(_context(g).spectrum, g.m, zero_tolerance)
 
 
-def spectral_split(g: Graph, zero_tolerance: float | None = None) -> SpectralSplit:
+def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors."""
     # Keep no context, so the matrix is not alive while the halves are built;
     # rebuilding it for the last check keeps the peak memory of the old split.
     spec, vecs = _context(g).decomposition
-    return psd_split(spec, vecs, g.adjacency_matrix, zero_tolerance)
+    return psd_split(spec, vecs, g.adjacency_matrix)
 
 
-def inertia(s: Spectrum, zero_tolerance: float | None = None) -> Inertia:
-    """Counts of positive / zero / negative eigenvalues with a zero band."""
-    if zero_tolerance is None:
-        zero_tolerance = default_zero_tolerance(s.n)
-    if zero_tolerance < s.residual_bound:
+def inertia(s: Spectrum) -> Inertia:
+    """Counts of positive / zero / negative eigenvalues, the zero band being
+    ``numeric_tolerance(n)``; the band must not be narrower than the solver
+    residual."""
+    tau = numeric_tolerance(s.n)
+    if tau < s.residual_bound:
         raise ContractViolation(
-            f"zero_tolerance {zero_tolerance:.3e} below solver residual "
-            f"{s.residual_bound:.3e}"
+            f"zero band {tau:.3e} below solver residual {s.residual_bound:.3e}"
         )
     values = np.array(s.values)
-    n_plus = int((values > zero_tolerance).sum())
-    n_minus = int((values < -zero_tolerance).sum())
-    return Inertia(n_plus, s.n - n_plus - n_minus, n_minus, zero_tolerance)
+    n_plus = int((values > tau).sum())
+    n_minus = int((values < -tau).sum())
+    return Inertia(n_plus, s.n - n_plus - n_minus, n_minus)
 
 
-def graph_inertia(g: Graph, zero_tolerance: float | None = None) -> Inertia:
-    return inertia(_context(g).spectrum, zero_tolerance)
+def graph_inertia(g: Graph) -> Inertia:
+    return inertia(_context(g).spectrum)
 
 
 def triangle_count_spectral(s: Spectrum) -> float:

@@ -164,6 +164,15 @@ def test_csv_format(tmp_path):
     assert len(lines) == 7
 
 
+def test_csv_parallel_matches_serial(tmp_path):
+    base = ["bounds", "enumerate:5:connected", "--set", "all", "--format", "csv"]
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert main(base + ["--out", str(serial), "--jobs", "1"]) == 0
+    assert main(base + ["--out", str(parallel), "--jobs", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert serial.read_text().startswith("graph_index,graph6,n,m,name,status,")
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["bounds", "enumerate:5:connected", "--set", "efgw,surplus,sdp-min", "--seed", "7"]
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -169,6 +169,10 @@ def test_p3_cut_vertex_property():
     assert not report.holds and report.violation_count > 0
     assert report.violations[0] == (0, 1, 2)
     assert check_p3_cut_vertex_property(complete(4)).holds  # vacuous
+    # C25 has 25 induced 3-paths and no cut vertex: all are counted, 20 listed.
+    report = check_p3_cut_vertex_property(cycle(25))
+    assert report.violation_count == report.triples_checked == 25
+    assert len(report.violations) == 20 and report.violations[0] == (0, 1, 2)
     with pytest.raises(ContractViolation):
         check_p3_cut_vertex_property(disjoint_union(complete(2), complete(2)))
 

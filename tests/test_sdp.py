@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _gen import random_connected_with_p3, random_graphs
-from sqenergy.errors import ContractViolation
+import sqenergy.sdp as sdp
+from sqenergy.errors import ContractViolation, ConvergenceError
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import enumerate_graphs
 from sqenergy.sdp import (
@@ -73,6 +74,15 @@ def test_projected_gradient_examples():
     )
     with pytest.raises(ContractViolation):
         projected_gradient_min(complete(2), "both")
+
+
+def test_projected_gradient_reports_tail_when_iterations_run_out(monkeypatch):
+    # One step takes K2's "plus" objective from ||A||^2 = 2 to s+ = 1, a change
+    # far above the stopping threshold, so a one-step cap runs out.
+    monkeypatch.setattr(sdp, "GRADIENT_MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="within 1 iterations") as info:
+        projected_gradient_min(complete(2), "plus")
+    assert info.value.trajectory_tail == pytest.approx((2.0, 1.0), abs=1e-12)
 
 
 def test_projected_gradient_matches_eigensolver():

@@ -12,6 +12,7 @@ from sqenergy.families import complete, cycle, path, petersen, star, star_plus_e
 from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
 from sqenergy.oracles import triangle_count_exact
 from sqenergy.spectral import (
+    Spectrum,
     eigen_decompose_symmetric,
     graph_inertia,
     inertia,
@@ -121,9 +122,10 @@ def test_inertia_examples():
     assert (i.n_plus, i.n_zero, i.n_minus) == (1, 0, 3)
     i = graph_inertia(cycle(4))
     assert (i.n_plus, i.n_zero, i.n_minus) == (1, 2, 1)
+    # A residual wider than the zero band makes the zero count meaningless.
     spec = spectrum(petersen())
-    with pytest.raises(ContractViolation):
-        inertia(spec, zero_tolerance=1e-30)
+    with pytest.raises(ContractViolation, match="below solver residual"):
+        inertia(Spectrum(spec.values, residual_bound=1.0))
 
 
 def test_triangle_count_spectral():
