@@ -3,8 +3,8 @@
 Subcommands: spectrum, energy, bounds, enumerate, decompose, gq, verify,
 hunt. Graph sources are ``family:<name>[:k=v,...]``,
 ``enumerate:<n>[:connected]``, a graph6 file path, or ``-`` for graph6 lines
-on stdin. Exit codes: 0 clean, 2 when a sweep found violations, 1 on
-operational errors.
+on stdin. Exit codes: 0 clean, 2 when a sweep found violations, 1 when it
+wrote error records but found no violation, and 1 on operational errors.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
 def _print_summary(summary: RunSummary) -> None:
     print(
         f"graphs: {summary.graphs_processed}  records: {summary.records_written}  "
-        f"skipped: {summary.skipped}  violations: {len(summary.violations)}  "
+        f"skipped: {summary.skipped}  errors: {summary.errors}  "
+        f"violations: {len(summary.violations)}  "
         f"wall: {summary.wall_time:.2f}s",
         file=sys.stderr,
     )
@@ -100,7 +101,9 @@ def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> in
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
     _print_summary(summary)
-    return 2 if summary.violations else 0
+    if summary.violations:
+        return 2
+    return 1 if summary.errors else 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

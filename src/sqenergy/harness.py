@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict
 from .context import GraphContext
-from .errors import BudgetExceeded, ContractViolation, Graph6Error
+from .errors import BudgetExceeded, ContractViolation, Graph6Error, NumericError
 from .families import (
     complete,
     cycle,
@@ -164,8 +164,8 @@ def graph_fields(index: int, g: Graph) -> dict[str, Any]:
 # Bound evaluation
 # ---------------------------------------------------------------------------
 
-_SKIPPED = {"status": "skipped", "applicable": False, "informational": False,
-            "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
+_NULL_FIELDS = {"applicable": False, "informational": False,
+                "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
 def evaluate_bound(name: str, ctx: GraphContext) -> list[BoundVerdict]:
@@ -176,7 +176,8 @@ def evaluate_bound(name: str, ctx: GraphContext) -> list[BoundVerdict]:
 def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[dict[str, Any]]:
     """Evaluate the selected bounds on one graph, sharing one context among
     them; preconditions that the graph does not meet become per-bound
-    'skipped' records, never fatal errors."""
+    'skipped' records and numeric failures per-bound 'error' records, never
+    fatal errors."""
     index, g, names, budget_n, seed = task
     ctx = GraphContext(g, budget_n, seed + index)
     head = graph_fields(index, g)
@@ -190,7 +191,11 @@ def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[d
                 for v in evaluate_bound(name, ctx)
             ]
         except (ContractViolation, BudgetExceeded) as exc:
-            records.append({**head, "name": name, **_SKIPPED, "reason": str(exc)})
+            records.append({**head, "name": name, "status": "skipped", **_NULL_FIELDS,
+                            "reason": str(exc)})
+        except NumericError as exc:
+            records.append({**head, "name": name, "status": "error", **_NULL_FIELDS,
+                            "reason": f"{type(exc).__name__}: {exc}"})
     return records
 
 
@@ -278,6 +283,7 @@ class RunSummary:
     graphs_processed: int = 0
     records_written: int = 0
     skipped: int = 0
+    errors: int = 0
     violations: list[dict[str, Any]] = field(default_factory=list)
     minima: dict[str, dict[str, Any]] = field(default_factory=dict)
     wall_time: float = 0.0
@@ -308,6 +314,9 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
                 summary.records_written += 1
                 if record["status"] == "skipped":
                     summary.skipped += 1
+                    continue
+                if record["status"] == "error":
+                    summary.errors += 1
                     continue
                 name = record["name"]
                 if not record["informational"] and record["applicable"]:

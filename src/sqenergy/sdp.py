@@ -120,18 +120,23 @@ def min_characterization(ctx: GraphContext, trials: int = 20) -> MinCharacteriza
     obj_minus = float(np.square(a - split.a_plus).sum())
     gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
     tau = numeric_tolerance(g.n)
-    rng = np.random.default_rng(ctx.seed)
-    violations: list[MinCharacterizationViolation] = []
-    for t in range(trials):
-        m = random_psd(rng, g.n)
-        for sign, target in (("plus", report.s_plus), ("minus", report.s_minus)):
-            obj = float(np.square(a + m if sign == "plus" else a - m).sum())
-            if obj < target - tau:
-                violations.append(
-                    MinCharacterizationViolation(
-                        t, sign, obj, target, tuple(map(tuple, m.tolist()))
-                    )
-                )
+    # All trials at once: the same draws, Gram matrices and objectives as
+    # ``random_psd`` and a per-trial sum would give, one trial per slice.
+    f = np.random.default_rng(ctx.seed).standard_normal((trials, g.n, g.n))
+    ms = np.swapaxes(f, 1, 2) @ f
+    ms = (ms + np.swapaxes(ms, 1, 2)) / 2.0
+    objectives = (
+        ("plus", report.s_plus, np.square(a + ms).sum(axis=(1, 2)).tolist()),
+        ("minus", report.s_minus, np.square(a - ms).sum(axis=(1, 2)).tolist()),
+    )
+    violations = [
+        MinCharacterizationViolation(
+            t, sign, objs[t], target, tuple(map(tuple, ms[t].tolist()))
+        )
+        for t in range(trials)
+        for sign, target, objs in objectives
+        if objs[t] < target - tau
+    ]
     return MinCharacterizationReport(
         report.s_plus, report.s_minus, obj_plus, obj_minus, gap, trials,
         tuple(violations), gap <= tau and not violations,

@@ -8,10 +8,16 @@ allow it as slack, and it is the half-width of the zero band. Eigenvalues
 within the band count as zero: they enter the inertia's zero count and
 neither square energy nor either half of the PSD split.
 ``square_energies`` alone accepts another band.
+
+The graph-level functions ``spectrum``, ``square_energies``,
+``spectral_split`` and ``graph_inertia`` share one checked decomposition per
+live ``Graph``: the first call computes it, later calls on the same graph
+reuse it, and it is freed with the graph.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,29 +139,48 @@ def psd_split(s: Spectrum, vecs: np.ndarray, adjacency: Callable[[], np.ndarray]
     return SpectralSplit(a_plus, a_minus)
 
 
+# The checked decomposition of each live graph, dropped when the graph is
+# freed. It holds no GraphContext: the context's ``g`` would keep its key alive.
+_DECOMPOSITIONS: weakref.WeakKeyDictionary[Graph, tuple[Spectrum, np.ndarray]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _context(g: Graph):
-    """A fresh GraphContext, for the one-quantity graph-level functions below."""
+    """A fresh GraphContext, whose decomposition fills the memo below."""
     from .context import GraphContext  # context.py builds on this module
 
     return GraphContext(g)
 
 
+def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray]:
+    """The checked decomposition of a fresh context (solver residual, zero
+    trace, 2m square sum), computed once per live graph. The eigenvectors are
+    read-only because every caller shares them. A failed decomposition is not
+    kept, so the next call raises again."""
+    entry = _DECOMPOSITIONS.get(g)
+    if entry is None:
+        spec, vecs = _context(g).decomposition
+        vecs.setflags(write=False)
+        entry = _DECOMPOSITIONS[g] = (spec, vecs)
+    return entry
+
+
 def spectrum(g: Graph) -> Spectrum:
     """Adjacency spectrum of a graph, sorted descending."""
-    return _context(g).spectrum
+    return _decomposition(g)[0]
 
 
 def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyReport:
     """Sum of squared positive / negative adjacency eigenvalues."""
-    return energy_report(_context(g).spectrum, g.m, zero_tolerance)
+    return energy_report(_decomposition(g)[0], g.m, zero_tolerance)
 
 
 def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors."""
-    # Keep no context, so the matrix is not alive while the halves are built;
-    # rebuilding it for the last check keeps the peak memory of the old split.
-    spec, vecs = _context(g).decomposition
-    return psd_split(spec, vecs, g.adjacency_matrix)
+    # The shared decomposition keeps no adjacency matrix; the split's last
+    # check rebuilds one, so it is not alive while the halves are built.
+    return psd_split(*_decomposition(g), g.adjacency_matrix)
 
 
 def inertia(s: Spectrum) -> Inertia:
@@ -174,7 +199,7 @@ def inertia(s: Spectrum) -> Inertia:
 
 
 def graph_inertia(g: Graph) -> Inertia:
-    return inertia(_context(g).spectrum)
+    return inertia(_decomposition(g)[0])
 
 
 def triangle_count_spectral(s: Spectrum) -> float:

@@ -7,7 +7,8 @@ import pytest
 
 import sqenergy.harness as harness
 from sqenergy.cli import main
-from sqenergy.errors import ContractViolation
+from sqenergy.context import GraphContext
+from sqenergy.errors import ContractViolation, NumericError
 from sqenergy.families import cycle, petersen
 from sqenergy.graphs import parse_graph6, write_graph6
 from sqenergy.harness import (
@@ -201,6 +202,31 @@ def test_run_reports_violations(monkeypatch):
     config = RunConfig(source=iter([cycle(3)]), bounds=("fake",))
     summary = harness.run(config)
     assert summary.violations and summary.minima["fake"]["slack"] == -1.0
+
+
+def test_numeric_failure_on_one_graph_becomes_error_records(tmp_path, monkeypatch, capsys):
+    base = ["bounds", "enumerate:5:connected", "--set", "all", "--jobs", "1"]
+    clean, faulted = tmp_path / "clean.jsonl", tmp_path / "faulted.jsonl"
+    assert main(base + ["--out", str(clean)]) == 0
+    target = list(resolve_source("enumerate:5:connected"))[7]
+    decomposition = GraphContext.decomposition
+
+    def failing(ctx):
+        if ctx.g == target:
+            raise NumericError("injected failure")
+        return decomposition.__get__(ctx, GraphContext)
+
+    monkeypatch.setattr(GraphContext, "decomposition", property(failing))
+    capsys.readouterr()
+    assert main(base + ["--out", str(faulted)]) == 1
+    summary = capsys.readouterr().err
+    want, got = _read_jsonl(clean), _read_jsonl(faulted)
+    assert [r for r in got if r["graph_index"] != 7] == [r for r in want if r["graph_index"] != 7]
+    errors = [r for r in got if r["status"] == "error"]
+    assert errors and {r["graph_index"] for r in errors} == {7}
+    assert errors[0]["reason"] == "NumericError: injected failure"
+    assert all(r[key] is None for r in errors for key in ("lhs", "rhs", "slack", "holds", "witness"))
+    assert f"errors: {len(errors)}" in summary
 
 
 def test_unknown_bound_is_operational_error(capsys):

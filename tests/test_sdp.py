@@ -8,11 +8,15 @@ import pytest
 
 from _gen import random_connected_with_p3, random_graphs
 import sqenergy.sdp as sdp
+from sqenergy.context import GraphContext
 from sqenergy.errors import ContractViolation, ConvergenceError
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import enumerate_graphs
 from sqenergy.sdp import (
+    MinCharacterizationReport,
+    MinCharacterizationViolation,
     PsdWitness,
+    min_characterization,
     p3_psd_margin,
     p3_removal_witness,
     projected_gradient_min,
@@ -64,6 +68,50 @@ def test_min_characterization_random_sweep():
     for g in random_graphs(seed=77, count=200, n_max=10):
         report = verify_min_characterization(g, trials=20, seed=7)
         assert report.ok, (g, report.violations[:1])
+
+
+def _min_characterization_loop(ctx, trials):
+    """The per-trial reference: one ``random_psd`` draw and two objectives
+    per trial, in trial order."""
+    a = ctx.adjacency
+    report = ctx.energies
+    obj_plus = float(np.square(a + ctx.split.a_minus).sum())
+    obj_minus = float(np.square(a - ctx.split.a_plus).sum())
+    gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
+    tau = sdp.numeric_tolerance(ctx.g.n)
+    rng = np.random.default_rng(ctx.seed)
+    violations = []
+    for t in range(trials):
+        m = random_psd(rng, ctx.g.n)
+        for sign, target in (("plus", report.s_plus), ("minus", report.s_minus)):
+            obj = float(np.square(a + m if sign == "plus" else a - m).sum())
+            if obj < target - tau:
+                violations.append(
+                    MinCharacterizationViolation(
+                        t, sign, obj, target, tuple(map(tuple, m.tolist()))
+                    )
+                )
+    return MinCharacterizationReport(
+        report.s_plus, report.s_minus, obj_plus, obj_minus, gap, trials,
+        tuple(violations), gap <= tau and not violations,
+    )
+
+
+def test_min_characterization_equals_per_trial_loop(monkeypatch):
+    graphs = random_graphs(seed=79, count=40, n_max=16)
+    for seed, g in enumerate(graphs):
+        ctx = GraphContext(g, seed=seed)
+        assert min_characterization(ctx, 20) == _min_characterization_loop(ctx, 20)
+    # A negative band makes every objective below s +- 1 a violation; small
+    # graphs then violate on some trials and not on others.
+    monkeypatch.setattr(sdp, "numeric_tolerance", lambda n: -1.0)
+    violated = 0
+    for seed, g in enumerate(graphs):
+        ctx = GraphContext(g, seed=seed)
+        report = min_characterization(ctx, 20)
+        assert report == _min_characterization_loop(ctx, 20)
+        violated += 0 < len(report.violations) < 2 * report.trials
+    assert violated
 
 
 def test_projected_gradient_examples():

@@ -1,12 +1,16 @@
 """Eigendecomposition kernel and spectrum-derived quantities."""
 
+import gc
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import sympy
 
-from _gen import random_bipartite_graphs, random_graphs
+from _gen import gnp, random_bipartite_graphs, random_graphs
+import sqenergy.spectral as spectral
+from sqenergy.context import GraphContext
 from sqenergy.errors import ContractViolation
 from sqenergy.families import complete, cycle, path, petersen, star, star_plus_edge
 from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
@@ -146,3 +150,77 @@ def test_star_plus_edge_least_eigenvalue():
     for n in range(4, 13):
         least = spectrum(star_plus_edge(n)).values[-1]
         assert least < -math.sqrt(n - 2) - 1e-9
+
+
+# The graph-level functions share one decomposition per live graph. A graph
+# that some other test keeps alive may already hold one, so each test below
+# builds its own graph.
+
+
+def _fresh_graph(seed=17):
+    return gnp(np.random.default_rng(seed), 14, 0.4)
+
+
+def _graph_level_results(g):
+    split = spectral_split(g)
+    return spectrum(g), square_energies(g), graph_inertia(g), split.a_plus, split.a_minus
+
+
+def _assert_same_results(got, want):
+    assert got[:3] == want[:3]
+    assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+
+
+def test_graph_level_functions_share_one_eigensolve(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    g = _fresh_graph()
+    _graph_level_results(g)
+    # One decomposition; the split keeps its two PSD checks.
+    assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
+def test_shared_decomposition_is_freed_with_its_graph():
+    gc.disable()
+    try:
+        g = _fresh_graph()
+        spectrum(g)
+        probe = Graph(g.n, g.adj)  # equal, so it finds g's entry while g lives
+        assert probe is not g and probe in spectral._DECOMPOSITIONS
+        del g
+        assert probe not in spectral._DECOMPOSITIONS
+    finally:
+        gc.enable()
+
+
+def test_equal_graphs_give_equal_results():
+    first, second = _fresh_graph(), _fresh_graph()
+    assert first == second and first is not second
+    _assert_same_results(_graph_level_results(first), _graph_level_results(second))
+
+
+def test_shared_eigenvectors_are_read_only():
+    g = _fresh_graph()
+    _, vecs = spectral._decomposition(g)
+    assert not vecs.flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 1.0
+    split = spectral_split(g)
+    assert split.a_plus.flags.writeable and split.a_minus.flags.writeable
+
+
+def test_graph_level_functions_equal_a_fresh_context(connected_corpus):
+    graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
+    for g in graphs:
+        ctx = GraphContext(g)
+        want = (ctx.spectrum, ctx.energies, ctx.inertia, ctx.split.a_plus, ctx.split.a_minus)
+        _assert_same_results(_graph_level_results(g), want)
