@@ -14,7 +14,6 @@ import sys
 from typing import Any, Callable
 
 from .bounds import ALL_BOUND_NAMES, bound_efgw
-from .context import GraphContext
 from .errors import SquareEnergyError
 from .families import gq_collinearity_graph, gq_predicted_spectrum
 from .graphs import Graph, enumerate_graphs, write_graph6
@@ -147,9 +146,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_gq(args: argparse.Namespace) -> int:
     params = gq_predicted_spectrum(args.q)
     g = gq_collinearity_graph(args.q)
-    ctx = GraphContext(g)
-    spec = ctx.spectrum
-    energies = ctx.energies
+    spec = spectrum(g)
+    energies = square_energies(g)
     predicted = sorted(params.spectrum_multiset(), reverse=True)
     deviation = max(abs(a - b) for a, b in zip(spec.values, predicted))
     with open_out(args.out) as out:

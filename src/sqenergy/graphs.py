@@ -12,7 +12,7 @@ vertices are generated in ascending key order from those on n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -79,9 +79,10 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    @property
+    @cached_property
     def m(self) -> int:
-        """Number of edges (half the total adjacency popcount)."""
+        """Number of edges (half the total adjacency popcount), counted on
+        first access."""
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -450,21 +451,23 @@ def canonical_form(g: Graph) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _isomorphism_classes(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on exactly n vertices in canonical form,
-    ascending canonical key, by orderly generation from those on n-1."""
+def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The canonical key and rows of every isomorphism class on exactly n
+    vertices in canonical form, ascending key, by orderly generation from
+    those on n-1. Rows rather than graphs are kept, so the cache holds no
+    ``Graph`` and nothing keyed on one stays alive with it."""
     if n == 1:
-        return (Graph(1, (0,)),)
+        return ((0, (0,)),)
     classes = []
-    for parent in _isomorphism_classes(n - 1):
-        base = canonical_key(parent) << (n - 1)
+    for key, parent in _isomorphism_classes(n - 1):
+        base = key << (n - 1)
         for c in range(1 << (n - 1)):
             # Bit n-2-i of the last column c is the edge from vertex i.
             nbrs = sum(1 << i for i in range(n - 1) if (c >> (n - 2 - i)) & 1)
-            rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent.adj))
+            rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
             rows += (nbrs,)
             if _canonical_search(rows, n)[0] == base | c:
-                classes.append(Graph(n, rows))
+                classes.append((base | c, rows))
     return tuple(classes)
 
 
@@ -477,7 +480,8 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         raise ContractViolation(f"enumeration needs n >= 1, got {n}")
     if n > ENUMERATION_MAX_N:
         raise BudgetExceeded(f"enumeration supported for n <= {ENUMERATION_MAX_N}")
-    for g in _isomorphism_classes(n):
+    for _, rows in _isomorphism_classes(n):
+        g = Graph(n, rows)
         if connected_only and not is_connected(g):
             continue
         yield g

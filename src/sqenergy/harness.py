@@ -292,7 +292,9 @@ class RunSummary:
 def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     """Evaluate the configured bounds on every graph of the source, write one
     record per (graph, bound) to the sink in input order, and aggregate the
-    per-bound minimum slack and any violations."""
+    per-bound minimum slack and any violations. A malformed graph6 line in
+    the source raises its ``Graph6Error`` after the records of the graphs
+    before it are written, whatever the worker count."""
     start = time.monotonic()
     if config.jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {config.jobs}")
@@ -302,8 +304,18 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
             raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
     source = config.source
     graphs = resolve_source(source) if isinstance(source, str) else source
-    tasks = ((i, g, names, config.budget_n, config.seed) for i, g in enumerate(graphs))
     summary = RunSummary()
+    # A worker pool reads every task before it yields a result, so an error
+    # raised by the source there would write no record; it ends the tasks
+    # instead and is raised after them.
+    source_error: list[Graph6Error] = []
+
+    def tasks() -> Iterator[tuple[int, Graph, tuple[str, ...], int, int]]:
+        try:
+            for i, g in enumerate(graphs):
+                yield i, g, names, config.budget_n, config.seed
+        except Graph6Error as exc:
+            source_error.append(exc)
 
     def consume(record_lists: Iterable[list[dict[str, Any]]]) -> None:
         for records in record_lists:
@@ -333,9 +345,11 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            consume(pool.map(evaluate_graph, tasks, chunksize=4))
+            consume(pool.map(evaluate_graph, tasks(), chunksize=4))
     else:
-        consume(map(evaluate_graph, tasks))
+        consume(map(evaluate_graph, tasks()))
+    if source_error:
+        raise source_error[0]
     summary.wall_time = time.monotonic() - start
     return summary
 

@@ -113,7 +113,7 @@ def min_characterization(ctx: GraphContext, trials: int = 20) -> MinCharacteriza
     offending matrix.
     """
     g = ctx.g
-    a = ctx.adjacency
+    a = g.adjacency_matrix()
     report = ctx.energies
     split = ctx.split
     obj_plus = float(np.square(a + split.a_minus).sum())

@@ -12,14 +12,14 @@ neither square energy nor either half of the PSD split.
 The graph-level functions ``spectrum``, ``square_energies``,
 ``spectral_split`` and ``graph_inertia`` share one checked decomposition per
 live ``Graph``: the first call computes it, later calls on the same graph
-reuse it, and it is freed with the graph.
+reuse it, and it is freed with the graph. This memo is the only place where
+a graph is decomposed; a sweep's ``GraphContext`` reads it too.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -103,64 +103,28 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(tuple(float(v) for v in vals), residual), vecs
 
 
-def energy_report(s: Spectrum, m: int, zero_tolerance: float | None = None) -> EnergyReport:
-    """Sum of squared positive / negative eigenvalues of a graph spectrum.
-
-    Eigenvalues with |lambda| <= zero_tolerance (default: the zero band
-    ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
-    """
-    zero_tolerance = numeric_tolerance(s.n) if zero_tolerance is None else zero_tolerance
-    values = np.array(s.values)
-    if values.size == 0:
-        return EnergyReport(0.0, 0.0, 0.0, 0)
-    s_plus = float(np.square(values[values > zero_tolerance]).sum())
-    s_minus = float(np.square(values[values < -zero_tolerance]).sum())
-    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), m)
-
-
-def psd_split(s: Spectrum, vecs: np.ndarray, adjacency: Callable[[], np.ndarray]) -> SpectralSplit:
-    """PSD matrices built from the positive / negative spectral projectors of
-    the decomposition ``(s, vecs)``, checked PSD and checked to reconstruct
-    ``adjacency()``. Only that last check asks for the matrix, so a caller
-    that does not keep it need not hold it while the halves are built."""
-    tau = numeric_tolerance(s.n)
-    values = np.array(s.values)
-    plus = values > tau
-    minus = values < -tau
-    a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
-    a_minus = (vecs[:, minus] * (-values[minus])) @ vecs[:, minus].T
-    a_plus = (a_plus + a_plus.T) / 2.0
-    a_minus = (a_minus + a_minus.T) / 2.0
-    for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
-        if part.size and float(np.linalg.eigvalsh(part)[0]) < -tau:
-            raise NumericError(f"{name} is not PSD within tolerance")
-    if np.max(np.abs(a_plus - a_minus - adjacency()), initial=0.0) > tau:
-        raise NumericError("split does not reconstruct the adjacency matrix")
-    return SpectralSplit(a_plus, a_minus)
-
-
 # The checked decomposition of each live graph, dropped when the graph is
-# freed. It holds no GraphContext: the context's ``g`` would keep its key alive.
+# freed. Its value must not refer to the graph, or the key would stay alive.
 _DECOMPOSITIONS: weakref.WeakKeyDictionary[Graph, tuple[Spectrum, np.ndarray]] = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _context(g: Graph):
-    """A fresh GraphContext, whose decomposition fills the memo below."""
-    from .context import GraphContext  # context.py builds on this module
-
-    return GraphContext(g)
-
-
 def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray]:
-    """The checked decomposition of a fresh context (solver residual, zero
-    trace, 2m square sum), computed once per live graph. The eigenvectors are
-    read-only because every caller shares them. A failed decomposition is not
-    kept, so the next call raises again."""
+    """The decomposition of g's adjacency matrix, with the solver residual,
+    the zero trace and the 2m square sum checked, computed once per live
+    graph. The eigenvectors are read-only because every caller shares them.
+    A failed decomposition is not kept, so the next call raises again."""
     entry = _DECOMPOSITIONS.get(g)
     if entry is None:
-        spec, vecs = _context(g).decomposition
+        spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
+        m = g.m
+        tau = numeric_tolerance(spec.n)
+        values = np.array(spec.values)
+        if values.size and abs(float(values.sum())) > tau:
+            raise NumericError("adjacency spectrum trace deviates from zero")
+        if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
+            raise NumericError("adjacency spectrum square-sum deviates from 2m")
         vecs.setflags(write=False)
         entry = _DECOMPOSITIONS[g] = (spec, vecs)
     return entry
@@ -172,15 +136,40 @@ def spectrum(g: Graph) -> Spectrum:
 
 
 def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyReport:
-    """Sum of squared positive / negative adjacency eigenvalues."""
-    return energy_report(_decomposition(g)[0], g.m, zero_tolerance)
+    """Sum of squared positive / negative adjacency eigenvalues.
+
+    Eigenvalues with |lambda| <= zero_tolerance (default: the zero band
+    ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
+    """
+    values = np.array(_decomposition(g)[0].values)
+    if values.size == 0:
+        return EnergyReport(0.0, 0.0, 0.0, 0)
+    zero_tolerance = numeric_tolerance(g.n) if zero_tolerance is None else zero_tolerance
+    s_plus = float(np.square(values[values > zero_tolerance]).sum())
+    s_minus = float(np.square(values[values < -zero_tolerance]).sum())
+    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), g.m)
 
 
 def spectral_split(g: Graph) -> SpectralSplit:
-    """PSD matrices built from the positive / negative spectral projectors."""
-    # The shared decomposition keeps no adjacency matrix; the split's last
-    # check rebuilds one, so it is not alive while the halves are built.
-    return psd_split(*_decomposition(g), g.adjacency_matrix)
+    """PSD matrices built from the positive / negative spectral projectors,
+    checked PSD and checked to reconstruct the adjacency matrix."""
+    s, vecs = _decomposition(g)
+    tau = numeric_tolerance(s.n)
+    values = np.array(s.values)
+    plus = values > tau
+    minus = values < -tau
+    a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
+    a_minus = (vecs[:, minus] * (-values[minus])) @ vecs[:, minus].T
+    a_plus = (a_plus + a_plus.T) / 2.0
+    a_minus = (a_minus + a_minus.T) / 2.0
+    for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
+        if part.size and float(np.linalg.eigvalsh(part)[0]) < -tau:
+            raise NumericError(f"{name} is not PSD within tolerance")
+    # The shared decomposition keeps no adjacency matrix; the last check
+    # builds one, so it is not alive while the halves are built.
+    if np.max(np.abs(a_plus - a_minus - g.adjacency_matrix()), initial=0.0) > tau:
+        raise NumericError("split does not reconstruct the adjacency matrix")
+    return SpectralSplit(a_plus, a_minus)
 
 
 def inertia(s: Spectrum) -> Inertia:

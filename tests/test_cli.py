@@ -1,13 +1,14 @@
 """CLI subcommands, the sweep harness, record formats, and determinism."""
 
+import gc
 import io
 import json
 
 import pytest
 
 import sqenergy.harness as harness
+import sqenergy.spectral as spectral
 from sqenergy.cli import main
-from sqenergy.context import GraphContext
 from sqenergy.errors import ContractViolation, NumericError
 from sqenergy.families import cycle, petersen
 from sqenergy.graphs import parse_graph6, write_graph6
@@ -209,14 +210,14 @@ def test_numeric_failure_on_one_graph_becomes_error_records(tmp_path, monkeypatc
     clean, faulted = tmp_path / "clean.jsonl", tmp_path / "faulted.jsonl"
     assert main(base + ["--out", str(clean)]) == 0
     target = list(resolve_source("enumerate:5:connected"))[7]
-    decomposition = GraphContext.decomposition
+    decomposition = spectral._decomposition
 
-    def failing(ctx):
-        if ctx.g == target:
+    def failing(g):
+        if g == target:
             raise NumericError("injected failure")
-        return decomposition.__get__(ctx, GraphContext)
+        return decomposition(g)
 
-    monkeypatch.setattr(GraphContext, "decomposition", property(failing))
+    monkeypatch.setattr(spectral, "_decomposition", failing)
     capsys.readouterr()
     assert main(base + ["--out", str(faulted)]) == 1
     summary = capsys.readouterr().err
@@ -266,6 +267,29 @@ def test_graph6_errors_name_their_line(tmp_path, capsys):
     path6.write_text("Bw\n\nC\n")
     assert main(["spectrum", str(path6), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: line 3: truncated body")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_malformed_line_ends_the_sweep_after_the_graphs_before_it(jobs, tmp_path, capsys):
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("Bw\nCr\n")
+    bad.write_text("Bw\nCr\nC\nDQc\n")
+    base = ["bounds", "--set", "efgw"]
+    assert main(base + [str(good), "--out", str(tmp_path / "want")]) == 0
+    capsys.readouterr()
+    assert main(base + [str(bad), "--jobs", jobs, "--out", str(tmp_path / "got")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: truncated body")
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_enumeration_keeps_no_decomposition_alive(tmp_path):
+    # Entries of graphs that other tests keep alive stay; the sweep adds none.
+    gc.collect()
+    before = len(spectral._DECOMPOSITIONS)
+    argv = ["decompose", "--method", "degree-class", "enumerate:7:connected"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    gc.collect()
+    assert len(spectral._DECOMPOSITIONS) == before
 
 
 def test_jobs_below_one_is_operational_error(capsys):

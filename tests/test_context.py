@@ -2,11 +2,11 @@
 functions field by field, and one graph's spectra and oracles are computed
 once however many bounds read them."""
 
-import weakref
 from collections import Counter
 
 import numpy as np
 
+from _gen import gnp
 import sqenergy.oracles as oracles
 import sqenergy.spectral as spectral
 from sqenergy.bounds import (
@@ -25,6 +25,7 @@ from sqenergy.bounds import (
     conjecture_checks,
     energy_wall_check,
 )
+from sqenergy.context import GraphContext
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import cycle, petersen
 from sqenergy.harness import evaluate_graph, graph6_or_none
@@ -111,19 +112,19 @@ def test_sweep_records_equal_public_verdicts(connected_corpus):
                 assert got[key] == want[key], (graph6_or_none(g), got["name"], key)
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(oracles, "max_cut", counting("max_cut", oracles.max_cut))
+    monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
     records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     assert {r["name"] for r in records if r["status"] == "ok"} >= {"surplus", "removal", "sdp-min"}
     # One decomposition of C5, the split's two PSD checks, and the removal
@@ -132,16 +133,14 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     assert calls["max_cut"] == 1
 
 
-def test_returned_split_does_not_keep_its_context(monkeypatch):
-    made = []
-    fresh = spectral._context
-
-    def tracked(g):
-        ctx = fresh(g)
-        made.append(weakref.ref(ctx))
-        return ctx
-
-    monkeypatch.setattr(spectral, "_context", tracked)
-    split = spectral.spectral_split(petersen())
-    assert len(made) == 1 and made[0]() is None
-    assert split.a_plus.shape == (10, 10)
+def test_context_and_library_calls_share_one_eigensolve(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
+    g = gnp(np.random.default_rng(23), 13, 0.5)  # no other test holds an equal graph
+    GraphContext(g).energies
+    spectral.square_energies(g)
+    spectral.spectral_split(g)
+    spectral.graph_inertia(g)
+    # One decomposition; the split keeps its two PSD checks.
+    assert calls == {"eigh": 1, "eigvalsh": 2}

@@ -73,7 +73,7 @@ def test_min_characterization_random_sweep():
 def _min_characterization_loop(ctx, trials):
     """The per-trial reference: one ``random_psd`` draw and two objectives
     per trial, in trial order."""
-    a = ctx.adjacency
+    a = ctx.g.adjacency_matrix()
     report = ctx.energies
     obj_plus = float(np.square(a + ctx.split.a_minus).sum())
     obj_minus = float(np.square(a - ctx.split.a_plus).sum())
