@@ -7,9 +7,12 @@ Informational verdicts (open-ended ratio reports) are flagged and never count
 as violations; hypothesis-guarded bounds report ``applicable=False`` instead
 of failing when their hypothesis is not met.
 
-``BOUNDS`` maps each ``--set`` name to a check of one ``GraphContext``, which
-computes each graph's spectra and oracles once for all bounds; the ``bound_*``
-functions evaluate one check on a fresh context.
+Each bound reads the graph's spectral quantities and oracle results through
+the library functions. Those that several bounds read (the decomposition,
+the default-band square energies and the max cut) are kept per live graph,
+so a sweep computes them once per graph for all bounds. ``BOUNDS`` maps each
+``--set`` name to its bound, called with the graph, the exact-search budget
+and the seed of the randomized checks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from .context import GraphContext
+from . import oracles
 from .errors import ContractViolation
 from .graphs import (
     Graph,
@@ -29,11 +32,12 @@ from .graphs import (
     is_regular,
     is_star,
     isolated_vertices,
+    per_graph,
 )
 from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
-from .sdp import min_characterization, removal_witness
-from .spectral import numeric_tolerance, spectrum
+from .sdp import p3_removal_witness, verify_min_characterization
+from .spectral import graph_inertia, numeric_tolerance, spectrum, square_energies
 
 
 @dataclass(frozen=True)
@@ -59,61 +63,45 @@ def _verdict(
     return BoundVerdict(name, lhs, rhs, slack, holds, witness, applicable, informational)
 
 
-def _efgw(ctx: GraphContext) -> list[BoundVerdict]:
+def bound_efgw(g: Graph) -> BoundVerdict:
     """min(s+, s-) >= n - 1 for connected graphs (conjectured in general;
     verified exhaustively at small scale)."""
-    g = ctx.g
     if not is_connected(g):
         raise ContractViolation("bound requires a connected graph")
-    e = ctx.energies
-    return [_verdict("efgw", min(e.s_plus, e.s_minus), g.n - 1, g.n)]
+    e = square_energies(g)
+    return _verdict("efgw", min(e.s_plus, e.s_minus), g.n - 1, g.n)
 
 
-def bound_efgw(g: Graph) -> BoundVerdict:
-    return _efgw(GraphContext(g))[0]
-
-
-def _domination(ctx: GraphContext) -> list[BoundVerdict]:
+def bound_domination(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> BoundVerdict:
     """min(s+, s-) >= n - domination number."""
-    g = ctx.g
-    cert = ctx.domination
-    e = ctx.energies
+    cert = oracles.domination_number(g, budget_n)
+    e = square_energies(g)
     partition = domination_partition(g, cert)
     witness = {"gamma": cert.gamma, "dominating_set": list(cert.witness.vertices),
                "partition": partition.as_lists()}
     low = min(e.s_plus, e.s_minus)
-    return [_verdict("domination", low, g.n - cert.gamma, g.n, witness)]
-
-
-def bound_domination(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> BoundVerdict:
-    return _domination(GraphContext(g, budget_n))[0]
-
-
-def _inertia(ctx: GraphContext) -> list[BoundVerdict]:
-    """min(s+, s-) >= max(n+, n0, n-) for graphs without isolated vertices."""
-    g = ctx.g
-    isolated = isolated_vertices(g)
-    if isolated:
-        raise ContractViolation(f"isolated vertex {isolated[0]}")
-    e = ctx.energies
-    inert = ctx.inertia
-    witness = {"n_plus": inert.n_plus, "n_zero": inert.n_zero, "n_minus": inert.n_minus}
-    rhs = max(inert.n_plus, inert.n_zero, inert.n_minus)
-    return [_verdict("inertia", min(e.s_plus, e.s_minus), rhs, g.n, witness)]
+    return _verdict("domination", low, g.n - cert.gamma, g.n, witness)
 
 
 def bound_inertia(g: Graph) -> BoundVerdict:
-    return _inertia(GraphContext(g))[0]
+    """min(s+, s-) >= max(n+, n0, n-) for graphs without isolated vertices."""
+    isolated = isolated_vertices(g)
+    if isolated:
+        raise ContractViolation(f"isolated vertex {isolated[0]}")
+    e = square_energies(g)
+    inert = graph_inertia(g)
+    witness = {"n_plus": inert.n_plus, "n_zero": inert.n_zero, "n_minus": inert.n_minus}
+    rhs = max(inert.n_plus, inert.n_zero, inert.n_minus)
+    return _verdict("inertia", min(e.s_plus, e.s_minus), rhs, g.n, witness)
 
 
-def _dominating_vertex(ctx: GraphContext) -> list[BoundVerdict]:
+def bound_dominating_vertex(g: Graph) -> BoundVerdict:
     """s- >= n - 1 when some vertex is adjacent to all others; equality holds
     exactly for stars and complete graphs."""
-    g = ctx.g
     doms = dominating_vertices(g)
     if not doms:
         raise ContractViolation("no dominating vertex")
-    e = ctx.energies
+    e = square_energies(g)
     slack = e.s_minus - (g.n - 1)
     equality = abs(slack) <= numeric_tolerance(g.n)
     classification = "strict"
@@ -121,102 +109,84 @@ def _dominating_vertex(ctx: GraphContext) -> list[BoundVerdict]:
         classification = "clique" if is_clique(g) else "star" if is_star(g) else "unexpected"
     witness = {"dominating_vertex": doms[0], "equality": equality,
                "classification": classification}
-    return [_verdict("dominating-vertex", e.s_minus, g.n - 1, g.n, witness)]
-
-
-def bound_dominating_vertex(g: Graph) -> BoundVerdict:
-    return _dominating_vertex(GraphContext(g))[0]
-
-
-def _triangle(ctx: GraphContext) -> list[BoundVerdict]:
-    """s+ >= m^(4/3) / (n^(1/3) * lambda_1^(2/3)), via triangle counting."""
-    g = ctx.g
-    if g.m < 1:
-        raise ContractViolation("bound requires m >= 1")
-    e = ctx.energies
-    lam1 = ctx.spectrum.values[0]
-    rhs = g.m ** (4.0 / 3.0) / (g.n ** (1.0 / 3.0) * lam1 ** (2.0 / 3.0))
-    return [_verdict("triangle", e.s_plus, rhs, g.n, {"lambda_1": lam1})]
+    return _verdict("dominating-vertex", e.s_minus, g.n - 1, g.n, witness)
 
 
 def bound_triangle(g: Graph) -> BoundVerdict:
-    return _triangle(GraphContext(g))[0]
-
-
-def _ratio(ctx: GraphContext) -> list[BoundVerdict]:
-    """s-/s+ <= 2 n^(1/4), reported as lhs = 2 n^(1/4) >= rhs = s-/s+."""
-    g = ctx.g
-    e = ctx.energies
-    if e.s_plus <= numeric_tolerance(g.n):
-        raise ContractViolation("bound requires s+ > 0")
-    ratio = e.s_minus / e.s_plus
-    return [_verdict("ratio", 2.0 * g.n**0.25, ratio, g.n, {"ratio": ratio})]
+    """s+ >= m^(4/3) / (n^(1/3) * lambda_1^(2/3)), via triangle counting."""
+    if g.m < 1:
+        raise ContractViolation("bound requires m >= 1")
+    e = square_energies(g)
+    lam1 = spectrum(g).values[0]
+    rhs = g.m ** (4.0 / 3.0) / (g.n ** (1.0 / 3.0) * lam1 ** (2.0 / 3.0))
+    return _verdict("triangle", e.s_plus, rhs, g.n, {"lambda_1": lam1})
 
 
 def bound_ratio(g: Graph) -> BoundVerdict:
-    return _ratio(GraphContext(g))[0]
+    """s-/s+ <= 2 n^(1/4), reported as lhs = 2 n^(1/4) >= rhs = s-/s+."""
+    e = square_energies(g)
+    if e.s_plus <= numeric_tolerance(g.n):
+        raise ContractViolation("bound requires s+ > 0")
+    ratio = e.s_minus / e.s_plus
+    return _verdict("ratio", 2.0 * g.n**0.25, ratio, g.n, {"ratio": ratio})
 
 
-def _regular(ctx: GraphContext) -> list[BoundVerdict]:
+def bound_regular(g: Graph) -> BoundVerdict:
     """s+ >= (k/4)^(2/3) * n for k-regular graphs."""
-    g = ctx.g
     if not is_regular(g) or g.n == 0:
         raise ContractViolation("bound requires a regular graph")
     k = g.degree(0)
     if k < 1:
         raise ContractViolation("bound requires degree >= 1")
-    e = ctx.energies
+    e = square_energies(g)
     rhs = (k / 4.0) ** (2.0 / 3.0) * g.n
-    return [_verdict("regular", e.s_plus, rhs, g.n, {"k": k})]
+    return _verdict("regular", e.s_plus, rhs, g.n, {"k": k})
 
 
-def bound_regular(g: Graph) -> BoundVerdict:
-    return _regular(GraphContext(g))[0]
-
-
-def _alon_boppana(ctx: GraphContext) -> list[BoundVerdict]:
+def bound_alon_boppana(g: Graph) -> BoundVerdict:
     """lambda_2^2 >= (m^(4/3)/(n^(1/3) lambda_1^(2/3)) - lambda_1^2) / n when
     lambda_1 <= sqrt(m) (2n)^(-1/8); uses s+ <= lambda_1^2 + n lambda_2^2.
 
     Marked not applicable (never failed) when the hypothesis is not met.
     """
-    g = ctx.g
     if g.n < 2 or g.m < 1:
         raise ContractViolation("bound requires n >= 2 and m >= 1")
-    vals = ctx.spectrum.values
+    vals = spectrum(g).values
     lam1, lam2 = vals[0], vals[1]
     threshold = math.sqrt(g.m) * (2.0 * g.n) ** (-1.0 / 8.0)
     witness = {"lambda_1": lam1, "lambda_2": lam2, "threshold": threshold}
     if lam1 > threshold:
         witness["hypothesis"] = "lambda_1 exceeds sqrt(m) (2n)^(-1/8); bound not applicable"
-        return [_verdict("alon-boppana", lam2 * lam2, 0.0, g.n, witness, applicable=False)]
+        return _verdict("alon-boppana", lam2 * lam2, 0.0, g.n, witness, applicable=False)
     rhs = (g.m ** (4.0 / 3.0) / (g.n ** (1.0 / 3.0) * lam1 ** (2.0 / 3.0)) - lam1 * lam1) / g.n
-    return [_verdict("alon-boppana", lam2 * lam2, rhs, g.n, witness)]
+    return _verdict("alon-boppana", lam2 * lam2, rhs, g.n, witness)
 
 
-def bound_alon_boppana(g: Graph) -> BoundVerdict:
-    return _alon_boppana(GraphContext(g))[0]
+# The exact max cut that `surplus` and `conjectures` share, searched once per
+# live graph. A budget limits the search, not its result, so it is checked on
+# every call and the search itself is given the graph's own size.
+_shared_cut = per_graph(lambda g: oracles.max_cut(g, g.n))
 
 
-def _surplus(ctx: GraphContext) -> list[BoundVerdict]:
+def _max_cut(g: Graph, budget_n: int) -> oracles.CutReport:
+    oracles._check_budget(g, budget_n)
+    return _shared_cut(g)
+
+
+def bound_surplus(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> BoundVerdict:
     """min(s+, s-) >= surplus(G)^2 / m, with an optimal bipartition witness."""
-    g = ctx.g
-    cut = ctx.cut
-    e = ctx.energies
+    cut = _max_cut(g, budget_n)
+    e = square_energies(g)
     rhs = cut.surplus**2 / g.m if g.m else 0.0
     witness = {
         "maxcut": cut.maxcut,
         "surplus": cut.surplus,
         "side": list(cut.side.vertices),
     }
-    return [_verdict("surplus", min(e.s_plus, e.s_minus), rhs, g.n, witness)]
+    return _verdict("surplus", min(e.s_plus, e.s_minus), rhs, g.n, witness)
 
 
-def bound_surplus(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> BoundVerdict:
-    return _surplus(GraphContext(g, budget_n))[0]
-
-
-def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
+def certify_s_plus_pipeline(g: Graph) -> BoundVerdict:
     """Certified lower bound on s+ from the degree-class partition.
 
     Case 1: the head class holds at least m/(2k^2) edges; certify via the
@@ -228,7 +198,6 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
     explicit cross cut, no exact maxcut needed. The certificate lifts to the
     whole graph by superadditivity.
     """
-    g = ctx.g
     if g.m < 1:
         raise ContractViolation("pipeline requires m >= 1")
     isolated = isolated_vertices(g)
@@ -240,7 +209,7 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
     sizes = [part.members.bit_count() for part in partition.parts]
     inside = [_edges_between(g.adj, mask, mask) // 2 for mask in masks]
     m = g.m
-    e = ctx.energies
+    e = square_energies(g)
     witness: dict[str, Any] = {
         "k": k,
         "class_sizes": sizes,
@@ -252,7 +221,7 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
     if inside[0] >= m / (2.0 * k * k):
         certified = inside[0] / (2.0 * sizes[0] ** 0.25)
         witness["case"] = "case-1"
-        return [_verdict("pipeline", e.s_plus, certified, g.n, witness)]
+        return _verdict("pipeline", e.s_plus, certified, g.n, witness)
 
     for i in range(1, k):
         if inside[i] >= m / (2.0 * k * k):
@@ -263,7 +232,7 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
             )
             witness["case"] = "case-2"
             witness["class_index"] = i
-            return [_verdict("pipeline", e.s_plus, certified, g.n, witness)]
+            return _verdict("pipeline", e.s_plus, certified, g.n, witness)
 
     best_pair = None
     best_cross = -1
@@ -286,32 +255,23 @@ def _pipeline(ctx: GraphContext) -> list[BoundVerdict]:
         surplus_lower_bound=surplus_lb, safe_threshold=m / (k * k),
         pigeonhole_threshold=2.0 * m / (k * k),
     )
-    return [_verdict("pipeline", e.s_plus, certified, g.n, witness)]
-
-
-def certify_s_plus_pipeline(g: Graph) -> BoundVerdict:
-    return _pipeline(GraphContext(g))[0]
-
-
-def _energy_wall(ctx: GraphContext) -> list[BoundVerdict]:
-    """Informational: energy >= 2 min(n+, n-), an open question; never
-    asserted by sweeps."""
-    e = ctx.energies
-    inert = ctx.inertia
-    rhs = 2.0 * min(inert.n_plus, inert.n_minus)
-    return [_verdict("energy-wall", e.energy, rhs, ctx.g.n, informational=True)]
+    return _verdict("pipeline", e.s_plus, certified, g.n, witness)
 
 
 def energy_wall_check(g: Graph) -> BoundVerdict:
-    return _energy_wall(GraphContext(g))[0]
+    """Informational: energy >= 2 min(n+, n-), an open question; never
+    asserted by sweeps."""
+    e = square_energies(g)
+    inert = graph_inertia(g)
+    rhs = 2.0 * min(inert.n_plus, inert.n_minus)
+    return _verdict("energy-wall", e.energy, rhs, g.n, informational=True)
 
 
-def _conjectures(ctx: GraphContext) -> list[BoundVerdict]:
+def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVerdict]:
     """Informational surplus ratios: s+ against surplus and s- against
     surplus^(6/7). No pass/fail; the constants are open."""
-    g = ctx.g
-    cut = ctx.cut
-    e = ctx.energies
+    cut = _max_cut(g, budget_n)
+    e = square_energies(g)
     surp = cut.surplus
     ratio_plus = e.s_plus / surp if surp > 0 else None
     rhs_minus = surp ** (6.0 / 7.0)
@@ -324,26 +284,22 @@ def _conjectures(ctx: GraphContext) -> list[BoundVerdict]:
     ]
 
 
-def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVerdict]:
-    return _conjectures(GraphContext(g, budget_n))
-
-
-def _sdp_min(ctx: GraphContext) -> list[BoundVerdict]:
+def _sdp_min(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
     """The PSD minimization form of s+/s- on 20 seeded random PSD matrices."""
-    report = min_characterization(ctx, trials=20)
+    report = verify_min_characterization(g, trials=20, seed=seed)
     worst = min([0.0] + [v.objective - v.optimum for v in report.violations])
     witness = {"equality_gap": report.equality_gap, "trials": report.trials}
     return [BoundVerdict("sdp-min", worst, 0.0, worst, report.ok, witness)]
 
 
-def _removal(ctx: GraphContext) -> list[BoundVerdict]:
+def _removal(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
     """Some vertex of the first induced 3-vertex path drops s- by more than
     1, and some drops s+ by more than 1; not applicable without such a path."""
-    triple = ctx.first_p3
+    triple = oracles.find_induced_p3(g)
     if triple is None:
         note = {"note": "no induced 3-vertex path"}
         return [BoundVerdict("removal", 0.0, 0.0, 0.0, True, note, applicable=False)]
-    witness = removal_witness(ctx, triple)
+    witness = p3_removal_witness(g, triple)
     lhs = min(witness.drop_minus, witness.drop_plus)
     fields = {"triple": list(triple), **asdict(witness)}
     return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, lhs > 1.0, fields)]
@@ -377,20 +333,21 @@ def join_complement_spectrum_check(h: Graph) -> BoundVerdict:
     )
 
 
-# Every bound a sweep can select, in `--set all` order.
-BOUNDS: dict[str, Callable[[GraphContext], list[BoundVerdict]]] = {
-    "efgw": _efgw,
-    "domination": _domination,
-    "inertia": _inertia,
-    "dominating-vertex": _dominating_vertex,
-    "triangle": _triangle,
-    "ratio": _ratio,
-    "regular": _regular,
-    "alon-boppana": _alon_boppana,
-    "surplus": _surplus,
-    "pipeline": _pipeline,
-    "energy-wall": _energy_wall,
-    "conjectures": _conjectures,
+# Every bound a sweep can select, in `--set all` order, as a function of the
+# graph, the exact-search budget and the seed of the randomized checks.
+BOUNDS: dict[str, Callable[[Graph, int, int], list[BoundVerdict]]] = {
+    "efgw": lambda g, budget_n, seed: [bound_efgw(g)],
+    "domination": lambda g, budget_n, seed: [bound_domination(g, budget_n)],
+    "inertia": lambda g, budget_n, seed: [bound_inertia(g)],
+    "dominating-vertex": lambda g, budget_n, seed: [bound_dominating_vertex(g)],
+    "triangle": lambda g, budget_n, seed: [bound_triangle(g)],
+    "ratio": lambda g, budget_n, seed: [bound_ratio(g)],
+    "regular": lambda g, budget_n, seed: [bound_regular(g)],
+    "alon-boppana": lambda g, budget_n, seed: [bound_alon_boppana(g)],
+    "surplus": lambda g, budget_n, seed: [bound_surplus(g, budget_n)],
+    "pipeline": lambda g, budget_n, seed: [certify_s_plus_pipeline(g)],
+    "energy-wall": lambda g, budget_n, seed: [energy_wall_check(g)],
+    "conjectures": lambda g, budget_n, seed: conjecture_checks(g, budget_n),
     "sdp-min": _sdp_min,
     "removal": _removal,
 }

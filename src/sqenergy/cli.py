@@ -23,7 +23,6 @@ from .harness import (
     RunConfig,
     RunSummary,
     filter_minimal_counterexample_candidates,
-    graph6_or_none,
     graph_fields,
     open_out,
     resolve_source,
@@ -65,7 +64,7 @@ def _print_summary(summary: RunSummary) -> None:
     for name in sorted(summary.minima):
         entry = summary.minima[name]
         print(
-            f"  min slack {name}: {entry['slack']:.6g} at {entry['graph6'] or entry['graph_index']}",
+            f"  min slack {name}: {entry['slack']:.6g} at {entry['graph6']}",
             file=sys.stderr,
         )
 
@@ -165,7 +164,7 @@ def cmd_gq(args: argparse.Namespace) -> int:
                 "spectrum_deviation": deviation,
                 "s_plus": energies.s_plus,
                 "s_minus": energies.s_minus,
-                "graph6": graph6_or_none(g),
+                "graph6": write_graph6(g),
             }
         )
     return 0

@@ -1,5 +1,5 @@
-"""Graph type, graph6 text I/O, graph algebra, and exhaustive enumeration of
-small graphs up to isomorphism.
+"""Graph type, the per-graph memo, graph6 text I/O, graph algebra, and
+exhaustive enumeration of small graphs up to isomorphism.
 
 Vertices are integers ``0..n-1``. Adjacency is stored as one Python-int bitset
 per vertex, so structural algorithms (components, subset searches, canonical
@@ -11,15 +11,15 @@ vertices are generated in ascending key order from those on n - 1.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache, wraps
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, Graph6Error
 
-GRAPH6_MAX_N = 62
 ENUMERATION_MAX_N = 8
 CANONICAL_MAX_N = 8
 
@@ -146,20 +146,49 @@ class VertexSet:
         return _iter_bits(self.members)
 
 
+T = TypeVar("T")
+
+
+def per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
+    """``compute`` memoised per live graph: later calls on the graph, or on an
+    equal one while it lives, return the first call's value, which is freed
+    with the graph and must not refer to it. A call that raises keeps
+    nothing. The wrapper's ``memo`` holds the entries."""
+    memo: weakref.WeakKeyDictionary[Graph, T] = weakref.WeakKeyDictionary()
+
+    @wraps(compute)
+    def memoised(g: Graph) -> T:
+        value = memo.get(g)
+        if value is None:
+            value = memo[g] = compute(g)
+        return value
+
+    memoised.memo = memo  # type: ignore[attr-defined]
+    return memoised
+
+
 # ---------------------------------------------------------------------------
-# graph6 text format (short form, n <= 62)
+# graph6 text format
 #
-# Byte 0 is n + 63. The body packs the upper adjacency triangle read
-# column-major ((0,1), (0,2), (1,2), (0,3), ...) into 6-bit groups, most
-# significant bit first, each group stored as value + 63; the final group is
-# zero-padded.
+# The size header is n + 63 for n <= 62; byte 126 and then n in three 6-bit
+# groups for n <= 258047; bytes 126 126 and then n in six 6-bit groups above
+# that. The groups are most significant first and each is stored as
+# value + 63. The body packs the upper adjacency triangle read column-major
+# ((0,1), (0,2), (1,2), (0,3), ...) into 6-bit groups the same way; the final
+# group is zero-padded.
 # ---------------------------------------------------------------------------
+
+
+def _graph6_header(n: int) -> str:
+    if n <= 62:
+        return chr(63 + n)
+    groups = 3 if n <= 258047 else 6
+    digits = (chr(63 + (n >> shift & 63)) for shift in range(6 * groups - 6, -1, -6))
+    return "~" * (groups // 3) + "".join(digits)
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise Graph6Error(f"graph6 short form supports n <= {GRAPH6_MAX_N}, got n={g.n}")
-    chunks = [chr(63 + g.n)]
+    chunks = [_graph6_header(g.n)]
     acc = 0
     nbits = 0
     for j in range(g.n):
@@ -181,32 +210,42 @@ def parse_graph6(line: str) -> Graph:
     b0 = ord(line[0])
     if b0 < 63 or b0 > 126:
         raise Graph6Error(f"size byte {b0} out of range 63..126", offset=0)
-    if b0 == 126:
-        raise Graph6Error("long-form size prefix (n > 62) not supported", offset=0)
-    n = b0 - 63
+    if b0 < 126:
+        n, start = b0 - 63, 1
+    else:
+        groups, start = (6, 2) if line[1:2] == "~" else (3, 1)
+        if len(line) < start + groups:
+            raise Graph6Error("truncated size header", offset=len(line))
+        n = 0
+        for k in range(start, start + groups):
+            val = ord(line[k])
+            if val < 63 or val > 126:
+                raise Graph6Error(f"size byte {val} out of range 63..126", offset=k)
+            n = n << 6 | (val - 63)
+        start += groups
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = line[1:]
+    body = line[start:]
     if len(body) < nbytes:
         raise Graph6Error(
             f"truncated body: expected {nbytes} bytes, got {len(body)}",
             offset=len(line),
         )
     if len(body) > nbytes:
-        raise Graph6Error("trailing garbage after graph6 body", offset=1 + nbytes)
+        raise Graph6Error("trailing garbage after graph6 body", offset=start + nbytes)
     positions = [(i, j) for j in range(n) for i in range(j)]
     rows = [0] * n
     pos = 0
     for k, ch in enumerate(body):
         val = ord(ch)
         if val < 63 or val > 126:
-            raise Graph6Error(f"body byte {val} out of range 63..126", offset=1 + k)
+            raise Graph6Error(f"body byte {val} out of range 63..126", offset=start + k)
         val -= 63
         for b in range(5, -1, -1):
             bit = (val >> b) & 1
             if pos >= nbits:
                 if bit:
-                    raise Graph6Error("nonzero padding bits", offset=1 + k)
+                    raise Graph6Error("nonzero padding bits", offset=start + k)
                 continue
             if bit:
                 i, j = positions[pos]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict
-from .context import GraphContext
 from .errors import BudgetExceeded, ContractViolation, Graph6Error, NumericError
 from .families import (
     complete,
@@ -33,7 +32,6 @@ from .families import (
     unicyclic_glue,
 )
 from .graphs import (
-    GRAPH6_MAX_N,
     Graph,
     enumerate_graphs,
     is_connected,
@@ -151,13 +149,9 @@ def resolve_source(source: str) -> Iterator[Graph]:
     return _from_file()
 
 
-def graph6_or_none(g: Graph) -> str | None:
-    return write_graph6(g) if g.n <= GRAPH6_MAX_N else None
-
-
 def graph_fields(index: int, g: Graph) -> dict[str, Any]:
     """The fields that every per-graph record starts with."""
-    return {"graph_index": index, "graph6": graph6_or_none(g), "n": g.n, "m": g.m}
+    return {"graph_index": index, "graph6": write_graph6(g), "n": g.n, "m": g.m}
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +162,17 @@ _NULL_FIELDS = {"applicable": False, "informational": False,
                 "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
-def evaluate_bound(name: str, ctx: GraphContext) -> list[BoundVerdict]:
-    """The verdicts of one registered bound on one graph's context."""
-    return BOUNDS[name](ctx)
+def evaluate_bound(name: str, g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
+    """The verdicts of one registered bound on one graph."""
+    return BOUNDS[name](g, budget_n, seed)
 
 
 def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[dict[str, Any]]:
-    """Evaluate the selected bounds on one graph, sharing one context among
-    them; preconditions that the graph does not meet become per-bound
-    'skipped' records and numeric failures per-bound 'error' records, never
-    fatal errors."""
+    """Evaluate the selected bounds on one graph, whose spectra and shared
+    oracle results are computed once for all of them; preconditions that the
+    graph does not meet become per-bound 'skipped' records and numeric
+    failures per-bound 'error' records, never fatal errors."""
     index, g, names, budget_n, seed = task
-    ctx = GraphContext(g, budget_n, seed + index)
     head = graph_fields(index, g)
     records: list[dict[str, Any]] = []
     for name in names:
@@ -188,7 +181,7 @@ def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[d
                 {**head, "name": v.bound_name, "status": "ok", "applicable": v.applicable,
                  "informational": v.informational, "lhs": v.lhs, "rhs": v.rhs,
                  "slack": v.slack, "holds": v.holds, "witness": v.witness, "reason": None}
-                for v in evaluate_bound(name, ctx)
+                for v in evaluate_bound(name, g, budget_n, seed + index)
             ]
         except (ContractViolation, BudgetExceeded) as exc:
             records.append({**head, "name": name, "status": "skipped", **_NULL_FIELDS,

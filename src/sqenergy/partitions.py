@@ -154,10 +154,10 @@ def star_clique_partition(g: Graph) -> Partition:
 def domination_partition(g: Graph, d: DominationCertificate) -> Partition:
     """One block per dominator: the dominator plus every non-dominator whose
     least dominating neighbor it is. Each block has a dominating vertex."""
-    if not is_dominating(g, d.witness.members):
-        raise ContractViolation("witness is not a dominating set")
     if d.witness.ambient_n != g.n:
         raise ContractViolation("witness ambient size does not match the graph")
+    if not is_dominating(g, d.witness.members):
+        raise ContractViolation("witness is not a dominating set")
     dominators = list(d.witness.vertices)
     blocks = {i: 1 << i for i in dominators}
     dmask = d.witness.members

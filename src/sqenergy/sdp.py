@@ -18,11 +18,10 @@ from typing import Literal
 
 import numpy as np
 
-from .context import GraphContext
 from .errors import ContractViolation, ConvergenceError, NumericError
 from .graphs import Graph, delete_vertex
 from .oracles import induces_p3
-from .spectral import eigen_decompose_symmetric, numeric_tolerance, square_energies
+from .spectral import eigen_decompose_symmetric, numeric_tolerance, spectral_split, square_energies
 
 Sign = Literal["plus", "minus"]
 
@@ -101,28 +100,23 @@ class MinCharacterizationReport:
 def verify_min_characterization(
     g: Graph, trials: int = 20, seed: int = 0
 ) -> MinCharacterizationReport:
-    return min_characterization(GraphContext(g, seed=seed), trials)
-
-
-def min_characterization(ctx: GraphContext, trials: int = 20) -> MinCharacterizationReport:
     """Check both sides of the PSD minimization form of s+/s-.
 
     Equality: ||A + A-||^2 = s+ and ||A - A+||^2 = s-. Lower bound: for
-    random PSD M drawn from ``ctx.seed``, ||A + M||^2 >= s+ and
+    random PSD M drawn from ``seed``, ||A + M||^2 >= s+ and
     ||A - M||^2 >= s- up to the global tolerance. Violations carry the
     offending matrix.
     """
-    g = ctx.g
     a = g.adjacency_matrix()
-    report = ctx.energies
-    split = ctx.split
+    report = square_energies(g)
+    split = spectral_split(g)
     obj_plus = float(np.square(a + split.a_minus).sum())
     obj_minus = float(np.square(a - split.a_plus).sum())
     gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
     tau = numeric_tolerance(g.n)
     # All trials at once: the same draws, Gram matrices and objectives as
     # ``random_psd`` and a per-trial sum would give, one trial per slice.
-    f = np.random.default_rng(ctx.seed).standard_normal((trials, g.n, g.n))
+    f = np.random.default_rng(seed).standard_normal((trials, g.n, g.n))
     ms = np.swapaxes(f, 1, 2) @ f
     ms = (ms + np.swapaxes(ms, 1, 2)) / 2.0
     objectives = (
@@ -190,6 +184,8 @@ def rayleigh_max_value(g: Graph, w: PsdWitness, sign: Sign) -> float:
     split half."""
     _check_sign(sign)
     mat = w.mat
+    if mat.shape != (g.n, g.n):
+        raise ContractViolation(f"witness of shape {mat.shape} on a graph with n={g.n}")
     denom = float(np.square(mat).sum())
     if denom == 0.0:
         raise ContractViolation("witness matrix must be nonzero")
@@ -275,20 +271,15 @@ class P3RemovalWitness:
 
 
 def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitness:
-    return removal_witness(GraphContext(g), triple)
-
-
-def removal_witness(ctx: GraphContext, triple: tuple[int, int, int]) -> P3RemovalWitness:
     """Search the three vertices of an induced 3-path for removal witnesses.
 
     For each sign independently, returns the vertex maximizing the square
     energy drop (ties to the least index); the drop must exceed 1 by at least
     a strictness margin, which the removal bound guarantees.
     """
-    g = ctx.g
     if not induces_p3(g, triple):
         raise ContractViolation(f"triple {triple} does not induce a 3-vertex path")
-    whole = ctx.energies
+    whole = square_energies(g)
     drops_plus = []
     drops_minus = []
     for u in triple:

@@ -12,19 +12,19 @@ neither square energy nor either half of the PSD split.
 The graph-level functions ``spectrum``, ``square_energies``,
 ``spectral_split`` and ``graph_inertia`` share one checked decomposition per
 live ``Graph``: the first call computes it, later calls on the same graph
-reuse it, and it is freed with the graph. This memo is the only place where
-a graph is decomposed; a sweep's ``GraphContext`` reads it too.
+reuse it, and it is freed with the graph. ``square_energies`` keeps its
+default-band report the same way. Both are ``graphs.per_graph`` memos, so a
+sweep and a library call on the same graph decompose it once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, NumericError
-from .graphs import Graph
+from .graphs import Graph, per_graph
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_SCALE = 1e-10
@@ -103,31 +103,21 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(tuple(float(v) for v in vals), residual), vecs
 
 
-# The checked decomposition of each live graph, dropped when the graph is
-# freed. Its value must not refer to the graph, or the key would stay alive.
-_DECOMPOSITIONS: weakref.WeakKeyDictionary[Graph, tuple[Spectrum, np.ndarray]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@per_graph
 def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray]:
     """The decomposition of g's adjacency matrix, with the solver residual,
     the zero trace and the 2m square sum checked, computed once per live
-    graph. The eigenvectors are read-only because every caller shares them.
-    A failed decomposition is not kept, so the next call raises again."""
-    entry = _DECOMPOSITIONS.get(g)
-    if entry is None:
-        spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
-        m = g.m
-        tau = numeric_tolerance(spec.n)
-        values = np.array(spec.values)
-        if values.size and abs(float(values.sum())) > tau:
-            raise NumericError("adjacency spectrum trace deviates from zero")
-        if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
-            raise NumericError("adjacency spectrum square-sum deviates from 2m")
-        vecs.setflags(write=False)
-        entry = _DECOMPOSITIONS[g] = (spec, vecs)
-    return entry
+    graph. The eigenvectors are read-only because every caller shares them."""
+    spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
+    m = g.m
+    tau = numeric_tolerance(spec.n)
+    values = np.array(spec.values)
+    if values.size and abs(float(values.sum())) > tau:
+        raise NumericError("adjacency spectrum trace deviates from zero")
+    if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
+        raise NumericError("adjacency spectrum square-sum deviates from 2m")
+    vecs.setflags(write=False)
+    return spec, vecs
 
 
 def spectrum(g: Graph) -> Spectrum:
@@ -140,14 +130,23 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
 
     Eigenvalues with |lambda| <= zero_tolerance (default: the zero band
     ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
+    The default-band report is computed once per live graph.
     """
+    if zero_tolerance is None:
+        return _band_energies(g)
+    return _energies(g, zero_tolerance)
+
+
+def _energies(g: Graph, zero_tolerance: float) -> EnergyReport:
     values = np.array(_decomposition(g)[0].values)
     if values.size == 0:
         return EnergyReport(0.0, 0.0, 0.0, 0)
-    zero_tolerance = numeric_tolerance(g.n) if zero_tolerance is None else zero_tolerance
     s_plus = float(np.square(values[values > zero_tolerance]).sum())
     s_minus = float(np.square(values[values < -zero_tolerance]).sum())
     return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), g.m)
+
+
+_band_energies = per_graph(lambda g: _energies(g, numeric_tolerance(g.n)))
 
 
 def spectral_split(g: Graph) -> SpectralSplit:

@@ -285,11 +285,11 @@ def test_malformed_line_ends_the_sweep_after_the_graphs_before_it(jobs, tmp_path
 def test_enumeration_keeps_no_decomposition_alive(tmp_path):
     # Entries of graphs that other tests keep alive stay; the sweep adds none.
     gc.collect()
-    before = len(spectral._DECOMPOSITIONS)
+    before = len(spectral._decomposition.memo)
     argv = ["decompose", "--method", "degree-class", "enumerate:7:connected"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     gc.collect()
-    assert len(spectral._DECOMPOSITIONS) == before
+    assert len(spectral._decomposition.memo) == before
 
 
 def test_jobs_below_one_is_operational_error(capsys):

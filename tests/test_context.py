@@ -1,17 +1,21 @@
-"""One GraphContext per graph: a sweep's records equal the public per-bound
-functions field by field, and one graph's spectra and oracles are computed
-once however many bounds read them."""
+"""The bound registry and the per-graph memos: a sweep's records are the
+registered bounds' verdicts field by field, and one graph's spectra, square
+energies and max cut are computed once however many bounds and library calls
+read them."""
 
+import gc
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from _gen import gnp
+import sqenergy.bounds as bounds
 import sqenergy.oracles as oracles
 import sqenergy.spectral as spectral
 from sqenergy.bounds import (
     ALL_BOUND_NAMES,
-    BoundVerdict,
+    BOUNDS,
     bound_alon_boppana,
     bound_dominating_vertex,
     bound_domination,
@@ -25,65 +29,29 @@ from sqenergy.bounds import (
     conjecture_checks,
     energy_wall_check,
 )
-from sqenergy.context import GraphContext
 from sqenergy.errors import BudgetExceeded, ContractViolation
-from sqenergy.families import cycle, petersen
-from sqenergy.harness import evaluate_graph, graph6_or_none
-from sqenergy.oracles import SEARCH_BUDGET_N, find_induced_p3
-from sqenergy.sdp import p3_removal_witness, verify_min_characterization
+from sqenergy.families import cycle, petersen, star
+from sqenergy.graphs import Graph, write_graph6
+from sqenergy.harness import evaluate_graph
+from sqenergy.oracles import SEARCH_BUDGET_N
 
 SEED = 11
 
-
-def _sdp_min(g):
-    report = verify_min_characterization(g, trials=20, seed=SEED)
-    worst = min([0.0] + [v.objective - v.optimum for v in report.violations])
-    witness = {"equality_gap": report.equality_gap, "trials": report.trials}
-    return [BoundVerdict("sdp-min", worst, 0.0, worst, report.ok, witness)]
-
-
-def _removal(g):
-    triple = find_induced_p3(g)
-    if triple is None:
-        note = {"note": "no induced 3-vertex path"}
-        return [BoundVerdict("removal", 0.0, 0.0, 0.0, True, note, applicable=False)]
-    w = p3_removal_witness(g, triple)
-    lhs = min(w.drop_minus, w.drop_plus)
-    witness = {
-        "triple": list(triple),
-        "vertex_minus": w.vertex_minus,
-        "drop_minus": w.drop_minus,
-        "vertex_plus": w.vertex_plus,
-        "drop_plus": w.drop_plus,
-    }
-    return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, lhs > 1.0, witness)]
+# The public bound functions that read no seed, each called with the default
+# budget.
+PUBLIC_BOUNDS = (
+    bound_efgw, bound_domination, bound_inertia, bound_dominating_vertex,
+    bound_triangle, bound_ratio, bound_regular, bound_alon_boppana,
+    bound_surplus, certify_s_plus_pipeline, energy_wall_check, conjecture_checks,
+)
 
 
-# Each --set name evaluated through the public functions alone.
-PUBLIC = {
-    "efgw": lambda g: [bound_efgw(g)],
-    "domination": lambda g: [bound_domination(g)],
-    "inertia": lambda g: [bound_inertia(g)],
-    "dominating-vertex": lambda g: [bound_dominating_vertex(g)],
-    "triangle": lambda g: [bound_triangle(g)],
-    "ratio": lambda g: [bound_ratio(g)],
-    "regular": lambda g: [bound_regular(g)],
-    "alon-boppana": lambda g: [bound_alon_boppana(g)],
-    "surplus": lambda g: [bound_surplus(g)],
-    "pipeline": lambda g: [certify_s_plus_pipeline(g)],
-    "energy-wall": lambda g: [energy_wall_check(g)],
-    "conjectures": conjecture_checks,
-    "sdp-min": _sdp_min,
-    "removal": _removal,
-}
-
-
-def _expected_records(g):
-    head = {"graph_index": 0, "graph6": graph6_or_none(g), "n": g.n, "m": g.m}
+def _expected_records(index, g):
+    head = {"graph_index": index, "graph6": write_graph6(g), "n": g.n, "m": g.m}
     out = []
     for name in ALL_BOUND_NAMES:
         try:
-            verdicts = PUBLIC[name](g)
+            verdicts = BOUNDS[name](g, SEARCH_BUDGET_N, SEED + index)
         except (ContractViolation, BudgetExceeded) as exc:
             out.append({**head, "name": name, "status": "skipped", "applicable": False,
                         "informational": False, "lhs": None, "rhs": None, "slack": None,
@@ -98,18 +66,30 @@ def _expected_records(g):
 
 
 def test_registry_names_match_public_functions():
-    assert tuple(PUBLIC) == ALL_BOUND_NAMES
+    # Each --set name reports its verdicts under its own name; `conjectures`
+    # reports the two surplus ratios. The star has the dominating vertex that
+    # the Petersen graph lacks.
+    g = petersen()
+    for name in ALL_BOUND_NAMES:
+        h = star(5) if name == "dominating-vertex" else g
+        got = [v.bound_name for v in BOUNDS[name](h, SEARCH_BUDGET_N, SEED)]
+        want = ["surplus-linear-ratio", "surplus-67-ratio"] if name == "conjectures" else [name]
+        assert got == want
+    assert BOUNDS["surplus"](g, SEARCH_BUDGET_N, SEED) == [bound_surplus(g)]
+    assert BOUNDS["conjectures"](g, SEARCH_BUDGET_N, SEED) == conjecture_checks(g)
+    with pytest.raises(BudgetExceeded):
+        BOUNDS["surplus"](g, g.n - 1, SEED)
 
 
 def test_sweep_records_equal_public_verdicts(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
-    for g in graphs:
-        records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, SEED))
-        expected = _expected_records(g)
+    for index, g in enumerate(graphs):
+        records = evaluate_graph((index, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, SEED))
+        expected = _expected_records(index, g)
         assert len(records) == len(expected)
         for got, want in zip(records, expected):
             for key in want:
-                assert got[key] == want[key], (graph6_or_none(g), got["name"], key)
+                assert got[key] == want[key], (write_graph6(g), got["name"], key)
 
 
 def _counting(calls, name, fn):
@@ -133,14 +113,61 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     assert calls["max_cut"] == 1
 
 
-def test_context_and_library_calls_share_one_eigensolve(monkeypatch):
+# Each test below builds its own graph, so no graph that another test keeps
+# alive already holds memo entries.
+
+
+def _fresh_graph(seed):
+    return gnp(np.random.default_rng(seed), 13, 0.5)
+
+
+def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
+    g = _fresh_graph(23)
+    seen = []
+    energies = spectral._energies
+
+    def counting(h, zero_tolerance):
+        seen.append(h == g)
+        return energies(h, zero_tolerance)
+
+    monkeypatch.setattr(spectral, "_energies", counting)
+    records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+    assert all(r["status"] != "error" for r in records)
+    # The graph itself once; the removal witness's three deleted graphs once each.
+    assert seen.count(True) == 1 and seen.count(False) == 3
+
+
+def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
+    g = _fresh_graph(29)
+    evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     calls = Counter()
     monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
-    g = gnp(np.random.default_rng(23), 13, 0.5)  # no other test holds an equal graph
-    GraphContext(g).energies
+    monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
+    verdicts = 0
+    for bound in PUBLIC_BOUNDS:
+        try:
+            bound(g)
+            verdicts += 1
+        except ContractViolation:
+            pass
+    assert verdicts >= 10
+    spectral.spectrum(g)
     spectral.square_energies(g)
-    spectral.spectral_split(g)
     spectral.graph_inertia(g)
-    # One decomposition; the split keeps its two PSD checks.
-    assert calls == {"eigh": 1, "eigvalsh": 2}
+    assert calls == {}
+
+
+def test_energies_and_cut_are_freed_with_their_graph():
+    memos = (spectral._decomposition.memo, spectral._band_energies.memo,
+             bounds._shared_cut.memo)
+    gc.disable()
+    try:
+        g = _fresh_graph(31)
+        evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+        probe = Graph(g.n, g.adj)  # equal, so it finds g's entries while g lives
+        assert probe is not g and all(probe in memo for memo in memos)
+        del g
+        assert not any(probe in memo for memo in memos)
+    finally:
+        gc.enable()

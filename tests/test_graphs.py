@@ -20,6 +20,7 @@ from sqenergy.graphs import (
     induced_subgraph,
     is_connected,
     join,
+    _graph6_header,
     parse_graph6,
     relabel,
     write_graph6,
@@ -75,8 +76,10 @@ def test_graph6_errors():
         parse_graph6("")
     with pytest.raises(Graph6Error):
         parse_graph6(chr(40) + "w")  # size byte below 63
-    with pytest.raises(Graph6Error):
-        parse_graph6("~??")  # long form prefix
+    with pytest.raises(Graph6Error, match="truncated size header"):
+        parse_graph6("~??")  # the long form needs three size bytes
+    with pytest.raises(Graph6Error, match="size byte 40"):
+        parse_graph6("~?(?")
     with pytest.raises(Graph6Error, match="truncated"):
         parse_graph6("D?")  # n=5 needs two body bytes
     with pytest.raises(Graph6Error, match="garbage"):
@@ -85,14 +88,39 @@ def test_graph6_errors():
         parse_graph6("B~")  # nonzero bits beyond the 3 used
     with pytest.raises(Graph6Error, match="out of range"):
         parse_graph6("B" + chr(20))
-    with pytest.raises(Graph6Error):
-        write_graph6(gnp(np.random.default_rng(0), 63, 0.1))
     offset_err = None
     try:
         parse_graph6("Bw?")
     except Graph6Error as exc:
         offset_err = exc.offset
     assert offset_err == 2
+
+
+@pytest.mark.parametrize("n", [62, 63, 100, 800])
+def test_graph6_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    g = gnp(np.random.default_rng(n), n, 0.3)
+    text = write_graph6(g)
+    ref = nx.empty_graph(n)
+    ref.add_edges_from(g.edges())
+    assert (text + "\n").encode() == nx.to_graph6_bytes(ref, header=False)
+    back = nx.from_graph6_bytes(text.encode())
+    assert back.number_of_nodes() == n and sorted(back.edges()) == g.edges()
+    assert parse_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", [0, 62, 63, 258047, 258048, 2**36 - 1])
+def test_graph6_size_header_matches_networkx(n):
+    graph6 = pytest.importorskip("networkx.readwrite.graph6")
+    header = _graph6_header(n)
+    assert header.encode() == bytes(63 + x for x in graph6.n_to_data(n))
+    if n < 2:
+        assert parse_graph6(header) == Graph(n, (0,) * n)
+        return
+    # The header alone leaves the body short by the size it encodes.
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    with pytest.raises(Graph6Error, match=f"expected {nbytes} bytes, got 0"):
+        parse_graph6(header)
 
 
 def test_graph6_roundtrip_small_corpus():

@@ -79,6 +79,10 @@ def test_domination_partition_examples():
 
     with pytest.raises(ContractViolation):
         domination_partition(cycle(4), DominationCertificate(1, VertexSet.of([0], 4)))
+    # A witness over more vertices than the graph fails on its size, before
+    # any index into the graph's rows.
+    with pytest.raises(ContractViolation, match="ambient size"):
+        domination_partition(path(3), DominationCertificate(1, VertexSet(1 << 5, 6)))
 
 
 def test_domination_partition_feeds_vertex_bound(connected_corpus):

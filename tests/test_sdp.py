@@ -8,7 +8,6 @@ import pytest
 
 from _gen import random_connected_with_p3, random_graphs
 import sqenergy.sdp as sdp
-from sqenergy.context import GraphContext
 from sqenergy.errors import ContractViolation, ConvergenceError
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import enumerate_graphs
@@ -16,7 +15,6 @@ from sqenergy.sdp import (
     MinCharacterizationReport,
     MinCharacterizationViolation,
     PsdWitness,
-    min_characterization,
     p3_psd_margin,
     p3_removal_witness,
     projected_gradient_min,
@@ -70,19 +68,20 @@ def test_min_characterization_random_sweep():
         assert report.ok, (g, report.violations[:1])
 
 
-def _min_characterization_loop(ctx, trials):
+def _min_characterization_loop(g, trials, seed):
     """The per-trial reference: one ``random_psd`` draw and two objectives
     per trial, in trial order."""
-    a = ctx.g.adjacency_matrix()
-    report = ctx.energies
-    obj_plus = float(np.square(a + ctx.split.a_minus).sum())
-    obj_minus = float(np.square(a - ctx.split.a_plus).sum())
+    a = g.adjacency_matrix()
+    report = square_energies(g)
+    split = spectral_split(g)
+    obj_plus = float(np.square(a + split.a_minus).sum())
+    obj_minus = float(np.square(a - split.a_plus).sum())
     gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
-    tau = sdp.numeric_tolerance(ctx.g.n)
-    rng = np.random.default_rng(ctx.seed)
+    tau = sdp.numeric_tolerance(g.n)
+    rng = np.random.default_rng(seed)
     violations = []
     for t in range(trials):
-        m = random_psd(rng, ctx.g.n)
+        m = random_psd(rng, g.n)
         for sign, target in (("plus", report.s_plus), ("minus", report.s_minus)):
             obj = float(np.square(a + m if sign == "plus" else a - m).sum())
             if obj < target - tau:
@@ -100,16 +99,14 @@ def _min_characterization_loop(ctx, trials):
 def test_min_characterization_equals_per_trial_loop(monkeypatch):
     graphs = random_graphs(seed=79, count=40, n_max=16)
     for seed, g in enumerate(graphs):
-        ctx = GraphContext(g, seed=seed)
-        assert min_characterization(ctx, 20) == _min_characterization_loop(ctx, 20)
+        assert verify_min_characterization(g, 20, seed) == _min_characterization_loop(g, 20, seed)
     # A negative band makes every objective below s +- 1 a violation; small
     # graphs then violate on some trials and not on others.
     monkeypatch.setattr(sdp, "numeric_tolerance", lambda n: -1.0)
     violated = 0
     for seed, g in enumerate(graphs):
-        ctx = GraphContext(g, seed=seed)
-        report = min_characterization(ctx, 20)
-        assert report == _min_characterization_loop(ctx, 20)
+        report = verify_min_characterization(g, 20, seed)
+        assert report == _min_characterization_loop(g, 20, seed)
         violated += 0 < len(report.violations) < 2 * report.trials
     assert violated
 
@@ -156,6 +153,9 @@ def test_rayleigh_examples():
         rayleigh_max_value(k4, PsdWitness(np.zeros((4, 4)), 0.0), "plus")
     with pytest.raises(ContractViolation):
         PsdWitness.from_matrix(-np.eye(3))
+    for size in (1, 2):  # a witness must match the graph's size, not broadcast
+        with pytest.raises(ContractViolation, match="shape"):
+            rayleigh_max_value(path(3), PsdWitness.from_matrix(np.eye(size)), "plus")
 
 
 def test_rayleigh_never_exceeds():

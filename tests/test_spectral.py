@@ -10,7 +10,6 @@ import sympy
 
 from _gen import gnp, random_bipartite_graphs, random_graphs
 import sqenergy.spectral as spectral
-from sqenergy.context import GraphContext
 from sqenergy.errors import ContractViolation
 from sqenergy.families import complete, cycle, path, petersen, star, star_plus_edge
 from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
@@ -195,9 +194,9 @@ def test_shared_decomposition_is_freed_with_its_graph():
         g = _fresh_graph()
         spectrum(g)
         probe = Graph(g.n, g.adj)  # equal, so it finds g's entry while g lives
-        assert probe is not g and probe in spectral._DECOMPOSITIONS
+        assert probe is not g and probe in spectral._decomposition.memo
         del g
-        assert probe not in spectral._DECOMPOSITIONS
+        assert probe not in spectral._decomposition.memo
     finally:
         gc.enable()
 
@@ -218,9 +217,15 @@ def test_shared_eigenvectors_are_read_only():
     assert split.a_plus.flags.writeable and split.a_minus.flags.writeable
 
 
-def test_graph_level_functions_equal_a_fresh_context(connected_corpus):
+def test_graph_level_functions_equal_a_fresh_decomposition(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
     for g in graphs:
-        ctx = GraphContext(g)
-        want = (ctx.spectrum, ctx.energies, ctx.inertia, ctx.split.a_plus, ctx.split.a_minus)
+        spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
+        values = np.array(spec.values)
+        tau = numeric_tolerance(g.n)
+        plus, minus = values > tau, values < -tau
+        a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
+        a_minus = (vecs[:, minus] * -values[minus]) @ vecs[:, minus].T
+        energies = square_energies(g, zero_tolerance=tau)
+        want = (spec, energies, inertia(spec), (a_plus + a_plus.T) / 2, (a_minus + a_minus.T) / 2)
         _assert_same_results(_graph_level_results(g), want)
