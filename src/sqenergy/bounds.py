@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
-from .sdp import p3_removal_witness, verify_min_characterization
+from .sdp import REMOVAL_STRICTNESS, p3_removal_witness, verify_min_characterization
 from .spectral import graph_inertia, numeric_tolerance, spectrum, square_energies
 
 
@@ -293,8 +293,9 @@ def _sdp_min(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
 
 
 def _removal(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
-    """Some vertex of the first induced 3-vertex path drops s- by more than
-    1, and some drops s+ by more than 1; not applicable without such a path."""
+    """Some vertex of the first induced 3-vertex path drops s- by at least
+    1 + ``REMOVAL_STRICTNESS``, and some drops s+ by as much; not applicable
+    without such a path."""
     triple = oracles.find_induced_p3(g)
     if triple is None:
         note = {"note": "no induced 3-vertex path"}
@@ -302,7 +303,8 @@ def _removal(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
     witness = p3_removal_witness(g, triple)
     lhs = min(witness.drop_minus, witness.drop_plus)
     fields = {"triple": list(triple), **asdict(witness)}
-    return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, lhs > 1.0, fields)]
+    holds = lhs >= 1.0 + REMOVAL_STRICTNESS
+    return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, holds, fields)]
 
 
 def join_complement_spectrum_check(h: Graph) -> BoundVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .bounds import ALL_BOUND_NAMES, bound_efgw
 from .errors import SquareEnergyError
@@ -69,11 +69,13 @@ def _print_summary(summary: RunSummary) -> None:
         )
 
 
-def _per_graph(args: argparse.Namespace, fields: Callable[[Graph], dict]) -> int:
-    """Write one record per source graph: its common fields plus ``fields(g)``."""
+def _per_graph(
+    args: argparse.Namespace, graphs: Iterable[Graph], fields: Callable[[Graph], dict]
+) -> int:
+    """Write one record per graph: its common fields plus ``fields(g)``."""
     with open_out(args.out) as out:
         writer = RecordWriter(out, args.format)
-        for index, g in enumerate(resolve_source(args.source)):
+        for index, g in enumerate(graphs):
             writer.write({**graph_fields(index, g), **fields(g)})
     return 0
 
@@ -83,7 +85,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spec = spectrum(g)
         return {"eigenvalues": list(spec.values), "residual_bound": spec.residual_bound}
 
-    return _per_graph(args, fields)
+    return _per_graph(args, resolve_source(args.source), fields)
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
@@ -91,7 +93,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
         report = square_energies(g)
         return {"s_plus": report.s_plus, "s_minus": report.s_minus, "energy": report.energy}
 
-    return _per_graph(args, fields)
+    return _per_graph(args, resolve_source(args.source), fields)
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
@@ -139,7 +141,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "holds": certificate.holds,
         }
 
-    return _per_graph(args, fields)
+    return _per_graph(args, resolve_source(args.source), fields)
 
 
 def cmd_gq(args: argparse.Namespace) -> int:
@@ -177,20 +179,18 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     outcome = filter_minimal_counterexample_candidates(
         graphs, max_subset_size=args.max_subset_size, budget_n=args.budget_n
     )
-    violations = 0
-    with open_out(args.out) as out:
-        writer = RecordWriter(out, args.format)
-        for index, g in enumerate(outcome.survivors):
-            verdict = bound_efgw(g)
-            if not verdict.holds:
-                violations += 1
-            writer.write({**graph_fields(index, g),
-                          "min_square_energy": verdict.lhs, "efgw_slack": verdict.slack})
+    verdicts = []
+
+    def fields(g: Graph) -> dict[str, Any]:
+        verdicts.append(bound_efgw(g))
+        return {"min_square_energy": verdicts[-1].lhs, "efgw_slack": verdicts[-1].slack}
+
+    _per_graph(args, outcome.survivors, fields)
     print(
         f"survivors: {len(outcome.survivors)}  rejected: {outcome.rejection_counts}",
         file=sys.stderr,
     )
-    return 2 if violations else 0
+    return 0 if all(v.holds for v in verdicts) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,9 @@ exhaustive enumeration of small graphs up to isomorphism.
 Vertices are integers ``0..n-1``. Adjacency is stored as one Python-int bitset
 per vertex, so structural algorithms (components, subset searches, canonical
 forms) run on plain integer arithmetic and every value is immutable and
-hashable. Each isomorphism class is represented by its canonical form, the
+hashable. A graph6 column is converted to or from its row bitset whole, as a
+bit string, and components and 2-colorings share one breadth-first layer
+walk. Each isomorphism class is represented by its canonical form, the
 relabeling with the least column-major upper-triangle key; the classes on n
 vertices are generated in ascending key order from those on n - 1.
 """
@@ -187,21 +189,18 @@ def _graph6_header(n: int) -> str:
     return "~" * (groups // 3) + "".join(digits)
 
 
+# Each body byte's 6-bit group, most significant bit first, and back. Column j
+# lists vertices 0..j-1 in order, the low j bits of row j reversed, so it is
+# written as format(row, f"0{j}b")[::-1] and read back by int(column[::-1], 2).
+_GROUP_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_GROUP_CHARS = {bits: chr(byte) for byte, bits in _GROUP_BITS.items()}
+
+
 def write_graph6(g: Graph) -> str:
-    chunks = [_graph6_header(g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(chunks)
+    bits = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    body = [_GROUP_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)]
+    return _graph6_header(g.n) + "".join(body)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -233,25 +232,17 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(body) > nbytes:
         raise Graph6Error("trailing garbage after graph6 body", offset=start + nbytes)
-    positions = [(i, j) for j in range(n) for i in range(j)]
+    bits = body.translate(_GROUP_BITS)
+    if len(bits) != 6 * nbytes:
+        k = next(k for k, ch in enumerate(body) if ord(ch) not in _GROUP_BITS)
+        raise Graph6Error(f"body byte {ord(body[k])} out of range 63..126", offset=start + k)
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits", offset=len(line) - 1)
     rows = [0] * n
-    pos = 0
-    for k, ch in enumerate(body):
-        val = ord(ch)
-        if val < 63 or val > 126:
-            raise Graph6Error(f"body byte {val} out of range 63..126", offset=start + k)
-        val -= 63
-        for b in range(5, -1, -1):
-            bit = (val >> b) & 1
-            if pos >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset=start + k)
-                continue
-            if bit:
-                i, j = positions[pos]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+    for j in range(1, n):
+        rows[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in _iter_bits(rows[j]):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 
@@ -321,62 +312,53 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, _induced_rows(g.adj, old))
 
 
-def _component_masks(adj: Sequence[int], domain: int) -> list[int]:
-    """Connected components of the subgraph induced on ``domain``, as masks,
-    ordered by least element."""
-    comps = []
-    rest = domain
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= domain & ~seen
-            seen |= nxt
-            frontier = nxt
-        comps.append(seen)
-        rest &= ~seen
-    return comps
+def _layers(adj: Sequence[int], domain: int) -> Iterator[tuple[int, int]]:
+    """Breadth-first layers of the subgraph on ``domain`` from its least
+    vertex, each with the union of its neighbourhoods in ``domain``. Every edge
+    joins one layer to itself or to the next, so the subgraph is bipartite
+    exactly when no layer meets its own neighbourhood."""
+    layer = seen = domain & -domain
+    while layer:
+        nbrs = 0
+        for v in _iter_bits(layer):
+            nbrs |= adj[v]
+        nbrs &= domain
+        yield layer, nbrs
+        layer = nbrs & ~seen
+        seen |= layer
+
+
+def _least_component(adj: Sequence[int], domain: int) -> int:
+    """The component of the least vertex of ``domain``: the union (and so the
+    sum) of its disjoint layers."""
+    return sum(layer for layer, _ in _layers(adj, domain))
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
-    full = (1 << g.n) - 1
-    return [VertexSet(mask, g.n) for mask in _component_masks(g.adj, full)]
+    comps, rest = [], (1 << g.n) - 1
+    while rest:
+        comps.append(VertexSet(_least_component(g.adj, rest), g.n))
+        rest &= ~comps[-1].members
+    return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(_component_masks(g.adj, (1 << g.n) - 1)) == 1
+    full = (1 << g.n) - 1
+    return _least_component(g.adj, full) == full
 
 
 def _bipartition_mask(adj: Sequence[int], domain: int) -> int | None:
-    """One side of a 2-coloring of the subgraph on ``domain``, or None."""
+    """One side of a 2-coloring of the subgraph on ``domain`` (the even layers
+    from each component's least vertex), or None."""
     color0 = 0
-    colored = 0
-    for mask in _component_masks(adj, domain):
-        start = (mask & -mask).bit_length() - 1
-        color0 |= 1 << start
-        colored |= 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                here = (1 << v) & color0
-                nbrs = adj[v] & mask
-                if here:
-                    if nbrs & color0:
-                        return None
-                else:
-                    if nbrs & colored & ~color0:
-                        return None
-                    color0 |= nbrs & ~colored
-                nxt |= nbrs & ~colored
-            colored |= nxt
-            frontier = nxt
+    rest = domain
+    while rest:
+        for depth, (layer, nbrs) in enumerate(_layers(adj, rest)):
+            if nbrs & layer:
+                return None
+            if depth % 2 == 0:
+                color0 |= layer
+            rest &= ~layer
     return color0
 
 
@@ -501,8 +483,9 @@ def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     for key, parent in _isomorphism_classes(n - 1):
         base = key << (n - 1)
         for c in range(1 << (n - 1)):
-            # Bit n-2-i of the last column c is the edge from vertex i.
-            nbrs = sum(1 << i for i in range(n - 1) if (c >> (n - 2 - i)) & 1)
+            # The last column c lists vertices 0..n-2 most significant first,
+            # so reversed it is the new vertex's row.
+            nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
             rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
             rows += (nbrs,)
             if _canonical_search(rows, n)[0] == base | c:

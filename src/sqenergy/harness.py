@@ -108,6 +108,8 @@ def parse_family_spec(spec: str) -> Graph:
             key, sep, value = item.partition("=")
             if not sep:
                 raise ContractViolation(f"malformed family parameter {item!r}")
+            if key in params:
+                raise ContractViolation(f"family parameter {key!r} given twice")
             params[key] = value
     return build_family(name, params)
 

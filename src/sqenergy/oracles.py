@@ -17,8 +17,8 @@ from .graphs import (
     Graph,
     VertexSet,
     _bipartition_mask,
-    _component_masks,
     _iter_bits,
+    _least_component,
     is_connected,
 )
 
@@ -219,7 +219,7 @@ def cut_vertices(g: Graph) -> list[int]:
     out = []
     for v in range(g.n):
         domain = full & ~(1 << v)
-        if domain and len(_component_masks(g.adj, domain)) > 1:
+        if _least_component(g.adj, domain) != domain:
             out.append(v)
     return out
 
@@ -273,7 +273,7 @@ def check_bipartite_removal_property(
             continue
         qualifying += 1
         rest = full & ~mask
-        if rest == 0 or len(_component_masks(g.adj, rest)) > 1:
+        if rest == 0 or _least_component(g.adj, rest) != rest:
             continue
         count += 1
         if len(violations) < MAX_LISTED_VIOLATIONS:

@@ -22,8 +22,8 @@ from .errors import ContractViolation
 from .graphs import (
     Graph,
     VertexSet,
-    _component_masks,
     _iter_bits,
+    _least_component,
     induced_subgraph,
     is_clique,
     is_star,
@@ -127,7 +127,7 @@ def star_clique_partition(g: Graph) -> Partition:
     labels: list[str] = []
     while remaining:
         root = (remaining & -remaining).bit_length() - 1
-        comp = _component_masks(g.adj, remaining)[0]
+        comp = _least_component(g.adj, remaining)
         if comp.bit_count() <= 3:
             part = comp
         else:

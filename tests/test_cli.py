@@ -7,6 +7,7 @@ import json
 import pytest
 
 import sqenergy.harness as harness
+import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.cli import main
 from sqenergy.errors import ContractViolation, NumericError
@@ -44,6 +45,8 @@ def test_family_specs():
         parse_family_spec("family:complete:k=3")
     with pytest.raises(ContractViolation):
         build_family("cycle", {"n": 3, "extra": 1})
+    with pytest.raises(ContractViolation, match="'n' given twice"):
+        parse_family_spec("family:complete:n=5,n=6")
 
 
 def test_resolve_source(tmp_path):
@@ -228,6 +231,17 @@ def test_numeric_failure_on_one_graph_becomes_error_records(tmp_path, monkeypatc
     assert errors[0]["reason"] == "NumericError: injected failure"
     assert all(r[key] is None for r in errors for key in ("lhs", "rhs", "slack", "holds", "witness"))
     assert f"errors: {len(errors)}" in summary
+
+
+def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
+    # Deleting nothing drops no square energy, so the removal lemma fails.
+    monkeypatch.setattr(sdp, "delete_vertex", lambda g, v: g)
+    out = tmp_path / "removal.jsonl"
+    assert main(["bounds", "family:cycle:n=5", "--set", "removal", "--out", str(out)]) == 2
+    [record] = _read_jsonl(out)
+    assert record["status"] == "ok" and record["holds"] is False
+    assert record["lhs"] == 0.0 and record["slack"] == -1.0
+    assert "violations: 1" in capsys.readouterr().err
 
 
 def test_unknown_bound_is_operational_error(capsys):

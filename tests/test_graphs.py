@@ -18,8 +18,10 @@ from sqenergy.graphs import (
     disjoint_union,
     enumerate_graphs,
     induced_subgraph,
+    is_bipartite,
     is_connected,
     join,
+    _bipartition_mask,
     _graph6_header,
     parse_graph6,
     relabel,
@@ -94,12 +96,38 @@ def test_graph6_errors():
     except Graph6Error as exc:
         offset_err = exc.offset
     assert offset_err == 2
+    # Padding bits all sit in the last byte; an out-of-range byte anywhere in
+    # the body is reported first, at its own offset.
+    long_empty = write_graph6(Graph(63, (0,) * 63))  # 1953 bits, 3 of padding
+    cases = [
+        ("B~", "nonzero padding bits", 1),
+        ("D?@", "nonzero padding bits", 2),
+        (long_empty[:-1] + "@", "nonzero padding bits", len(long_empty) - 1),
+        ("D?" + chr(20), "body byte 20 out of range 63..126", 2),
+        ("D" + chr(127) + "?", "body byte 127 out of range 63..126", 1),
+        ("D" + chr(20) + "@", "body byte 20 out of range 63..126", 1),
+        (long_empty[:9] + chr(200) + long_empty[10:], "body byte 200 out of range", 9),
+    ]
+    for line, message, offset in cases:
+        with pytest.raises(Graph6Error, match=message) as info:
+            parse_graph6(line)
+        assert info.value.offset == offset, line
 
 
-@pytest.mark.parametrize("n", [62, 63, 100, 800])
+def test_graph6_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    for ref in nx.graph_atlas_g():
+        g = Graph.from_edges(ref.number_of_nodes(), ref.edges())
+        text = nx.to_graph6_bytes(ref, header=False).decode().rstrip("\n")
+        assert write_graph6(g) == text
+        assert parse_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 100, 800, 1500])
 def test_graph6_matches_networkx(n):
     nx = pytest.importorskip("networkx")
-    g = gnp(np.random.default_rng(n), n, 0.3)
+    # Sparse at n = 1500, where networkx's edge handling dominates the test.
+    g = gnp(np.random.default_rng(n), n, 0.3 if n <= 800 else 0.02)
     text = write_graph6(g)
     ref = nx.empty_graph(n)
     ref.add_edges_from(g.edges())
@@ -183,6 +211,34 @@ def test_connected_components():
         (2,),
     ]
     assert is_connected(cycle(5)) and not is_connected(two_k2)
+
+
+def test_components_and_bipartition_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(88)
+    graphs = random_graphs(seed=88, count=60, n_max=12)
+    graphs += [disjoint_union(g, h) for g, h in zip(graphs[::2], graphs[1::2])]
+    for _ in range(60):
+        # Keep only the edges across a random split: bipartite, often disconnected.
+        g = gnp(rng, int(rng.integers(1, 13)), 0.4)
+        side = int(rng.integers(0, 1 << g.n))
+        graphs.append(Graph.from_edges(g.n, [(u, v) for u, v in g.edges()
+                                             if (side >> u & 1) != (side >> v & 1)]))
+    outcomes = set()
+    for g in graphs:
+        ref = nx.empty_graph(g.n)
+        ref.add_edges_from(g.edges())
+        comps = [set(c.vertices) for c in connected_components(g)]
+        assert comps == sorted(nx.connected_components(ref), key=min)
+        assert is_connected(g) == nx.is_connected(ref)
+        assert is_bipartite(g) == nx.is_bipartite(ref)
+        color0 = _bipartition_mask(g.adj, (1 << g.n) - 1)
+        if color0 is not None:
+            color1 = ((1 << g.n) - 1) & ~color0
+            assert all(not (g.adj[v] & color0) for v in range(g.n) if color0 >> v & 1)
+            assert all(not (g.adj[v] & color1) for v in range(g.n) if color1 >> v & 1)
+        outcomes.add((is_connected(g), is_bipartite(g)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_enumeration_counts(connected_corpus):

@@ -181,8 +181,9 @@ def test_p3_psd_scan():
     report = scan_p3_psd_inequality(grid_step=1e-3, random_trials=500, seed=3)
     assert report.ok
     assert 0.5 <= report.grid_min <= 0.6
-    with pytest.raises(ContractViolation):
-        scan_p3_psd_inequality(grid_step=1e-2, random_trials=1, seed=0)
+    for grid_step, trials in [(1e-2, 1), (0.0, 1), (-1e-3, 1), (float("nan"), 1), (1e-3, -1)]:
+        with pytest.raises(ContractViolation):
+            scan_p3_psd_inequality(grid_step=grid_step, random_trials=trials, seed=0)
     # M = 0: the middle row/column sum of A alone is 4 > 1
     a = path(3).adjacency_matrix()
     assert max(row_col_square_sum(a, i) for i in range(3)) == pytest.approx(4.0)
