@@ -36,8 +36,11 @@ from .graphs import (
 )
 from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
-from .sdp import REMOVAL_STRICTNESS, p3_removal_witness, verify_min_characterization
+from .sdp import p3_removal_witness, verify_min_characterization
 from .spectral import graph_inertia, numeric_tolerance, spectrum, square_energies
+
+# Strictness margin by which the removal bound's drops must exceed 1.
+REMOVAL_STRICTNESS = 1e-9
 
 
 @dataclass(frozen=True)

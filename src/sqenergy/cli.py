@@ -173,12 +173,8 @@ def cmd_gq(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    if args.filter != "minimal-candidates":
-        raise SquareEnergyError(f"unknown filter {args.filter!r}")
     graphs = enumerate_graphs(args.n, connected_only=True)
-    outcome = filter_minimal_counterexample_candidates(
-        graphs, max_subset_size=args.max_subset_size, budget_n=args.budget_n
-    )
+    outcome = filter_minimal_counterexample_candidates(graphs, args.max_subset_size)
     verdicts = []
 
     def fields(g: Graph) -> dict[str, Any]:
@@ -245,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="filter minimal-counterexample candidates")
-    p.add_argument("--filter", default="minimal-candidates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-subset-size", type=int, default=None)
-    _add_options(p, "--format", "--out", "--budget-n")
+    _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_hunt)
 
     return parser

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ContractViolation, Graph6Error
 
-ENUMERATION_MAX_N = 8
+# Orderly generation runs the canonical search, so this one cap bounds both.
 CANONICAL_MAX_N = 8
 
 
@@ -49,25 +49,21 @@ class Graph:
                 f"expected {self.n} adjacency rows, got {len(self.adj)}"
             )
         full = (1 << self.n) - 1
-        upper = 0
+        # Row i below its diagonal must equal lower[i], the bits that rows
+        # j < i set at i; the lowest bit where they differ names the pair (j, i).
+        lower = [0] * self.n
         for i, row in enumerate(self.adj):
+            bit = 1 << i
             if row & ~full:
                 raise ContractViolation(f"row {i} has bits outside 0..{self.n - 1}")
-            if (row >> i) & 1:
+            if row & bit:
                 raise ContractViolation(f"self-loop at vertex {i}")
-            above = row >> (i + 1) << (i + 1)
-            for j in _iter_bits(above):
-                if not (self.adj[j] >> i) & 1:
-                    raise ContractViolation(f"adjacency not symmetric at ({i}, {j})")
-            upper += above.bit_count()
-        # Every edge above the diagonal is mirrored below it; any further bit
-        # below the diagonal has no mirror above.
-        if 2 * upper != sum(row.bit_count() for row in self.adj):
-            i, j = next(
-                (i, j) for j, row in enumerate(self.adj)
-                for i in _iter_bits(row & ((1 << j) - 1)) if not (self.adj[i] >> j) & 1
-            )
-            raise ContractViolation(f"adjacency not symmetric at ({i}, {j})")
+            differ = (row & (bit - 1)) ^ lower[i]
+            if differ:
+                j = (differ & -differ).bit_length() - 1
+                raise ContractViolation(f"adjacency not symmetric at ({j}, {i})")
+            for k in _iter_bits(row >> (i + 1) << (i + 1)):
+                lower[k] |= bit
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -500,8 +496,8 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """
     if n < 1:
         raise ContractViolation(f"enumeration needs n >= 1, got {n}")
-    if n > ENUMERATION_MAX_N:
-        raise BudgetExceeded(f"enumeration supported for n <= {ENUMERATION_MAX_N}")
+    if n > CANONICAL_MAX_N:
+        raise BudgetExceeded(f"enumeration supported for n <= {CANONICAL_MAX_N}")
     for _, rows in _isomorphism_classes(n):
         g = Graph(n, rows)
         if connected_only and not is_connected(g):

@@ -294,9 +294,11 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     if config.jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {config.jobs}")
     names = config.bound_names()
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ALL_BOUND_NAMES:
             raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
+        if name in names[:i]:
+            raise ContractViolation(f"bound {name!r} given twice")
     source = config.source
     graphs = resolve_source(source) if isinstance(source, str) else source
     summary = RunSummary()
@@ -373,7 +375,6 @@ class FilterOutcome:
 def filter_minimal_counterexample_candidates(
     graphs: Iterable[Graph],
     max_subset_size: int | None = None,
-    budget_n: int = 16,
 ) -> FilterOutcome:
     """Keep connected graphs on which every induced 3-vertex path contains a
     disconnecting vertex and every bipartite subset with at least |U| edges
@@ -382,8 +383,6 @@ def filter_minimal_counterexample_candidates(
     survivors: list[Graph] = []
     counts = {"disconnected": 0, "p3-cut-vertex": 0, "bipartite-removal": 0}
     for g in graphs:
-        if g.n > budget_n:
-            raise BudgetExceeded(f"filter budget n <= {budget_n}, got n={g.n}")
         if not is_connected(g):
             counts["disconnected"] += 1
             continue

@@ -8,7 +8,8 @@ max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module verifies both
 characterizations numerically, runs an independent projected-gradient
 minimizer, scans the quartic inequality behind the 3x3 PSD row-sum bound,
 and finds the vertex of an induced 3-vertex path whose removal drops each
-square energy most.
+square energy most; whether those drops are large enough is the removal
+bound's verdict in ``bounds``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .oracles import induces_p3
 from .spectral import eigen_decompose_symmetric, numeric_tolerance, spectral_split, square_energies
 
 Sign = Literal["plus", "minus"]
-
-# Strictness margin by which the removal bound's drops must exceed 1.
-REMOVAL_STRICTNESS = 1e-9
 
 # Iteration cap and step size of the projected-gradient minimizer.
 GRADIENT_MAX_ITERS = 10000

@@ -11,10 +11,10 @@ neither square energy nor either half of the PSD split.
 
 The graph-level functions ``spectrum``, ``square_energies``,
 ``spectral_split`` and ``graph_inertia`` share one checked decomposition per
-live ``Graph``: the first call computes it, later calls on the same graph
-reuse it, and it is freed with the graph. ``square_energies`` keeps its
-default-band report the same way. Both are ``graphs.per_graph`` memos, so a
-sweep and a library call on the same graph decompose it once.
+live ``Graph``, a ``graphs.per_graph`` memo entry that also holds the
+default-band ``square_energies`` report: the first call computes it, later
+calls on the same graph reuse it, and it is freed with the graph, so a sweep
+and a library call on the same graph decompose it once.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 
     Returns the spectrum (descending) and the matching orthonormal
     eigenvectors as columns. Raises ContractViolation for non-symmetric input
-    and NumericError if the solver fails or the residual exceeds
-    ``1e-10 * max(1, ||mat||_F)``.
+    and non-finite input, and NumericError if the solver fails or the
+    residual is not within ``1e-10 * max(1, ||mat||_F)``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -86,8 +86,10 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     n = mat.shape[0]
     if n == 0:
         return Spectrum((), 0.0), np.zeros((0, 0))
+    if not np.isfinite(mat).all():
+        raise ContractViolation("matrix has non-finite entries")
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
-        raise ContractViolation("matrix is not symmetric within 1e-12")
+        raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -96,7 +98,7 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     vecs = vecs[:, ::-1]
     residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
     bound = RESIDUAL_SCALE * max(1.0, float(np.linalg.norm(mat)))
-    if residual > bound:
+    if not residual <= bound:
         raise NumericError(
             f"residual {residual:.3e} exceeds contract {bound:.3e} for {n}x{n} matrix"
         )
@@ -104,10 +106,10 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 
 
 @per_graph
-def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray]:
+def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
     """The decomposition of g's adjacency matrix, with the solver residual,
-    the zero trace and the 2m square sum checked, computed once per live
-    graph. The eigenvectors are read-only because every caller shares them."""
+    the zero trace and the 2m square sum checked, and its default-band
+    energies, once per live graph. Every caller shares the read-only vectors."""
     spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
     m = g.m
     tau = numeric_tolerance(spec.n)
@@ -117,7 +119,7 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray]:
     if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
         raise NumericError("adjacency spectrum square-sum deviates from 2m")
     vecs.setflags(write=False)
-    return spec, vecs
+    return spec, vecs, _energies(values, tau, m)
 
 
 def spectrum(g: Graph) -> Spectrum:
@@ -132,27 +134,24 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
     ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
     The default-band report is computed once per live graph.
     """
+    spec, _, report = _decomposition(g)
     if zero_tolerance is None:
-        return _band_energies(g)
-    return _energies(g, zero_tolerance)
+        return report
+    return _energies(np.array(spec.values), zero_tolerance, g.m)
 
 
-def _energies(g: Graph, zero_tolerance: float) -> EnergyReport:
-    values = np.array(_decomposition(g)[0].values)
+def _energies(values: np.ndarray, zero_tolerance: float, m: int) -> EnergyReport:
     if values.size == 0:
         return EnergyReport(0.0, 0.0, 0.0, 0)
     s_plus = float(np.square(values[values > zero_tolerance]).sum())
     s_minus = float(np.square(values[values < -zero_tolerance]).sum())
-    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), g.m)
-
-
-_band_energies = per_graph(lambda g: _energies(g, numeric_tolerance(g.n)))
+    return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), m)
 
 
 def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors,
     checked PSD and checked to reconstruct the adjacency matrix."""
-    s, vecs = _decomposition(g)
+    s, vecs, _ = _decomposition(g)
     tau = numeric_tolerance(s.n)
     values = np.array(s.values)
     plus = values > tau

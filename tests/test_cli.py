@@ -3,6 +3,8 @@
 import gc
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.cli import main
 from sqenergy.errors import ContractViolation, NumericError
-from sqenergy.families import cycle, petersen
+from sqenergy.families import cycle, path, petersen
 from sqenergy.graphs import parse_graph6, write_graph6
 from sqenergy.harness import (
     RecordWriter,
@@ -111,7 +113,7 @@ def test_verify_command(tmp_path):
 
 def test_hunt_command(tmp_path, capsys):
     out = tmp_path / "hunt.jsonl"
-    assert main(["hunt", "--filter", "minimal-candidates", "--n", "5", "--out", str(out)]) == 0
+    assert main(["hunt", "--n", "5", "--out", str(out)]) == 0
     survivors = _read_jsonl(out)
     outcome = filter_minimal_counterexample_candidates(
         resolve_source("enumerate:5:connected")
@@ -126,6 +128,12 @@ def test_hunt_rejects_cycle():
     outcome = filter_minimal_counterexample_candidates([cycle(5)])
     assert not outcome.survivors
     assert outcome.rejection_counts["p3-cut-vertex"] == 1
+
+
+def test_filter_takes_large_graphs_when_the_subset_scan_is_capped():
+    # The subset scan's own budget (n <= 16 uncapped) is the only size limit.
+    outcome = filter_minimal_counterexample_candidates([path(20)], max_subset_size=4)
+    assert len(outcome.survivors) == 1
 
 
 def test_filter_keeps_complete_graph():
@@ -247,6 +255,11 @@ def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
 def test_unknown_bound_is_operational_error(capsys):
     assert main(["bounds", "enumerate:4:connected", "--set", "nosuch"]) == 1
     assert "unknown bound" in capsys.readouterr().err
+    # One record per (graph, bound): a repeated name writes nothing.
+    assert main(["bounds", "family:petersen", "--set", "efgw,efgw"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound 'efgw' given twice\n"
 
 
 @pytest.mark.parametrize("source", ["enumerate:4:conected", "enumerate:4:connected:x"])
@@ -321,8 +334,23 @@ def test_subcommands_reject_flags_they_never_read():
         ["spectrum", "family:petersen", "--seed", "1"],
         ["gq", "--q", "2", "--budget-n", "10"],
         ["hunt", "--n", "5", "--jobs", "2"],
+        ["hunt", "--n", "5", "--budget-n", "9"],
+        ["hunt", "--n", "5", "--filter", "minimal-candidates"],
     ):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
     args = parser.parse_args(["decompose", "--method", "domination", "x", "--budget-n", "9"])
     assert args.budget_n == 9
+
+
+def test_readme_cli_lines_parse():
+    # Every command in README's CLI block names only options the parser has.
+    from sqenergy.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sqenergy ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

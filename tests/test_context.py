@@ -122,17 +122,20 @@ def _fresh_graph(seed):
 
 
 def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
+    # The default-band energies are part of the one decomposition memo entry,
+    # so counting the decompositions counts them.
     g = _fresh_graph(23)
     seen = []
-    energies = spectral._energies
+    decompose = spectral.eigen_decompose_symmetric
 
-    def counting(h, zero_tolerance):
-        seen.append(h == g)
-        return energies(h, zero_tolerance)
+    def counting(mat):
+        seen.append(np.array_equal(mat, g.adjacency_matrix()))
+        return decompose(mat)
 
-    monkeypatch.setattr(spectral, "_energies", counting)
+    monkeypatch.setattr(spectral, "eigen_decompose_symmetric", counting)
     records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     assert all(r["status"] != "error" for r in records)
+    assert g in spectral._decomposition.memo
     # The graph itself once; the removal witness's three deleted graphs once each.
     assert seen.count(True) == 1 and seen.count(False) == 3
 
@@ -159,8 +162,7 @@ def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
 
 
 def test_energies_and_cut_are_freed_with_their_graph():
-    memos = (spectral._decomposition.memo, spectral._band_energies.memo,
-             bounds._shared_cut.memo)
+    memos = (spectral._decomposition.memo, bounds._shared_cut.memo)
     gc.disable()
     try:
         g = _fresh_graph(31)

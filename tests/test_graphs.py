@@ -50,6 +50,17 @@ def test_asymmetry_names_a_pair_above_the_diagonal():
     for adj in ((0b100, 0, 0), (0, 0, 0b001)):
         with pytest.raises(ContractViolation, match=r"adjacency not symmetric at \(0, 2\)"):
             Graph(3, adj)
+    # Seeded graphs with one bit flipped, on either side of the diagonal.
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        g = gnp(rng, n, float(rng.uniform(0.1, 0.9)))
+        i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+        rows = list(g.adj)
+        rows[i] ^= 1 << j
+        pair = rf"\({min(i, j)}, {max(i, j)}\)"
+        with pytest.raises(ContractViolation, match=rf"adjacency not symmetric at {pair}$"):
+            Graph(n, tuple(rows))
 
 
 def test_vertex_set():

@@ -153,6 +153,9 @@ def test_rayleigh_examples():
         rayleigh_max_value(k4, PsdWitness(np.zeros((4, 4)), 0.0), "plus")
     with pytest.raises(ContractViolation):
         PsdWitness.from_matrix(-np.eye(3))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="non-finite"):
+            PsdWitness.from_matrix(np.array([[0.0, bad], [bad, 0.0]]))
     for size in (1, 2):  # a witness must match the graph's size, not broadcast
         with pytest.raises(ContractViolation, match="shape"):
             rayleigh_max_value(path(3), PsdWitness.from_matrix(np.eye(size)), "plus")

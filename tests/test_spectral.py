@@ -10,7 +10,7 @@ import sympy
 
 from _gen import gnp, random_bipartite_graphs, random_graphs
 import sqenergy.spectral as spectral
-from sqenergy.errors import ContractViolation
+from sqenergy.errors import ContractViolation, NumericError
 from sqenergy.families import complete, cycle, path, petersen, star, star_plus_edge
 from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
 from sqenergy.oracles import triangle_count_exact
@@ -41,6 +41,10 @@ def test_eigen_contracts():
         eigen_decompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ContractViolation):
         eigen_decompose_symmetric(np.zeros((2, 3)))
+    for bad in (math.nan, math.inf):
+        for mat in ([[0.0, bad], [bad, 0.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ContractViolation, match="non-finite"):
+                eigen_decompose_symmetric(mat)
     rng = np.random.default_rng(42)
     for _ in range(20):
         n = int(rng.integers(1, 15))
@@ -50,6 +54,12 @@ def test_eigen_contracts():
         assert list(spec.values) == sorted(spec.values, reverse=True)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-10
         assert spec.residual_bound <= 1e-10 * max(1.0, np.linalg.norm(mat))
+
+
+def test_a_nan_residual_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: (np.full(2, np.nan), np.eye(2)))
+    with pytest.raises(NumericError, match="residual nan exceeds"):
+        eigen_decompose_symmetric(np.eye(2))
 
 
 def test_spectrum_examples():
@@ -209,7 +219,7 @@ def test_equal_graphs_give_equal_results():
 
 def test_shared_eigenvectors_are_read_only():
     g = _fresh_graph()
-    _, vecs = spectral._decomposition(g)
+    _, vecs, _ = spectral._decomposition(g)
     assert not vecs.flags.writeable
     with pytest.raises(ValueError):
         vecs[0, 0] = 1.0
