@@ -97,7 +97,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
-    config = RunConfig(source, bounds, seed=args.seed, jobs=args.jobs, budget_n=args.budget_n)
+    graphs = resolve_source(source)
+    config = RunConfig(graphs, bounds, seed=args.seed, jobs=args.jobs, budget_n=args.budget_n)
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
     _print_summary(summary)
@@ -115,8 +116,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    graphs = enumerate_graphs(args.n, connected_only=args.connected)
     with open_out(args.out) as out:
-        for g in enumerate_graphs(args.n, connected_only=args.connected):
+        for g in graphs:
             out.write(write_graph6(g) + "\n")
     return 0
 

@@ -415,6 +415,14 @@ def isolated_vertices(g: Graph) -> list[int]:
 # generation). Parents in ascending key order, each with ascending last
 # columns, give the classes in ascending key order with no store of the
 # classes already seen.
+#
+# Most last columns are refused before the search. Swapping the new vertex
+# v_{n-1} with v_j leaves columns 0..j-1 alone and makes column j the top j
+# bits of the last column c, since c lists v_0 first. If c >> (n-1-j) is less
+# than the parent's column j, that is c < column_j << (n-1-j), the swapped
+# order has a smaller key and c is not canonical. So only the last columns
+# from the largest such bound up are searched, and the search alone decides
+# which of them are kept.
 # ---------------------------------------------------------------------------
 
 
@@ -467,6 +475,18 @@ def canonical_form(g: Graph) -> Graph:
     return Graph(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1]))
 
 
+def _least_unbeaten_column(key: int, n: int) -> int:
+    """The least last column on n vertices that no swap of the new vertex with
+    an earlier one beats, for a parent of canonical ``key`` on n-1 vertices.
+    The parent's column j is the j bits that start j(j-1)/2 bits from the top
+    of its (n-1)(n-2)/2-bit key."""
+    width = (n - 1) * (n - 2) // 2
+    return max(
+        (key >> (width - j * (j + 1) // 2) & ((1 << j) - 1)) << (n - 1 - j)
+        for j in range(n - 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The canonical key and rows of every isomorphism class on exactly n
@@ -478,7 +498,7 @@ def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     classes = []
     for key, parent in _isomorphism_classes(n - 1):
         base = key << (n - 1)
-        for c in range(1 << (n - 1)):
+        for c in range(_least_unbeaten_column(key, n), 1 << (n - 1)):
             # The last column c lists vertices 0..n-2 most significant first,
             # so reversed it is the new vertex's row.
             nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
@@ -492,14 +512,18 @@ def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Stream one canonical representative per isomorphism class on n vertices.
 
-    Deterministic order: ascending canonical key.
+    Deterministic order: ascending canonical key. The size is checked on the
+    call, before any graph is asked for.
     """
     if n < 1:
         raise ContractViolation(f"enumeration needs n >= 1, got {n}")
     if n > CANONICAL_MAX_N:
         raise BudgetExceeded(f"enumeration supported for n <= {CANONICAL_MAX_N}")
-    for _, rows in _isomorphism_classes(n):
-        g = Graph(n, rows)
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+
+    def stream() -> Iterator[Graph]:
+        for _, rows in _isomorphism_classes(n):
+            g = Graph(n, rows)
+            if not connected_only or is_connected(g):
+                yield g
+
+    return stream()

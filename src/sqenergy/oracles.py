@@ -242,6 +242,23 @@ def check_p3_cut_vertex_property(g: Graph) -> P3CutVertexReport:
     return P3CutVertexReport(count == 0, tuple(violations), count, checked)
 
 
+def _masks_by_size(n: int, least: int, most: int) -> Iterator[int]:
+    """The subsets of n vertices with least..most members, least >= 1, as
+    masks in ascending order. After a mask of ``most`` members the next
+    candidate adds its lowest bit, whose carry clears that bit at least; a
+    candidate with fewer than ``least`` members then takes its lowest clear
+    bits until it has ``least``. Every mask stepped over has too many or too
+    few members."""
+    if least > most:
+        return
+    mask = (1 << least) - 1
+    while mask >> n == 0:
+        yield mask
+        mask += mask & -mask if mask.bit_count() >= most else 1
+        while mask.bit_count() < least:
+            mask |= mask + 1
+
+
 def check_bipartite_removal_property(
     g: Graph, max_subset_size: int | None = None
 ) -> BipartiteRemovalReport:
@@ -262,12 +279,10 @@ def check_bipartite_removal_property(
     violations: list[tuple[int, ...]] = []
     count = 0
     qualifying = 0
-    for mask in range(1, full + 1):
-        size = mask.bit_count()
-        if max_subset_size is not None and size > max_subset_size:
-            continue
-        # A bipartite subgraph with >= |U| edges needs |U| >= 4.
-        if size < 4 or _edges_between(g.adj, mask, mask) // 2 < size:
+    # A bipartite subgraph with >= |U| edges needs |U| >= 4.
+    cap = g.n if max_subset_size is None else max_subset_size
+    for mask in _masks_by_size(g.n, 4, cap):
+        if _edges_between(g.adj, mask, mask) // 2 < mask.bit_count():
             continue
         if _bipartition_mask(g.adj, mask) is None:
             continue

@@ -70,6 +70,22 @@ def test_enumerate_command(tmp_path, capsys):
         parse_graph6(line)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "9"],
+        ["enumerate", "--n", "0"],
+        ["bounds", "enumerate:9", "--set", "efgw"],
+    ],
+)
+def test_refused_enumeration_size_keeps_the_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "keep.txt"
+    out.write_bytes(b"keep\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: enumeration")
+    assert out.read_bytes() == b"keep\n"
+
+
 def test_spectrum_and_energy_commands(capsys):
     assert main(["spectrum", "family:complete:n=4"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -22,7 +22,10 @@ from sqenergy.graphs import (
     is_connected,
     join,
     _bipartition_mask,
+    _canonical_search,
     _graph6_header,
+    _isomorphism_classes,
+    _least_unbeaten_column,
     parse_graph6,
     relabel,
     write_graph6,
@@ -268,6 +271,48 @@ def test_enumeration_distinct_and_deterministic():
         list(enumerate_graphs(0))
     with pytest.raises(BudgetExceeded):
         list(enumerate_graphs(9))
+    # The size is refused on the call, not on the first graph asked for.
+    with pytest.raises(ContractViolation):
+        enumerate_graphs(0)
+    with pytest.raises(BudgetExceeded):
+        enumerate_graphs(9, connected_only=True)
+
+
+def _order_key(g: Graph) -> int:
+    """Column-major upper-triangle key of the graph's own vertex order."""
+    key = 0
+    for j in range(g.n):
+        for i in range(j):
+            key = key << 1 | g.has_edge(i, j)
+    return key
+
+
+def test_swap_skipped_last_columns_are_never_canonical():
+    for n in range(2, 8):
+        skipped = 0
+        for key, parent in _isomorphism_classes(n - 1):
+            cols = [
+                sum(((parent[i] >> j) & 1) << (j - 1 - i) for i in range(j))
+                for j in range(1, n - 1)
+            ]
+            least = _least_unbeaten_column(key, n)
+            for c in range(1 << (n - 1)):
+                beaten = any(c >> (n - 1 - j) < col for j, col in enumerate(cols, 1))
+                assert beaten == (c < least), (n, key, c)
+                if not beaten:
+                    continue
+                skipped += 1
+                nbrs = sum(((c >> (n - 2 - i)) & 1) << i for i in range(n - 1))
+                rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
+                assert _canonical_search(rows + (nbrs,), n)[0] < key << (n - 1) | c
+        assert skipped > 0 or n == 2
+
+
+def test_enumeration_at_n8_matches_oeis():
+    keys = [_order_key(g) for g in enumerate_graphs(8)]
+    assert len(keys) == 12346  # A000088
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert sum(1 for _ in enumerate_graphs(8, connected_only=True)) == 11117  # A001349
 
 
 def _brute_canonical(g: Graph) -> tuple[int, ...]:

@@ -11,8 +11,18 @@ from _gen import (
 )
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import complete, cycle, path, petersen, star
-from sqenergy.graphs import Graph, disjoint_union, enumerate_graphs, is_bipartite
+from sqenergy.graphs import (
+    Graph,
+    VertexSet,
+    disjoint_union,
+    enumerate_graphs,
+    induced_subgraph,
+    is_bipartite,
+    is_connected,
+)
 from sqenergy.oracles import (
+    MAX_LISTED_VIOLATIONS,
+    BipartiteRemovalReport,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
     cut_size,
@@ -199,3 +209,33 @@ def test_bipartite_removal_budget_and_cap():
         check_bipartite_removal_property(big)
     capped = check_bipartite_removal_property(big, max_subset_size=4)
     assert capped.holds  # no 4-vertex subset of C_17 has 4 edges
+
+
+def _brute_bipartite_subsets(g: Graph) -> list[tuple[VertexSet, bool]]:
+    """Every vertex subset inducing a bipartite graph with at least as many
+    edges as vertices, ascending mask, each with whether the rest is nonempty
+    and connected: a walk over every mask of the graph."""
+    full = (1 << g.n) - 1
+    out = []
+    for mask in range(1, full + 1):
+        u = VertexSet(mask, g.n)
+        h = induced_subgraph(g, u)
+        if h.m >= len(u) and is_bipartite(h):
+            rest = induced_subgraph(g, VertexSet(full & ~mask, g.n))
+            out.append((u, rest.n > 0 and is_connected(rest)))
+    return out
+
+
+def test_capped_bipartite_removal_matches_a_walk_over_every_mask():
+    graphs = [g for g in random_graphs(seed=31, count=40, n_max=12, n_min=4) if is_connected(g)]
+    graphs.append(path(12))
+    assert len(graphs) >= 20 and max(g.n for g in graphs) == 12
+    for g in graphs:
+        subsets = _brute_bipartite_subsets(g)
+        for cap in (None, 4, 5, 6):
+            kept = [(u, bad) for u, bad in subsets if cap is None or len(u) <= cap]
+            listed = [u.vertices for u, bad in kept if bad]
+            expected = BipartiteRemovalReport(
+                not listed, tuple(listed[:MAX_LISTED_VIOLATIONS]), len(listed), len(kept)
+            )
+            assert check_bipartite_removal_property(g, cap) == expected
