@@ -8,7 +8,9 @@ hashable. A graph6 column is converted to or from its row bitset whole, as a
 bit string, and components and 2-colorings share one breadth-first layer
 walk. Each isomorphism class is represented by its canonical form, the
 relabeling with the least column-major upper-triangle key; the classes on n
-vertices are generated in ascending key order from those on n - 1.
+vertices are generated in ascending key order from those on n - 1, and a
+last column that a one-vertex swap or an automorphism of the parent maps
+lower is refused before the canonical search.
 """
 
 from __future__ import annotations
@@ -421,13 +423,26 @@ def isolated_vertices(g: Graph) -> list[int]:
 # bits of the last column c, since c lists v_0 first. If c >> (n-1-j) is less
 # than the parent's column j, that is c < column_j << (n-1-j), the swapped
 # order has a smaller key and c is not canonical. So only the last columns
-# from the largest such bound up are searched, and the search alone decides
-# which of them are kept.
+# from the largest such bound up are searched.
+#
+# The parent's automorphisms refuse more. When the search accepts a class, the
+# identity order reaches its least key, so every order the search kept reaches
+# it too and is an automorphism, as is each swap of two twins; these are kept
+# with the class. Relabeling a candidate by an automorphism sigma of the parent
+# that fixes the new vertex leaves the first n-1 columns alone and turns the
+# last column col(S), for the new vertex's neighbour set S, into
+# col(sigma(S)). If that is less than c, a smaller key exists and c is not
+# canonical, whichever automorphisms are known; so only the columns least in
+# their orbit under the kept ones are searched. Both tests refuse only columns
+# that are not canonical, and the search alone decides which of the rest are
+# kept, so the classes and their order do not depend on either test.
 # ---------------------------------------------------------------------------
 
 
-def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
-    """Least key of the graph on rows ``adj`` and one vertex order reaching it."""
+def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Least key of the graph on rows ``adj`` and vertex orders reaching it:
+    each branch the search kept, then the first of them with each vertex that
+    has a lower twin swapped with the least one."""
     if n > CANONICAL_MAX_N:
         raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
     # Bit w of lower_twins[u] is set for each twin w < u.
@@ -461,7 +476,12 @@ def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]
                         split.append((col << 1 | 1, mask & row))
                 children.append((order + (v,), split))
         nodes = children
-    return key, nodes[0][0]
+    orders = [order for order, _ in nodes]
+    for u, twins in enumerate(lower_twins):
+        if twins:
+            w = (twins & -twins).bit_length() - 1
+            orders.append(tuple(w if v == u else u if v == w else v for v in orders[0]))
+    return key, orders
 
 
 def canonical_key(g: Graph) -> int:
@@ -472,7 +492,7 @@ def canonical_key(g: Graph) -> int:
 
 def canonical_form(g: Graph) -> Graph:
     """Representative of g's isomorphism class with the least key."""
-    return Graph(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1]))
+    return Graph(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1][0]))
 
 
 def _least_unbeaten_column(key: int, n: int) -> int:
@@ -487,25 +507,68 @@ def _least_unbeaten_column(key: int, n: int) -> int:
     )
 
 
+def _orbit_least_columns(autos: Sequence[tuple[int, ...]], width: int) -> list[int]:
+    """The last columns over ``width`` parent vertices, ascending, that are
+    least in their orbit under the group the automorphisms ``autos`` generate.
+    Vertex i is bit width-1-i of a column, so each automorphism maps the
+    columns by a table built one low bit at a time."""
+    tables = []
+    for sigma in autos:
+        image = [1 << (width - 1 - sigma[width - 1 - b]) for b in range(width)]
+        table = [0] * (1 << width)
+        for c in range(1, 1 << width):
+            low = c & -c
+            table[c] = table[c ^ low] | image[low.bit_length() - 1]
+        tables.append(table)
+    # Columns are visited in ascending order, so the first one met in an
+    # orbit is its least and the walk from it marks the rest.
+    seen = bytearray(1 << width)
+    least = []
+    for c in range(1 << width):
+        if seen[c]:
+            continue
+        least.append(c)
+        seen[c] = 1
+        stack = [c]
+        while stack:
+            x = stack.pop()
+            for table in tables:
+                y = table[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return least
+
+
 @lru_cache(maxsize=None)
-def _isomorphism_classes(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The canonical key and rows of every isomorphism class on exactly n
-    vertices in canonical form, ascending key, by orderly generation from
-    those on n-1. Rows rather than graphs are kept, so the cache holds no
-    ``Graph`` and nothing keyed on one stays alive with it."""
+def _isomorphism_classes(
+    n: int,
+) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The canonical key, rows and automorphism generators of every
+    isomorphism class on exactly n vertices in canonical form, ascending key,
+    by orderly generation from those on n-1. Rows rather than graphs are
+    kept, so the cache holds no ``Graph`` and nothing keyed on one stays
+    alive with it."""
     if n == 1:
-        return ((0, (0,)),)
+        return ((0, (0,), ()),)
+    identity = tuple(range(n))
     classes = []
-    for key, parent in _isomorphism_classes(n - 1):
+    for key, parent, autos in _isomorphism_classes(n - 1):
         base = key << (n - 1)
-        for c in range(_least_unbeaten_column(key, n), 1 << (n - 1)):
+        least = _least_unbeaten_column(key, n)
+        for c in _orbit_least_columns(autos, n - 1):
+            if c < least:
+                continue
             # The last column c lists vertices 0..n-2 most significant first,
             # so reversed it is the new vertex's row.
             nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
             rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
             rows += (nbrs,)
-            if _canonical_search(rows, n)[0] == base | c:
-                classes.append((base | c, rows))
+            found, orders = _canonical_search(rows, n)
+            if found == base | c:
+                # The identity reaches the least key, so every order that
+                # does is an automorphism of rows.
+                classes.append((base | c, rows, tuple(o for o in orders if o != identity)))
     return tuple(classes)
 
 
@@ -521,7 +584,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         raise BudgetExceeded(f"enumeration supported for n <= {CANONICAL_MAX_N}")
 
     def stream() -> Iterator[Graph]:
-        for _, rows in _isomorphism_classes(n):
+        for _, rows, _ in _isomorphism_classes(n):
             g = Graph(n, rows)
             if not connected_only or is_connected(g):
                 yield g

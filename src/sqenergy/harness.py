@@ -129,7 +129,9 @@ def graphs_from_graph6_lines(lines: Iterable[bytes]) -> Iterator[Graph]:
 
 def resolve_source(source: str) -> Iterator[Graph]:
     """Resolve a CLI source: ``family:...``, ``enumerate:<n>[:connected]``,
-    ``-`` for graph6 lines on stdin, or a path to a graph6 file."""
+    ``-`` for graph6 lines on stdin, or a path to a graph6 file. A file is
+    opened on the call, so a missing one is refused before any output is
+    opened."""
     if source.startswith("family:"):
         return iter([parse_family_spec(source)])
     if source.startswith("enumerate:"):
@@ -146,9 +148,13 @@ def resolve_source(source: str) -> Iterator[Graph]:
 
     def _from_file() -> Iterator[Graph]:
         with open(source, "rb") as handle:
+            yield None
             yield from graphs_from_graph6_lines(handle)
 
-    return _from_file()
+    # The first step opens the file. A stream dropped unread closes it.
+    graphs = _from_file()
+    next(graphs)
+    return graphs
 
 
 def graph_fields(index: int, g: Graph) -> dict[str, Any]:
@@ -259,13 +265,27 @@ class RecordWriter:
 class RunConfig:
     """One sweep: a graph source, a bound selection, the base seed of the
     randomized checks, the worker count and the exact-search budget. The
-    record sink is passed to ``run`` separately."""
+    record sink is passed to ``run`` separately. The worker count and bound
+    names are checked, and a source string resolved, on construction, so a
+    refused sweep has opened no output yet."""
 
     source: str | Iterable[Graph]
     bounds: tuple[str, ...]
     seed: int = 0
     jobs: int = 1
     budget_n: int = SEARCH_BUDGET_N
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
+        names = self.bound_names()
+        for i, name in enumerate(names):
+            if name not in ALL_BOUND_NAMES:
+                raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
+            if name in names[:i]:
+                raise ContractViolation(f"bound {name!r} given twice")
+        if isinstance(self.source, str):
+            self.source = resolve_source(self.source)
 
     def bound_names(self) -> tuple[str, ...]:
         if self.bounds == ("all",):
@@ -291,16 +311,7 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     the source raises its ``Graph6Error`` after the records of the graphs
     before it are written, whatever the worker count."""
     start = time.monotonic()
-    if config.jobs < 1:
-        raise ContractViolation(f"jobs must be >= 1, got {config.jobs}")
     names = config.bound_names()
-    for i, name in enumerate(names):
-        if name not in ALL_BOUND_NAMES:
-            raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
-        if name in names[:i]:
-            raise ContractViolation(f"bound {name!r} given twice")
-    source = config.source
-    graphs = resolve_source(source) if isinstance(source, str) else source
     summary = RunSummary()
     # A worker pool reads every task before it yields a result, so an error
     # raised by the source there would write no record; it ends the tasks
@@ -309,7 +320,7 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
 
     def tasks() -> Iterator[tuple[int, Graph, tuple[str, ...], int, int]]:
         try:
-            for i, g in enumerate(graphs):
+            for i, g in enumerate(config.source):
                 yield i, g, names, config.budget_n, config.seed
         except Graph6Error as exc:
             source_error.append(exc)

@@ -19,6 +19,7 @@ and a library call on the same graph decompose it once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,13 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
 
     Eigenvalues with |lambda| <= zero_tolerance (default: the zero band
     ``numeric_tolerance(n)``) count as zero and contribute to neither sum.
-    The default-band report is computed once per live graph.
+    A band that is negative or not finite is refused. The default-band report
+    is computed once per live graph.
     """
+    if zero_tolerance is not None and not 0.0 <= zero_tolerance < math.inf:
+        raise ContractViolation(
+            f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}"
+        )
     spec, _, report = _decomposition(g)
     if zero_tolerance is None:
         return report

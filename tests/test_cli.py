@@ -1,6 +1,7 @@
 """CLI subcommands, the sweep harness, record formats, and determinism."""
 
 import gc
+import hashlib
 import io
 import json
 import shlex
@@ -71,18 +72,42 @@ def test_enumerate_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "flags, digest",
     [
-        ["enumerate", "--n", "9"],
-        ["enumerate", "--n", "0"],
-        ["bounds", "enumerate:9", "--set", "efgw"],
+        ([], "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"),
+        (["--connected"], "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"),
     ],
+    ids=["all", "connected"],
 )
-def test_refused_enumeration_size_keeps_the_out_file(argv, tmp_path, capsys):
+def test_enumeration_output_is_pinned(flags, digest, capsys):
+    # Integers only reach the output, so these digests hold on every platform;
+    # a faster generator must keep every byte.
+    assert main(["enumerate", "--n", "7"] + flags) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+_REFUSED = [
+    (["enumerate", "--n", "9"], "error: enumeration"),
+    (["enumerate", "--n", "0"], "error: enumeration"),
+    (["bounds", "enumerate:9", "--set", "efgw"], "error: enumeration"),
+    (["bounds", "family:petersen", "--set", "nosuch"], "error: unknown bound 'nosuch'"),
+    (["bounds", "family:petersen", "--set", "efgw,efgw"], "error: bound 'efgw' given twice"),
+    (["bounds", "family:petersen", "--set", "efgw", "--jobs", "0"], "error: jobs must be >= 1"),
+    (["bounds", "nosuch.g6", "--set", "efgw"], "i/o error: "),
+    (["spectrum", "nosuch.g6"], "i/o error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, err", _REFUSED, ids=[f"argv{i}" for i in range(len(_REFUSED))]
+)
+def test_refused_enumeration_size_keeps_the_out_file(argv, err, tmp_path, monkeypatch, capsys):
+    # Each refusal comes before the output file is opened and truncated.
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "keep.txt"
     out.write_bytes(b"keep\n")
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: enumeration")
+    assert capsys.readouterr().err.startswith(err)
     assert out.read_bytes() == b"keep\n"
 
 

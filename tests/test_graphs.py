@@ -26,6 +26,7 @@ from sqenergy.graphs import (
     _graph6_header,
     _isomorphism_classes,
     _least_unbeaten_column,
+    _orbit_least_columns,
     parse_graph6,
     relabel,
     write_graph6,
@@ -290,7 +291,7 @@ def _order_key(g: Graph) -> int:
 def test_swap_skipped_last_columns_are_never_canonical():
     for n in range(2, 8):
         skipped = 0
-        for key, parent in _isomorphism_classes(n - 1):
+        for key, parent, _ in _isomorphism_classes(n - 1):
             cols = [
                 sum(((parent[i] >> j) & 1) << (j - 1 - i) for i in range(j))
                 for j in range(1, n - 1)
@@ -306,6 +307,46 @@ def test_swap_skipped_last_columns_are_never_canonical():
                 rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
                 assert _canonical_search(rows + (nbrs,), n)[0] < key << (n - 1) | c
         assert skipped > 0 or n == 2
+
+
+def test_stored_automorphisms_fix_their_class_rows():
+    with_autos = 0
+    for n in range(1, 8):
+        for _, rows, autos in _isomorphism_classes(n):
+            g = Graph(n, rows)
+            for sigma in autos:
+                assert sigma != tuple(range(n))
+                assert relabel(g, sigma) == g, (n, rows, sigma)
+            with_autos += bool(autos)
+    assert with_autos > 0
+
+
+def _column_image(sigma: tuple[int, ...], c: int, width: int) -> int:
+    """Last column of the new vertex once its neighbours i become sigma[i]."""
+    return sum(1 << (width - 1 - sigma[i]) for i in range(width) if c >> (width - 1 - i) & 1)
+
+
+def test_orbit_refused_last_columns_are_never_canonical():
+    beyond_swap = 0
+    for n in range(2, 8):
+        for key, parent, autos in _isomorphism_classes(n - 1):
+            kept = set(_orbit_least_columns(autos, n - 1))
+            least = _least_unbeaten_column(key, n)
+            for c in range(1 << (n - 1)):
+                orbit, frontier = {c}, [c]
+                while frontier:
+                    images = {_column_image(s, x, n - 1) for x in frontier for s in autos}
+                    frontier = list(images - orbit)
+                    orbit |= images
+                refused = min(orbit) < c
+                assert refused == (c not in kept), (n, key, c)
+                if not refused:
+                    continue
+                beyond_swap += c >= least
+                nbrs = sum(((c >> (n - 2 - i)) & 1) << i for i in range(n - 1))
+                rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
+                assert _canonical_search(rows + (nbrs,), n)[0] < key << (n - 1) | c
+    assert beyond_swap > 0
 
 
 def test_enumeration_at_n8_matches_oeis():

@@ -90,6 +90,15 @@ def test_square_energy_examples():
     assert empty.s_plus == empty.s_minus == empty.energy == 0.0
 
 
+def test_square_energies_refuse_a_negative_or_non_finite_band():
+    # A negative band would count the eigenvalues inside it on both sides
+    # (P4 at -1.0: s+ + s- = 6.76 where 2m = 6); NaN would count none.
+    for band in (-1.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="zero_tolerance"):
+            square_energies(path(4), band)
+    assert square_energies(path(4), 0.0).s_plus == pytest.approx(3.0)
+
+
 def test_square_energy_identities_random():
     for g in random_graphs(seed=101, count=100, n_max=12):
         report = square_energies(g)
