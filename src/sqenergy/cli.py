@@ -98,6 +98,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
     config = RunConfig(source, bounds, seed=args.seed, jobs=args.jobs, budget_n=args.budget_n)
+    config.source = resolve_source(source)  # after the config's checks, before open_out
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
     _print_summary(summary)

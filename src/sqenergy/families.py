@@ -182,8 +182,7 @@ def gq_collinearity_graph(q: int) -> Graph:
     adjacent iff distinct and orthogonal under the polarization bilinear form.
     Points are normalized so that the first nonzero coordinate is 1.
     """
-    if not _is_prime(q):
-        raise ContractViolation(f"q must be prime, got {q}")
+    params = gq_predicted_spectrum(q)
     if q > GQ_MAX_Q:
         raise BudgetExceeded(f"construction limited to q <= {GQ_MAX_Q}")
     b, c = _irreducible_quadratic_coeffs(q)
@@ -210,7 +209,6 @@ def gq_collinearity_graph(q: int) -> Graph:
         if bilinear(points[i], points[j]) == 0
     ]
     g = Graph.from_edges(n, edges)
-    params = gq_predicted_spectrum(q)
     if g.n != params.n_pred:
         raise NumericError(f"quadric has {g.n} points, expected {params.n_pred}")
     if set(g.degrees()) != {params.k}:

@@ -15,6 +15,7 @@ lower is refused before the canonical search.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
@@ -46,6 +47,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ContractViolation(f"vertex count must be >= 0, got {self.n}")
+        if not isinstance(self.adj, tuple):
+            raise ContractViolation(f"adjacency rows must be a tuple, got {type(self.adj).__name__}")
         if len(self.adj) != self.n:
             raise ContractViolation(
                 f"expected {self.n} adjacency rows, got {len(self.adj)}"
@@ -55,6 +58,8 @@ class Graph:
         # j < i set at i; the lowest bit where they differ names the pair (j, i).
         lower = [0] * self.n
         for i, row in enumerate(self.adj):
+            if not isinstance(row, int):
+                raise ContractViolation(f"row {i} must be an int, got {type(row).__name__}")
             bit = 1 << i
             if row & ~full:
                 raise ContractViolation(f"row {i} has bits outside 0..{self.n - 1}")
@@ -71,10 +76,12 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError as exc:
+                raise ContractViolation(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from exc
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractViolation(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ContractViolation(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))

@@ -266,8 +266,8 @@ class RunConfig:
     """One sweep: a graph source, a bound selection, the base seed of the
     randomized checks, the worker count and the exact-search budget. The
     record sink is passed to ``run`` separately. The worker count and bound
-    names are checked, and a source string resolved, on construction, so a
-    refused sweep has opened no output yet."""
+    names are checked on construction; ``run`` resolves a source string
+    afresh on each call."""
 
     source: str | Iterable[Graph]
     bounds: tuple[str, ...]
@@ -284,8 +284,6 @@ class RunConfig:
                 raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
             if name in names[:i]:
                 raise ContractViolation(f"bound {name!r} given twice")
-        if isinstance(self.source, str):
-            self.source = resolve_source(self.source)
 
     def bound_names(self) -> tuple[str, ...]:
         if self.bounds == ("all",):
@@ -312,6 +310,8 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     before it are written, whatever the worker count."""
     start = time.monotonic()
     names = config.bound_names()
+    source = config.source
+    graphs = resolve_source(source) if isinstance(source, str) else source
     summary = RunSummary()
     # A worker pool reads every task before it yields a result, so an error
     # raised by the source there would write no record; it ends the tasks
@@ -320,7 +320,7 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
 
     def tasks() -> Iterator[tuple[int, Graph, tuple[str, ...], int, int]]:
         try:
-            for i, g in enumerate(config.source):
+            for i, g in enumerate(graphs):
                 yield i, g, names, config.budget_n, config.seed
         except Graph6Error as exc:
             source_error.append(exc)

@@ -85,11 +85,9 @@ def domination_number(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> DominationCe
     """
     _check_budget(g, budget_n)
     n = g.n
-    if n == 0:
-        return DominationCertificate(0, VertexSet(0, 0))
     full = (1 << n) - 1
     closed = [g.adj[v] | (1 << v) for v in range(n)]
-    max_cover = max(c.bit_count() for c in closed)
+    max_cover = max((c.bit_count() for c in closed), default=1)
 
     def search(covered: int, depth: int) -> int | None:
         if covered == full:
@@ -266,8 +264,10 @@ def check_bipartite_removal_property(
     is the rest of the graph empty or disconnected?
 
     Enumerates all subsets when n <= 16; larger graphs need an explicit
-    ``max_subset_size`` cap.
+    ``max_subset_size`` cap. A negative cap is refused.
     """
+    if max_subset_size is not None and max_subset_size < 0:
+        raise ContractViolation(f"max_subset_size must be >= 0, got {max_subset_size}")
     if not is_connected(g):
         raise ContractViolation("property check requires a connected graph")
     if max_subset_size is None and g.n > SUBSET_PROPERTY_BUDGET_N:

@@ -85,11 +85,9 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
-    if n == 0:
-        return Spectrum((), 0.0), np.zeros((0, 0))
     if not np.isfinite(mat).all():
         raise ContractViolation("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
+    if np.max(np.abs(mat - mat.T), initial=0.0) > SYMMETRY_TOL:
         raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
     try:
         vals, vecs = np.linalg.eigh(mat)
@@ -97,7 +95,7 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
         raise NumericError(f"eigendecomposition failed for {n}x{n} matrix") from exc
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
+    residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0), initial=0.0))
     bound = RESIDUAL_SCALE * max(1.0, float(np.linalg.norm(mat)))
     if not residual <= bound:
         raise NumericError(
@@ -115,7 +113,7 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
     m = g.m
     tau = numeric_tolerance(spec.n)
     values = np.array(spec.values)
-    if values.size and abs(float(values.sum())) > tau:
+    if abs(float(values.sum())) > tau:
         raise NumericError("adjacency spectrum trace deviates from zero")
     if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
         raise NumericError("adjacency spectrum square-sum deviates from 2m")
@@ -147,8 +145,6 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
 
 
 def _energies(values: np.ndarray, zero_tolerance: float, m: int) -> EnergyReport:
-    if values.size == 0:
-        return EnergyReport(0.0, 0.0, 0.0, 0)
     s_plus = float(np.square(values[values > zero_tolerance]).sum())
     s_minus = float(np.square(values[values < -zero_tolerance]).sum())
     return EnergyReport(s_plus, s_minus, float(np.abs(values).sum()), m)
@@ -167,7 +163,7 @@ def spectral_split(g: Graph) -> SpectralSplit:
     a_plus = (a_plus + a_plus.T) / 2.0
     a_minus = (a_minus + a_minus.T) / 2.0
     for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
-        if part.size and float(np.linalg.eigvalsh(part)[0]) < -tau:
+        if float(np.linalg.eigvalsh(part).min(initial=0.0)) < -tau:
             raise NumericError(f"{name} is not PSD within tolerance")
     # The shared decomposition keeps no adjacency matrix; the last check
     # builds one, so it is not alive while the halves are built.

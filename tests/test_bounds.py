@@ -32,7 +32,16 @@ from sqenergy.families import (
     star,
     unicyclic_glue,
 )
-from sqenergy.graphs import Graph, disjoint_union, is_bipartite, is_clique, is_regular, is_star, join
+from sqenergy.graphs import (
+    Graph,
+    disjoint_union,
+    is_bipartite,
+    is_clique,
+    is_regular,
+    is_star,
+    join,
+    parse_graph6,
+)
 from sqenergy.spectral import square_energies
 
 
@@ -162,6 +171,22 @@ def test_pipeline_cases():
     assert big_star.rhs == pytest.approx(10.0)  # (40/2)^2 / 40
     with pytest.raises(ContractViolation):
         certify_s_plus_pipeline(Graph(2, (0, 0)))
+
+
+def test_pipeline_case_2_bounds_a_light_class_by_its_inner_degree():
+    # K_{1,5} plus a disjoint K_2: the head class {7} holds no edge, and the
+    # degree-1 class holds the K_2, whose inner degree 1 stands in for lambda_1.
+    verdict = certify_s_plus_pipeline(parse_graph6("G???No"))
+    assert verdict.witness["case"] == "case-2" and verdict.witness["class_index"] == 1
+    assert verdict.rhs == pytest.approx(7 ** (-1 / 3))  # 1^(4/3) / (7^(1/3) * 1^(2/3))
+    assert verdict.holds and verdict.lhs == pytest.approx(6.0)
+    # C_40 with each vertex joined to one of four hubs: the cycle's class has
+    # full degree 3 but inner degree 2, and only the inner one enters the rhs.
+    edges = [(i, (i + 1) % 40) for i in range(40)] + [(i, 40 + i % 4) for i in range(40)]
+    verdict = certify_s_plus_pipeline(Graph.from_edges(44, edges))
+    assert verdict.witness["case"] == "case-2" and verdict.witness["class_edges"] == [0, 40, 0]
+    assert verdict.rhs == pytest.approx(40 / 2 ** (2 / 3))  # 40^(4/3) / (40^(1/3) * 2^(2/3))
+    assert verdict.holds and verdict.lhs == pytest.approx(80.0)  # bipartite: s+ = m
 
 
 def test_pipeline_soundness_random():

@@ -1,5 +1,6 @@
 """CLI subcommands, the sweep harness, record formats, and determinism."""
 
+import csv
 import gc
 import hashlib
 import io
@@ -95,6 +96,7 @@ _REFUSED = [
     (["bounds", "family:petersen", "--set", "efgw", "--jobs", "0"], "error: jobs must be >= 1"),
     (["bounds", "nosuch.g6", "--set", "efgw"], "i/o error: "),
     (["spectrum", "nosuch.g6"], "i/o error: "),
+    (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 0"),
 ]
 
 
@@ -177,6 +179,18 @@ def test_filter_takes_large_graphs_when_the_subset_scan_is_capped():
     assert len(outcome.survivors) == 1
 
 
+def test_hunt_counts_every_rejection_kind(capsys):
+    assert main(["hunt", "--n", "7"]) == 0
+    assert capsys.readouterr().err == (
+        "survivors: 103  rejected: "
+        "{'disconnected': 0, 'p3-cut-vertex': 736, 'bipartite-removal': 14}\n"
+    )
+    outcome = filter_minimal_counterexample_candidates([parse_graph6("C`")])  # 2K2
+    assert outcome.rejection_counts == {
+        "disconnected": 1, "p3-cut-vertex": 0, "bipartite-removal": 0,
+    }
+
+
 def test_filter_keeps_complete_graph():
     from sqenergy.families import complete
 
@@ -195,10 +209,22 @@ def test_summary_minima_reevaluate(tmp_path):
     assert verdict.slack == pytest.approx(entry["slack"], abs=1e-8)
 
 
+def test_a_string_source_config_runs_more_than_once():
+    config = RunConfig("enumerate:5:connected", ("efgw",))
+    first, second = run(config), run(config)
+    assert first.graphs_processed == second.graphs_processed == 21
+    first.wall_time = second.wall_time = 0.0
+    assert first == second
+
+
 def test_decompose_command(capsys):
     assert main(["decompose", "--method", "star-clique", "family:path:n=4"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["parts"] == [[0, 1], [2, 3]]
+    assert record["holds"]
+    assert main(["decompose", "--method", "domination", "family:petersen"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["parts"] == [[0, 7, 8, 9], [1, 5, 6], [2, 3, 4]]  # gamma = 3
     assert record["holds"]
 
 
@@ -216,6 +242,15 @@ def test_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("graph_index,graph6,")
     assert len(lines) == 7
+
+
+def test_per_graph_csv_takes_its_columns_from_the_first_record(capsys):
+    assert main(["spectrum", "family:cycle:n=3", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "eigenvalues,graph6,graph_index,m,n,residual_bound"
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["graph6"], row["graph_index"], row["m"], row["n"]) == ("Bw", "0", "3", "3")
+    assert json.loads(row["eigenvalues"]) == pytest.approx([2.0, -1.0, -1.0])
 
 
 def test_csv_parallel_matches_serial(tmp_path):

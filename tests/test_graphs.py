@@ -48,6 +48,26 @@ def test_graph_validation():
     assert g.edges() == [(0, 1), (1, 2)]
 
 
+def test_edges_take_any_integer_type_and_refuse_other_endpoints():
+    pairs = np.array([[0, 5], [1, 2]], dtype=np.int32)
+    assert Graph.from_edges(8, pairs) == Graph.from_edges(8, [(0, 5), (1, 2)])
+    # At n = 80 a fixed-width shift would overflow; the rows are Python ints.
+    assert Graph.from_edges(80, np.array([[0, 79]])).edges() == [(0, 79)]
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1.0\) has a non-integer endpoint"):
+        Graph.from_edges(3, [(0, 1.0)])
+    with pytest.raises(ContractViolation, match="non-integer endpoint"):
+        Graph.from_edges(3, [("0", 1)])
+
+
+def test_adjacency_must_be_a_tuple_of_ints():
+    with pytest.raises(ContractViolation, match="adjacency rows must be a tuple, got list"):
+        Graph(3, [2, 5, 2])
+    with pytest.raises(ContractViolation, match="row 0 must be an int, got int64"):
+        Graph(2, tuple(np.array([2, 1], dtype=np.int64)))
+    with pytest.raises(ContractViolation, match="row 1 must be an int, got float"):
+        Graph(2, (2, 1.0))
+
+
 def test_asymmetry_names_a_pair_above_the_diagonal():
     # Rows 0..2 as bitsets: an edge above the diagonal without its mirror,
     # then a bit below the diagonal without its mirror.
