@@ -37,6 +37,13 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _vertex_count(n: int) -> int:
+    try:
+        return operator.index(n)
+    except TypeError as exc:
+        raise ContractViolation(f"vertex count must be an integer, got {n!r}") from exc
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count plus one adjacency bitset per row."""
@@ -45,6 +52,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _vertex_count(self.n))
         if self.n < 0:
             raise ContractViolation(f"vertex count must be >= 0, got {self.n}")
         if not isinstance(self.adj, tuple):
@@ -72,8 +80,18 @@ class Graph:
             for k in _iter_bits(row >> (i + 1) << (i + 1)):
                 lower[k] |= bit
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of (n, adj), computed once: every per-graph memo lookup
+        hashes the graph."""
+        return hash((self.n, self.adj))
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        n = _vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             try:

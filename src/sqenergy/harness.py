@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict
@@ -43,6 +44,7 @@ from .oracles import (
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
 )
+from .spectral import STACK_MAX_ENTRIES, decompose_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,12 @@ def evaluate_bound(name: str, g: Graph, budget_n: int, seed: int) -> list[BoundV
     return BOUNDS[name](g, budget_n, seed)
 
 
-def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[dict[str, Any]]:
+# One graph's work: its input index, the graph, the bound names, the
+# exact-search budget and the base seed.
+Task = tuple[int, Graph, tuple[str, ...], int, int]
+
+
+def evaluate_graph(task: Task) -> list[dict[str, Any]]:
     """Evaluate the selected bounds on one graph, whose spectra and shared
     oracle results are computed once for all of them; preconditions that the
     graph does not meet become per-bound 'skipped' records and numeric
@@ -198,6 +205,19 @@ def evaluate_graph(task: tuple[int, Graph, tuple[str, ...], int, int]) -> list[d
             records.append({**head, "name": name, "status": "error", **_NULL_FIELDS,
                             "reason": f"{type(exc).__name__}: {exc}"})
     return records
+
+
+def evaluate_block(tasks: list[Task]) -> Iterator[list[dict[str, Any]]]:
+    """The records of consecutive graphs, one ``evaluate_graph`` list per
+    graph, made lazily once the graphs of each vertex count have been
+    decomposed by shared stacked eigensolves."""
+    decompose_graphs(task[1] for task in tasks)
+    return map(evaluate_graph, tasks)
+
+
+def _block_records(tasks: list[Task]) -> list[list[dict[str, Any]]]:
+    """``evaluate_block`` read to the end, for a worker to send back."""
+    return list(evaluate_block(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +333,29 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     source = config.source
     graphs = resolve_source(source) if isinstance(source, str) else source
     summary = RunSummary()
-    # A worker pool reads every task before it yields a result, so an error
-    # raised by the source there would write no record; it ends the tasks
-    # instead and is raised after them.
+    # Graphs are evaluated in blocks of consecutive graphs whose adjacency
+    # matrices, each counted as at least 8 x 8, hold at most
+    # STACK_MAX_ENTRIES entries (so at most 64 graphs), one block per call
+    # and per pool task. A worker pool reads every block before it yields a
+    # result, so an error raised by the source there would write no record;
+    # it ends the blocks instead and is raised after them.
     source_error: list[Graph6Error] = []
 
-    def tasks() -> Iterator[tuple[int, Graph, tuple[str, ...], int, int]]:
+    def blocks() -> Iterator[list[Task]]:
+        block: list[Task] = []
+        entries = 0
         try:
             for i, g in enumerate(graphs):
-                yield i, g, names, config.budget_n, config.seed
+                size = max(g.n, 8) ** 2
+                if block and entries + size > STACK_MAX_ENTRIES:
+                    yield block
+                    block, entries = [], 0
+                block.append((i, g, names, config.budget_n, config.seed))
+                entries += size
         except Graph6Error as exc:
             source_error.append(exc)
+        if block:
+            yield block
 
     def consume(record_lists: Iterable[list[dict[str, Any]]]) -> None:
         for records in record_lists:
@@ -353,9 +385,9 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            consume(pool.map(evaluate_graph, tasks(), chunksize=4))
+            consume(chain.from_iterable(pool.map(_block_records, blocks())))
     else:
-        consume(map(evaluate_graph, tasks()))
+        consume(chain.from_iterable(map(evaluate_block, blocks())))
     if source_error:
         raise source_error[0]
     summary.wall_time = time.monotonic() - start

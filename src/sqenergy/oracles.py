@@ -264,10 +264,11 @@ def check_bipartite_removal_property(
     is the rest of the graph empty or disconnected?
 
     Enumerates all subsets when n <= 16; larger graphs need an explicit
-    ``max_subset_size`` cap. A negative cap is refused.
+    ``max_subset_size`` cap. A qualifying subset has at least 4 vertices, so
+    a cap below 4, which would scan nothing, is refused.
     """
-    if max_subset_size is not None and max_subset_size < 0:
-        raise ContractViolation(f"max_subset_size must be >= 0, got {max_subset_size}")
+    if max_subset_size is not None and max_subset_size < 4:
+        raise ContractViolation(f"max_subset_size must be >= 4, got {max_subset_size}")
     if not is_connected(g):
         raise ContractViolation("property check requires a connected graph")
     if max_subset_size is None and g.n > SUBSET_PROPERTY_BUDGET_N:

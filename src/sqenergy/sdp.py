@@ -9,7 +9,10 @@ characterizations numerically, runs an independent projected-gradient
 minimizer, scans the quartic inequality behind the 3x3 PSD row-sum bound,
 and finds the vertex of an induced 3-vertex path whose removal drops each
 square energy most; whether those drops are large enough is the removal
-bound's verdict in ``bounds``.
+bound's verdict in ``bounds``. The removal witness builds no vertex-deleted
+graphs: it decomposes the three principal submatrices of the adjacency
+matrix by stacked, checked eigensolves within ``spectral.STACK_MAX_ENTRIES``
+(one call up to 37 vertices) and keeps no memo entry for them.
 """
 
 from __future__ import annotations
@@ -19,10 +22,17 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError
-from .graphs import Graph, delete_vertex
+from .errors import ContractViolation, ConvergenceError, SquareEnergyError
+from .graphs import Graph
 from .oracles import induces_p3
-from .spectral import eigen_decompose_symmetric, numeric_tolerance, spectral_split, square_energies
+from .spectral import (
+    eigen_decompose_stack,
+    eigen_decompose_symmetric,
+    numeric_tolerance,
+    spectral_split,
+    square_energies,
+    stack_size,
+)
 
 Sign = Literal["plus", "minus"]
 
@@ -280,12 +290,23 @@ def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitne
     if not induces_p3(g, triple):
         raise ContractViolation(f"triple {triple} does not induce a 3-vertex path")
     whole = square_energies(g)
+    # Deleting u leaves the principal submatrix without u's row and column,
+    # with m - deg(u) edges; the three share stacked eigensolves.
+    a = g.adjacency_matrix()
+    keep = np.array([[v for v in range(g.n) if v != u] for u in triple])
+    ms = [g.m - g.degree(u) for u in triple]
+    size = stack_size(g.n - 1)
     drops_plus = []
     drops_minus = []
-    for u in triple:
-        rest = square_energies(delete_vertex(g, u))
-        drops_plus.append((whole.s_plus - rest.s_plus, u))
-        drops_minus.append((whole.s_minus - rest.s_minus, u))
+    for start in range(0, len(triple), size):
+        rows = keep[start:start + size]
+        outs = eigen_decompose_stack(a[rows[:, :, None], rows[:, None, :]], ms[start:start + size])
+        for u, out in zip(triple[start:start + size], outs):
+            if isinstance(out, SquareEnergyError):
+                raise out
+            rest = out[2]
+            drops_plus.append((whole.s_plus - rest.s_plus, u))
+            drops_minus.append((whole.s_minus - rest.s_minus, u))
 
     def best(drops: list[tuple[float, int]]) -> tuple[int, float]:
         drop, vertex = max(drops, key=lambda t: (t[0], -t[1]))

@@ -15,20 +15,33 @@ live ``Graph``, a ``graphs.per_graph`` memo entry that also holds the
 default-band ``square_energies`` report: the first call computes it, later
 calls on the same graph reuse it, and it is freed with the graph, so a sweep
 and a library call on the same graph decompose it once.
+
+One routine, ``eigen_decompose_stack``, makes every checked decomposition:
+one solver call for a stack of same-size matrices, then each matrix's checks,
+so a single matrix is a stack of one and a stacked matrix gets bitwise the
+values, vectors, residual and energies it would get alone. A sweep seeds the
+memo of a block of small graphs with ``decompose_graphs``, one stacked call
+per vertex count; ``STACK_MAX_ENTRIES`` caps a stack, so a matrix with more
+than 64 rows is decomposed alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError
+from .errors import ContractViolation, NumericError, SquareEnergyError
 from .graphs import Graph, per_graph
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_SCALE = 1e-10
+# Matrix entries, summed over the stack, that one stacked eigensolve takes:
+# small matrices share a call, and one with more than 64 rows is decomposed
+# alone.
+STACK_MAX_ENTRIES = 64 * 64
 
 
 def numeric_tolerance(n: int) -> float:
@@ -73,6 +86,92 @@ class Inertia:
     n_minus: int
 
 
+def stack_size(n: int) -> int:
+    """How many n x n matrices one stacked eigensolve takes: as many as fit in
+    ``STACK_MAX_ENTRIES`` entries, and at least one."""
+    return max(1, STACK_MAX_ENTRIES // max(1, n * n))
+
+
+def eigen_decompose_stack(
+    mats: np.ndarray, ms: Sequence[int] | None = None
+) -> list[tuple | SquareEnergyError]:
+    """Checked eigendecompositions of a stack of same-size real symmetric
+    matrices, shape (k, n, n), by one solver call.
+
+    Item i is what ``eigen_decompose_symmetric`` returns for matrix i, or the
+    error it would raise. With ``ms``, matrix i is an adjacency matrix with
+    ms[i] edges: its spectrum must also have zero trace and square sum
+    2 ms[i], its vectors are read-only, and its default-band ``EnergyReport``
+    comes third.
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ContractViolation(f"expected a stack of square matrices, got shape {mats.shape}")
+    k, n = mats.shape[:2]
+    try:
+        if not np.isfinite(mats).all():
+            raise ContractViolation("matrix has non-finite entries")
+        if np.max(np.abs(mats - mats.transpose(0, 2, 1)), initial=0.0) > SYMMETRY_TOL:
+            raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
+        try:
+            vals, vecs = np.linalg.eigh(mats)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed for {n}x{n} matrix") from exc
+    except SquareEnergyError as exc:
+        if k == 1:
+            return [exc]
+        # Some matrix fails before the residual check: each alone names it.
+        return [
+            out for i in range(k)
+            for out in eigen_decompose_stack(mats[i:i + 1], None if ms is None else ms[i:i + 1])
+        ]
+    vals = vals[:, ::-1]
+    vecs = vecs[:, :, ::-1]
+    residuals = np.max(
+        np.linalg.norm(mats @ vecs - vecs * vals[:, None, :], axis=1), axis=1, initial=0.0
+    )
+    outs: list[tuple | SquareEnergyError] = []
+    for i in range(k):
+        try:
+            outs.append(_checked(
+                mats[i], vals[i], vecs[i], float(residuals[i]), None if ms is None else ms[i]
+            ))
+        except NumericError as exc:
+            outs.append(exc)
+    return outs
+
+
+def _checked(
+    mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray, residual: float, m: int | None
+) -> tuple:
+    """One solved matrix of a stack, checked as ``eigen_decompose_stack``
+    documents; raises NumericError."""
+    n = len(vals)
+    bound = RESIDUAL_SCALE * max(1.0, float(np.linalg.norm(mat)))
+    if not residual <= bound:
+        raise NumericError(
+            f"residual {residual:.3e} exceeds contract {bound:.3e} for {n}x{n} matrix"
+        )
+    spec = Spectrum(tuple(vals.tolist()), residual)
+    if m is None:
+        return spec, vecs
+    tau = numeric_tolerance(n)
+    values = np.array(spec.values)
+    if abs(float(values.sum())) > tau:
+        raise NumericError("adjacency spectrum trace deviates from zero")
+    if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
+        raise NumericError("adjacency spectrum square-sum deviates from 2m")
+    vecs.setflags(write=False)
+    return spec, vecs, _energies(values, tau, m)
+
+
+def _one(out: tuple | SquareEnergyError) -> tuple:
+    """A stack item's decomposition, or its error raised."""
+    if isinstance(out, SquareEnergyError):
+        raise out
+    return out
+
+
 def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix.
 
@@ -84,24 +183,7 @@ def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if not np.isfinite(mat).all():
-        raise ContractViolation("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.T), initial=0.0) > SYMMETRY_TOL:
-        raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
-    try:
-        vals, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed for {n}x{n} matrix") from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    residual = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0), initial=0.0))
-    bound = RESIDUAL_SCALE * max(1.0, float(np.linalg.norm(mat)))
-    if not residual <= bound:
-        raise NumericError(
-            f"residual {residual:.3e} exceeds contract {bound:.3e} for {n}x{n} matrix"
-        )
-    return Spectrum(tuple(float(v) for v in vals), residual), vecs
+    return _one(eigen_decompose_stack(mat[None])[0])
 
 
 @per_graph
@@ -109,16 +191,33 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
     """The decomposition of g's adjacency matrix, with the solver residual,
     the zero trace and the 2m square sum checked, and its default-band
     energies, once per live graph. Every caller shares the read-only vectors."""
-    spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
-    m = g.m
-    tau = numeric_tolerance(spec.n)
-    values = np.array(spec.values)
-    if abs(float(values.sum())) > tau:
-        raise NumericError("adjacency spectrum trace deviates from zero")
-    if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
-        raise NumericError("adjacency spectrum square-sum deviates from 2m")
-    vecs.setflags(write=False)
-    return spec, vecs, _energies(values, tau, m)
+    return _one(eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0])
+
+
+# The memo itself, so that seeding reaches it where ``_decomposition`` is
+# wrapped.
+_MEMO = _decomposition.memo
+
+
+def decompose_graphs(graphs: Iterable[Graph]) -> None:
+    """Seed the decomposition memo of the graphs not yet in it: graphs of one
+    vertex count share stacked eigensolves. A graph that a stack would hold
+    alone, or that fails a check, is left to its own first call, which
+    decomposes it as before or raises the same error."""
+    by_n: dict[int, list[Graph]] = {}
+    for g in graphs:
+        if g not in _MEMO:
+            by_n.setdefault(g.n, []).append(g)
+    for n, same in by_n.items():
+        size = stack_size(n)
+        for start in range(0, len(same), size):
+            stack = same[start:start + size]
+            if len(stack) < 2:
+                continue
+            mats = np.stack([g.adjacency_matrix() for g in stack])
+            for g, out in zip(stack, eigen_decompose_stack(mats, [g.m for g in stack])):
+                if not isinstance(out, SquareEnergyError):
+                    _MEMO[g] = out
 
 
 def spectrum(g: Graph) -> Spectrum:

@@ -8,8 +8,10 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from _gen import gnp
 import sqenergy.harness as harness
 import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
@@ -96,7 +98,8 @@ _REFUSED = [
     (["bounds", "family:petersen", "--set", "efgw", "--jobs", "0"], "error: jobs must be >= 1"),
     (["bounds", "nosuch.g6", "--set", "efgw"], "i/o error: "),
     (["spectrum", "nosuch.g6"], "i/o error: "),
-    (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 0"),
+    (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 4"),
+    (["hunt", "--n", "7", "--max-subset-size", "3"], "error: max_subset_size must be >= 4"),
 ]
 
 
@@ -317,9 +320,62 @@ def test_numeric_failure_on_one_graph_becomes_error_records(tmp_path, monkeypatc
     assert f"errors: {len(errors)}" in summary
 
 
+def test_a_numeric_failure_inside_a_block_leaves_its_neighbours_records(tmp_path, monkeypatch):
+    # 120 seeded 9-vertex graphs, which no other test keeps decomposed, take
+    # blocks of 50; graph 30 sits inside the first. Shifted eigenvalues fail
+    # its residual check, in the block's stacked eigensolve and again in its
+    # own call.
+    rng = np.random.default_rng(47)
+    graphs = [gnp(rng, 9, 0.5) for _ in range(120)]
+    source = tmp_path / "in.g6"
+    source.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+    base = ["bounds", str(source), "--set", "all", "--jobs", "1"]
+    clean, faulted = tmp_path / "clean.jsonl", tmp_path / "faulted.jsonl"
+    assert main(base + ["--out", str(clean)]) == 0
+    target = graphs[30].adjacency_matrix()
+    eigh = np.linalg.eigh
+
+    def failing(mats):
+        vals, vecs = eigh(mats)
+        if mats.shape[-1] != target.shape[-1]:
+            return vals, vecs
+        return vals + np.all(mats == target, axis=(-2, -1))[..., None], vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert main(base + ["--out", str(faulted)]) == 1
+    def others(path):
+        return [line for line in path.read_text().splitlines()
+                if json.loads(line)["graph_index"] != 30]
+
+    assert others(faulted) == others(clean)
+    errors = [r for r in _read_jsonl(faulted) if r["status"] == "error"]
+    assert errors and {r["graph_index"] for r in errors} == {30}
+    assert all(r["reason"].startswith("NumericError: residual ") for r in errors)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_malformed_line_after_several_blocks_keeps_every_record_before_it(jobs, tmp_path, capsys):
+    # 150 connected 7-vertex graphs fill two blocks of 64 and part of a third.
+    lines = [write_graph6(g) for g in resolve_source("enumerate:7:connected")]
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("\n".join(lines[:150]) + "\n")
+    bad.write_text("\n".join(lines[:150] + ["F??"] + lines[150:160]) + "\n")
+    base = ["bounds", "--set", "efgw,removal"]
+    assert main(base + [str(good), "--out", str(tmp_path / "want")]) == 0
+    capsys.readouterr()
+    assert main(base + [str(bad), "--jobs", jobs, "--out", str(tmp_path / "got")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 151: truncated body")
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
 def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
     # Deleting nothing drops no square energy, so the removal lemma fails.
-    monkeypatch.setattr(sdp, "delete_vertex", lambda g, v: g)
+    whole, decompose = cycle(5), sdp.eigen_decompose_stack
+
+    def undeleted(mats, ms):
+        return decompose(np.stack([whole.adjacency_matrix()] * len(mats)), [whole.m] * len(ms))
+
+    monkeypatch.setattr(sdp, "eigen_decompose_stack", undeleted)
     out = tmp_path / "removal.jsonl"
     assert main(["bounds", "family:cycle:n=5", "--set", "removal", "--out", str(out)]) == 2
     [record] = _read_jsonl(out)

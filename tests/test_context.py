@@ -4,6 +4,7 @@ energies and max cut are computed once however many bounds and library calls
 read them."""
 
 import gc
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from _gen import gnp
 import sqenergy.bounds as bounds
 import sqenergy.oracles as oracles
+import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.bounds import (
     ALL_BOUND_NAMES,
@@ -31,8 +33,8 @@ from sqenergy.bounds import (
 )
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import cycle, petersen, star
-from sqenergy.graphs import Graph, write_graph6
-from sqenergy.harness import evaluate_graph
+from sqenergy.graphs import Graph, parse_graph6, write_graph6
+from sqenergy.harness import evaluate_block, evaluate_graph
 from sqenergy.oracles import SEARCH_BUDGET_N
 
 SEED = 11
@@ -107,10 +109,33 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
     records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     assert {r["name"] for r in records if r["status"] == "ok"} >= {"surplus", "removal", "sdp-min"}
-    # One decomposition of C5, the split's two PSD checks, and the removal
-    # witness's three vertex deletions.
-    assert calls["eigh"] + calls["eigvalsh"] <= 6
+    # One decomposition of C5, one stacked decomposition of the removal
+    # witness's three vertex deletions, and the split's two PSD checks.
+    assert calls["eigh"] + calls["eigvalsh"] <= 4
     assert calls["max_cut"] == 1
+
+
+def test_a_block_gives_the_records_of_each_graph_alone():
+    # 60 seeded 9-vertex graphs, which no other test keeps decomposed: the
+    # block decomposes them in stacks of 50 and 10. The graphs evaluated
+    # alone are freed first, so the block finds none of their memo entries.
+    rng = np.random.default_rng(61)
+    lines = [write_graph6(gnp(rng, 9, 0.5)) for _ in range(60)]
+
+    def tasks():
+        return [(i, parse_graph6(line), ALL_BOUND_NAMES, SEARCH_BUDGET_N, SEED)
+                for i, line in enumerate(lines)]
+
+    alone = [json.dumps(records) for records in map(evaluate_graph, tasks())]
+    gc.collect()
+    block = tasks()
+    memo = spectral._decomposition.memo
+    assert not any(task[1] in memo for task in block)
+    blocked = [json.dumps(records) for records in evaluate_block(block)]
+    assert all(task[1] in memo for task in block)
+    assert len(blocked) == len(alone)
+    for got, want in zip(blocked, alone):
+        assert got == want
 
 
 # Each test below builds its own graph, so no graph that another test keeps
@@ -122,22 +147,28 @@ def _fresh_graph(seed):
 
 
 def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
-    # The default-band energies are part of the one decomposition memo entry,
-    # so counting the decompositions counts them.
+    # The default-band energies are part of each checked adjacency
+    # decomposition, so counting the stacked decompositions counts them.
     g = _fresh_graph(23)
     seen = []
-    decompose = spectral.eigen_decompose_symmetric
+    decompose = spectral.eigen_decompose_stack
 
-    def counting(mat):
-        seen.append(np.array_equal(mat, g.adjacency_matrix()))
-        return decompose(mat)
+    def counting(mats, ms=None):
+        seen.append((mats.shape, ms))
+        return decompose(mats, ms)
 
-    monkeypatch.setattr(spectral, "eigen_decompose_symmetric", counting)
+    monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
+    monkeypatch.setattr(sdp, "eigen_decompose_stack", counting)
     records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     assert all(r["status"] != "error" for r in records)
     assert g in spectral._decomposition.memo
-    # The graph itself once; the removal witness's three deleted graphs once each.
-    assert seen.count(True) == 1 and seen.count(False) == 3
+    # The graph itself once; the removal witness's three vertex-deleted
+    # submatrices in one stacked call.
+    triple = oracles.find_induced_p3(g)
+    assert seen == [
+        ((1, g.n, g.n), [g.m]),
+        ((3, g.n - 1, g.n - 1), [g.m - g.degree(u) for u in triple]),
+    ]
 
 
 def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):

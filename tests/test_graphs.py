@@ -59,6 +59,29 @@ def test_edges_take_any_integer_type_and_refuse_other_endpoints():
         Graph.from_edges(3, [("0", 1)])
 
 
+def test_a_float_vertex_count_is_refused():
+    with pytest.raises(ContractViolation, match="vertex count must be an integer, got 2.0"):
+        Graph(2.0, (0, 0))
+
+
+def test_a_float_vertex_count_is_refused_by_from_edges():
+    with pytest.raises(ContractViolation, match="vertex count must be an integer, got 3.0"):
+        Graph.from_edges(3.0, [(0, 1)])
+
+
+def test_a_numpy_vertex_count_builds_the_graph():
+    g = Graph.from_edges(np.int64(70), [(0, 69)])
+    assert type(g.n) is int and g == Graph.from_edges(70, [(0, 69)])
+    assert g.edges() == [(0, 69)]
+
+
+def test_a_graph_hashes_once_and_equal_graphs_hash_alike():
+    g = cycle(5)
+    assert hash(g) == hash((5, g.adj)) == hash(Graph(5, g.adj))
+    assert vars(g)["_hash"] == hash(g)
+    assert g == Graph(5, g.adj) and g != path(5)
+
+
 def test_adjacency_must_be_a_tuple_of_ints():
     with pytest.raises(ContractViolation, match="adjacency rows must be a tuple, got list"):
         Graph(3, [2, 5, 2])

@@ -209,6 +209,10 @@ def test_bipartite_removal_budget_and_cap():
         check_bipartite_removal_property(big)
     capped = check_bipartite_removal_property(big, max_subset_size=4)
     assert capped.holds  # no 4-vertex subset of C_17 has 4 edges
+    # A qualifying subset has at least 4 vertices: a smaller cap scans nothing.
+    for cap in (-1, 0, 3):
+        with pytest.raises(ContractViolation, match="max_subset_size must be >= 4"):
+            check_bipartite_removal_property(cycle(6), max_subset_size=cap)
 
 
 def _brute_bipartite_subsets(g: Graph) -> list[tuple[VertexSet, bool]]:

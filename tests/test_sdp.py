@@ -10,7 +10,8 @@ from _gen import random_connected_with_p3, random_graphs
 import sqenergy.sdp as sdp
 from sqenergy.errors import ContractViolation, ConvergenceError
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
-from sqenergy.graphs import enumerate_graphs
+from sqenergy.graphs import delete_vertex, enumerate_graphs
+from sqenergy.oracles import find_induced_p3
 from sqenergy.sdp import (
     MinCharacterizationReport,
     MinCharacterizationViolation,
@@ -222,3 +223,25 @@ def test_p3_removal_sweep():
         witness = p3_removal_witness(g, find_induced_p3(g))
         assert witness.drop_minus >= 1.0 + 1e-9
         assert witness.drop_plus >= 1.0 + 1e-9
+
+
+def test_removal_drops_equal_those_of_the_vertex_deleted_graphs(connected_corpus):
+    # The stacked submatrices give bitwise the energies of the deleted
+    # graphs, on every connected graph with up to 7 vertices and on graphs
+    # of 38-45 vertices, whose three submatrices take stacks of two and one.
+    graphs = [g for n in range(3, 8) for g in connected_corpus[n]]
+    graphs += random_connected_with_p3(seed=59, count=2, n_lo=38, n_hi=45)
+    for g in graphs:
+        triple = find_induced_p3(g)
+        if triple is None:
+            continue
+        whole = square_energies(g)
+        witness = p3_removal_witness(g, triple)
+        drops = {}
+        for u in triple:
+            rest = square_energies(delete_vertex(g, u))
+            drops[u] = (whole.s_minus - rest.s_minus, whole.s_plus - rest.s_plus)
+        assert witness.drop_minus == drops[witness.vertex_minus][0]
+        assert witness.drop_plus == drops[witness.vertex_plus][1]
+        assert witness.drop_minus == max(d[0] for d in drops.values())
+        assert witness.drop_plus == max(d[1] for d in drops.values())

@@ -57,7 +57,9 @@ def test_eigen_contracts():
 
 
 def test_a_nan_residual_fails_the_residual_check(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigh", lambda mat: (np.full(2, np.nan), np.eye(2)))
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda mats: (np.full(mats.shape[:-1], np.nan), np.eye(2) + 0 * mats)
+    )
     with pytest.raises(NumericError, match="residual nan exceeds"):
         eigen_decompose_symmetric(np.eye(2))
 
@@ -248,3 +250,66 @@ def test_graph_level_functions_equal_a_fresh_decomposition(connected_corpus):
         energies = square_energies(g, zero_tolerance=tau)
         want = (spec, energies, inertia(spec), (a_plus + a_plus.T) / 2, (a_minus + a_minus.T) / 2)
         _assert_same_results(_graph_level_results(g), want)
+
+
+def _bits(*arrays):
+    return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays)
+
+
+def _decomposition_bits(spec, vecs, report=None):
+    parts = [spec.values, [spec.residual_bound], vecs]
+    if report is not None:
+        parts.append([report.s_plus, report.s_minus, report.energy, report.m])
+    return _bits(*parts)
+
+
+def test_a_stacked_decomposition_equals_stacks_of_one():
+    # Every graph on up to 7 vertices and seeded graphs on 20..60 vertices,
+    # one stack per vertex count: values, vectors, residual and report are
+    # bitwise those of the matrix decomposed alone.
+    rng = np.random.default_rng(41)
+    groups = [list(enumerate_graphs(n)) for n in range(1, 8)]
+    groups += [[gnp(rng, n, p) for p in (0.2, 0.5, 0.8)] for n in (20, 33, 47, 60)]
+    for graphs in groups:
+        mats = np.stack([g.adjacency_matrix() for g in graphs])
+        stacked = spectral.eigen_decompose_stack(mats, [g.m for g in graphs])
+        general = spectral.eigen_decompose_stack(mats)
+        for g, mat, got, got_general in zip(graphs, mats, stacked, general):
+            [alone] = spectral.eigen_decompose_stack(mat[None], [g.m])
+            assert _decomposition_bits(*got) == _decomposition_bits(*alone)
+            assert not got[1].flags.writeable
+            want_general = eigen_decompose_symmetric(mat)
+            assert _decomposition_bits(*got_general) == _decomposition_bits(*want_general)
+            assert _decomposition_bits(*want_general) == _decomposition_bits(*got[:2])
+
+
+def test_seeded_decompositions_equal_a_graph_decomposed_alone():
+    # 40 graphs on 12 vertices take two stacked eigensolves, of 28 and 12.
+    rng = np.random.default_rng(43)
+    graphs = [gnp(rng, 12, 0.5) for _ in range(40)]
+    memo = spectral._decomposition.memo
+    assert not any(g in memo for g in graphs)
+    spectral.decompose_graphs(graphs)
+    assert all(g in memo for g in graphs)
+    for g in graphs:
+        want = spectral.eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0]
+        assert _decomposition_bits(*memo[g]) == _decomposition_bits(*want)
+    # A graph that a stack would hold alone is left to its own first call.
+    lone = gnp(rng, 65, 0.5)
+    spectral.decompose_graphs([lone, gnp(rng, 11, 0.5)])
+    assert lone not in memo
+
+
+def test_a_failing_matrix_in_a_stack_gets_its_own_error():
+    mats = np.stack([complete(3).adjacency_matrix()] * 4)
+    mats[1, 0, 2] = 0.5  # not symmetric
+    mats[2, 1, 1] = np.nan
+    outs = spectral.eigen_decompose_stack(mats, [3] * 4)
+    assert isinstance(outs[1], ContractViolation) and "not symmetric" in str(outs[1])
+    assert isinstance(outs[2], ContractViolation) and "non-finite" in str(outs[2])
+    assert _decomposition_bits(*outs[0]) == _decomposition_bits(*outs[3])
+    assert outs[0][0] == spectrum(complete(3))
+    # A wrong edge count fails the square-sum check of that matrix only.
+    outs = spectral.eigen_decompose_stack(mats[[0, 3]], [3, 4])
+    assert isinstance(outs[1], NumericError) and "square-sum" in str(outs[1])
+    assert outs[0][2] == square_energies(complete(3))
