@@ -285,8 +285,8 @@ class RecordWriter:
 class RunConfig:
     """One sweep: a graph source, a bound selection, the base seed of the
     randomized checks, the worker count and the exact-search budget. The
-    record sink is passed to ``run`` separately. The worker count and bound
-    names are checked on construction; ``run`` resolves a source string
+    record sink is passed to ``run`` separately. The worker count, seed and
+    bound names are checked on construction; ``run`` resolves a source string
     afresh on each call."""
 
     source: str | Iterable[Graph]
@@ -298,6 +298,8 @@ class RunConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         names = self.bound_names()
         for i, name in enumerate(names):
             if name not in ALL_BOUND_NAMES:

@@ -105,6 +105,14 @@ class MinCharacterizationReport:
     ok: bool
 
 
+def _check_draws(name: str, trials: int, seed: int) -> None:
+    """Refuse a negative trial count or seed, which the generator rejects."""
+    if trials < 0:
+        raise ContractViolation(f"{name} must be >= 0, got {trials}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
+
+
 def verify_min_characterization(
     g: Graph, trials: int = 20, seed: int = 0
 ) -> MinCharacterizationReport:
@@ -113,8 +121,9 @@ def verify_min_characterization(
     Equality: ||A + A-||^2 = s+ and ||A - A+||^2 = s-. Lower bound: for
     random PSD M drawn from ``seed``, ||A + M||^2 >= s+ and
     ||A - M||^2 >= s- up to the global tolerance. Violations carry the
-    offending matrix.
+    offending matrix. A negative trial count or seed is refused.
     """
+    _check_draws("trials", trials, seed)
     a = g.adjacency_matrix()
     report = square_energies(g)
     split = spectral_split(g)
@@ -236,12 +245,12 @@ def scan_p3_psd_inequality(
     Scans 16x^4 - 6(1 - 4(1-x)^2)(1 - 2(1-x)^2) over x in [0.5, 1]; the grid
     minimum must stay >= 0.5. Additionally, for seeded random PSD 3x3
     matrices M, some row/column square sum of A - M and of A + M (A the
-    3-path adjacency matrix) must exceed 1.
+    3-path adjacency matrix) must exceed 1. A negative trial count or seed is
+    refused.
     """
     if not 0 < grid_step <= 1e-3:
         raise ContractViolation(f"grid_step must be in (0, 1e-3], got {grid_step}")
-    if random_trials < 0:
-        raise ContractViolation(f"random_trials must be >= 0, got {random_trials}")
+    _check_draws("random_trials", random_trials, seed)
     steps = round(0.5 / grid_step)
     xs = np.linspace(0.5, 1.0, steps + 1)
     margins = p3_psd_margin(xs)

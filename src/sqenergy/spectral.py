@@ -9,6 +9,14 @@ within the band count as zero: they enter the inertia's zero count and
 neither square energy nor either half of the PSD split.
 ``square_energies`` alone accepts another band.
 
+The split's halves are proved PSD, not measured: each is
+sym(fl(V W V^T)) for float eigenvectors V and weights W > 0, and the exact
+V W V^T is PSD for any V, so ``_psd_defect`` bounds its distance from PSD a
+priori by Higham's gamma_k accounting (N. J. Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section 3.1). The
+assumption is IEEE float64 with round-to-nearest and a BLAS matmul in the
+standard model of floating-point arithmetic. No eigensolve checks a half.
+
 The graph-level functions ``spectrum``, ``square_energies``,
 ``spectral_split`` and ``graph_inertia`` share one checked decomposition per
 live ``Graph``, a ``graphs.per_graph`` memo entry that also holds the
@@ -42,6 +50,10 @@ RESIDUAL_SCALE = 1e-10
 # small matrices share a call, and one with more than 64 rows is decomposed
 # alone.
 STACK_MAX_ENTRIES = 64 * 64
+# IEEE float64 unit roundoff and smallest subnormal, for the split's a priori
+# PSD certificate.
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 def numeric_tolerance(n: int) -> float:
@@ -65,7 +77,9 @@ class Spectrum:
 @dataclass(frozen=True, eq=False)
 class SpectralSplit:
     """PSD pair with a_plus - a_minus equal to the adjacency matrix and
-    <a_plus, a_minus> = 0."""
+    <a_plus, a_minus> = 0. Each half's least eigenvalue is proved
+    >= -numeric_tolerance(n) by an a priori rounding bound (IEEE float64,
+    round-to-nearest, BLAS matmul in the standard model)."""
 
     a_plus: np.ndarray
     a_minus: np.ndarray
@@ -251,24 +265,60 @@ def _energies(values: np.ndarray, zero_tolerance: float, m: int) -> EnergyReport
 
 def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors,
-    checked PSD and checked to reconstruct the adjacency matrix."""
+    each certified PSD within ``numeric_tolerance(n)`` by ``_psd_defect``
+    (no eigensolve), and checked to reconstruct the adjacency matrix."""
     s, vecs, _ = _decomposition(g)
     tau = numeric_tolerance(s.n)
     values = np.array(s.values)
-    plus = values > tau
-    minus = values < -tau
-    a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
-    a_minus = (vecs[:, minus] * (-values[minus])) @ vecs[:, minus].T
-    a_plus = (a_plus + a_plus.T) / 2.0
-    a_minus = (a_minus + a_minus.T) / 2.0
-    for name, part in (("a_plus", a_plus), ("a_minus", a_minus)):
-        if float(np.linalg.eigvalsh(part).min(initial=0.0)) < -tau:
-            raise NumericError(f"{name} is not PSD within tolerance")
+    a_plus = _certified_half("a_plus", vecs, values, values > tau, tau)
+    a_minus = _certified_half("a_minus", vecs, -values, values < -tau, tau)
     # The shared decomposition keeps no adjacency matrix; the last check
-    # builds one, so it is not alive while the halves are built.
+    # builds one, so it is not alive while the halves are built. It is what
+    # catches wrong eigenvectors: the certificate holds for any vectors.
     if np.max(np.abs(a_plus - a_minus - g.adjacency_matrix()), initial=0.0) > tau:
         raise NumericError("split does not reconstruct the adjacency matrix")
     return SpectralSplit(a_plus, a_minus)
+
+
+def _certified_half(
+    name: str, vecs: np.ndarray, weights: np.ndarray, mask: np.ndarray, tau: float
+) -> np.ndarray:
+    """sym(V W V^T) over the masked columns, refused unless ``_psd_defect``
+    certifies it PSD within tau. Its column copy and unsymmetrized product
+    are freed on return, before the next half is built."""
+    cols = vecs[:, mask]
+    weights = weights[mask]
+    if _psd_defect(cols, weights) > tau:
+        raise NumericError(f"{name} is not PSD within tolerance")
+    half = (cols * weights) @ cols.T
+    return (half + half.T) / 2.0
+
+
+def _gamma(j: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u), u = 2^-53, for j u < 1: j
+    roundings (1 + delta_i), |delta_i| <= u, compound to within gamma_j of 1,
+    so a float sum of j rounded products, in any order, is within gamma_j
+    times the sum of their absolute values."""
+    ju = j * UNIT_ROUNDOFF
+    return ju / (1.0 - ju)
+
+
+def _psd_defect(cols: np.ndarray, weights: np.ndarray) -> float:
+    """An a priori bound on how far below zero the least eigenvalue of the
+    split half built from ``cols`` (n x k) and ``weights`` (k, all > 0) can
+    lie: 0 for an empty half, which is exactly zero, and otherwise
+    2 gamma_{k+2} sum_l w_l ||v_l||^2 + n (k+2) 2^-1074.
+
+    The exact V W V^T is PSD for any float V. The matmul and the (X + X^T)/2
+    step move each entry by at most gamma_{k+2} (|V| W |V|^T)_ij, so by Weyl
+    the least eigenvalue is >= -||E||_F >= -gamma_{k+2} sum_l w_l ||v_l||^2.
+    The factor 2 covers rounding in evaluating that sum and the last term
+    gradual underflow."""
+    n, k = cols.shape
+    if k == 0:
+        return 0.0
+    mass = float(np.dot(weights, np.square(cols).sum(axis=0)))
+    return 2.0 * _gamma(k + 2) * mass + n * (k + 2) * SMALLEST_SUBNORMAL
 
 
 def inertia(s: Spectrum) -> Inertia:

@@ -100,6 +100,9 @@ _REFUSED = [
     (["spectrum", "nosuch.g6"], "i/o error: "),
     (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 4"),
     (["hunt", "--n", "7", "--max-subset-size", "3"], "error: max_subset_size must be >= 4"),
+    (["bounds", "family:petersen", "--set", "sdp-min", "--seed", "-1"], "error: seed must be >= 0"),
+    (["bounds", "family:petersen", "--set", "efgw", "--seed", "-1"], "error: seed must be >= 0"),
+    (["verify", "--n", "5", "--seed", "-1"], "error: seed must be >= 0, got -1"),
 ]
 
 

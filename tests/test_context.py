@@ -109,9 +109,9 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
     records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
     assert {r["name"] for r in records if r["status"] == "ok"} >= {"surplus", "removal", "sdp-min"}
-    # One decomposition of C5, one stacked decomposition of the removal
-    # witness's three vertex deletions, and the split's two PSD checks.
-    assert calls["eigh"] + calls["eigvalsh"] <= 4
+    # One decomposition of C5 and one stacked decomposition of the removal
+    # witness's three vertex deletions; the split's halves take none.
+    assert calls["eigh"] + calls["eigvalsh"] <= 2
     assert calls["max_cut"] == 1
 
 

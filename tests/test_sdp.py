@@ -63,6 +63,14 @@ def test_min_characterization_examples():
     assert report.ok and report.s_plus == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "trials, seed, err", [(-1, 0, "trials must be >= 0"), (1, -1, "seed must be >= 0, got -1")]
+)
+def test_min_characterization_refuses_negative_draws(trials, seed, err):
+    with pytest.raises(ContractViolation, match=err):
+        verify_min_characterization(complete(3), trials=trials, seed=seed)
+
+
 def test_min_characterization_random_sweep():
     for g in random_graphs(seed=77, count=200, n_max=10):
         report = verify_min_characterization(g, trials=20, seed=7)
@@ -188,6 +196,8 @@ def test_p3_psd_scan():
     for grid_step, trials in [(1e-2, 1), (0.0, 1), (-1e-3, 1), (float("nan"), 1), (1e-3, -1)]:
         with pytest.raises(ContractViolation):
             scan_p3_psd_inequality(grid_step=grid_step, random_trials=trials, seed=0)
+    with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+        scan_p3_psd_inequality(grid_step=1e-3, random_trials=1, seed=-1)
     # M = 0: the middle row/column sum of A alone is 4 > 1
     a = path(3).adjacency_matrix()
     assert max(row_col_square_sum(a, i) for i in range(3)) == pytest.approx(4.0)

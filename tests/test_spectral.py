@@ -139,6 +139,46 @@ def test_spectral_split_invariants_random():
         assert abs(float(np.square(split.a_minus).sum()) - report.s_minus) <= tau
 
 
+def _halves(g):
+    """Each split half with the certificate of its columns and weights."""
+    s, vecs, _ = spectral._decomposition(g)
+    values = np.array(s.values)
+    tau = numeric_tolerance(g.n)
+    split = spectral_split(g)
+    yield split.a_plus, spectral._psd_defect(vecs[:, values > tau], values[values > tau])
+    yield split.a_minus, spectral._psd_defect(vecs[:, values < -tau], -values[values < -tau])
+
+
+def test_the_psd_certificate_bounds_the_least_eigenvalue(connected_corpus):
+    # numpy's eigensolver is the independent witness of each certificate.
+    rng = np.random.default_rng(2024)
+    seeded = [gnp(rng, n, p) for n in (20, 100, 400) for p in (0.05, 0.5)]
+    for g in [h for graphs in connected_corpus.values() for h in graphs] + seeded:
+        for half, defect in _halves(g):
+            assert 0.0 <= defect <= numeric_tolerance(g.n)
+            assert np.linalg.eigvalsh(half).min(initial=0.0) >= -defect
+
+
+def test_empty_halves_have_zero_defect():
+    for g in (Graph(0, ()), complete(1), Graph(5, (0,) * 5)):
+        for half, defect in _halves(g):
+            assert defect == 0.0 and not half.any()
+
+
+@pytest.mark.parametrize("name", ["a_plus", "a_minus"])
+def test_a_defect_above_the_tolerance_fails_the_split(name, monkeypatch):
+    # K5: a_plus has one column of weight 4, a_minus four of weight 1, so
+    # their defects are about 24u and 48u. A tolerance below a half's defect
+    # (and above a_plus's for a_minus) must fail that half.
+    g = complete(5)
+    (_, d_plus), (_, d_minus) = _halves(g)
+    assert 0.0 < d_plus < d_minus
+    tau = d_plus / 2 if name == "a_plus" else (d_plus + d_minus) / 2
+    monkeypatch.setattr(spectral, "numeric_tolerance", lambda n: tau)
+    with pytest.raises(NumericError, match=f"^{name} is not PSD within tolerance$"):
+        spectral_split(g)
+
+
 def test_inertia_examples():
     i = graph_inertia(star(5))
     assert (i.n_plus, i.n_zero, i.n_minus) == (1, 3, 1)
@@ -205,8 +245,8 @@ def test_graph_level_functions_share_one_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     g = _fresh_graph()
     _graph_level_results(g)
-    # One decomposition; the split keeps its two PSD checks.
-    assert calls == {"eigh": 1, "eigvalsh": 2}
+    # One decomposition; the split's halves are certified PSD without one.
+    assert calls == {"eigh": 1}
 
 
 def test_shared_decomposition_is_freed_with_its_graph():
