@@ -11,8 +11,8 @@ Each bound reads the graph's spectral quantities and oracle results through
 the library functions. Those that several bounds read (the decomposition,
 the default-band square energies and the max cut) are kept per live graph,
 so a sweep computes them once per graph for all bounds. ``BOUNDS`` maps each
-``--set`` name to its bound, called with the graph, the exact-search budget
-and the seed of the randomized checks.
+``--set`` name to its bound, called with the graph and the exact-search
+budget.
 """
 
 from __future__ import annotations
@@ -282,15 +282,14 @@ def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVe
     ]
 
 
-def _sdp_min(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
-    """The PSD minimization form of s+/s- on 20 seeded random PSD matrices."""
-    report = verify_min_characterization(g, trials=20, seed=seed)
-    worst = min([0.0] + [v.objective - v.optimum for v in report.violations])
-    witness = {"equality_gap": report.equality_gap, "trials": report.trials}
-    return [BoundVerdict("sdp-min", worst, 0.0, worst, report.ok, witness)]
+def _sdp_min(g: Graph, budget_n: int) -> list[BoundVerdict]:
+    """The split halves attain the PSD minimization form of s+ and s-."""
+    report = verify_min_characterization(g)
+    witness = {"equality_gap": report.equality_gap}
+    return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, report.ok, witness)]
 
 
-def _removal(g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
+def _removal(g: Graph, budget_n: int) -> list[BoundVerdict]:
     """Some vertex of the first induced 3-vertex path drops s- by at least
     1 + ``REMOVAL_STRICTNESS``, and some drops s+ by as much; not applicable
     without such a path."""
@@ -323,31 +322,27 @@ def join_complement_spectrum_check(h: Graph) -> BoundVerdict:
     deviation = max(
         (abs(a - b) for a, b in zip(actual, expected)), default=0.0
     ) if len(actual) == len(expected) else float("inf")
-    tau = numeric_tolerance(big.n)
     return _verdict(
-        "join-complement-spectrum",
-        tau,
-        deviation,
-        big.n,
+        "join-complement-spectrum", 0.0, deviation, big.n,
         {"expected": expected, "actual": actual},
     )
 
 
 # Every bound a sweep can select, in `--set all` order, as a function of the
-# graph, the exact-search budget and the seed of the randomized checks.
-BOUNDS: dict[str, Callable[[Graph, int, int], list[BoundVerdict]]] = {
-    "efgw": lambda g, budget_n, seed: [bound_efgw(g)],
-    "domination": lambda g, budget_n, seed: [bound_domination(g, budget_n)],
-    "inertia": lambda g, budget_n, seed: [bound_inertia(g)],
-    "dominating-vertex": lambda g, budget_n, seed: [bound_dominating_vertex(g)],
-    "triangle": lambda g, budget_n, seed: [bound_triangle(g)],
-    "ratio": lambda g, budget_n, seed: [bound_ratio(g)],
-    "regular": lambda g, budget_n, seed: [bound_regular(g)],
-    "alon-boppana": lambda g, budget_n, seed: [bound_alon_boppana(g)],
-    "surplus": lambda g, budget_n, seed: [bound_surplus(g, budget_n)],
-    "pipeline": lambda g, budget_n, seed: [certify_s_plus_pipeline(g)],
-    "energy-wall": lambda g, budget_n, seed: [energy_wall_check(g)],
-    "conjectures": lambda g, budget_n, seed: conjecture_checks(g, budget_n),
+# graph and the exact-search budget.
+BOUNDS: dict[str, Callable[[Graph, int], list[BoundVerdict]]] = {
+    "efgw": lambda g, budget_n: [bound_efgw(g)],
+    "domination": lambda g, budget_n: [bound_domination(g, budget_n)],
+    "inertia": lambda g, budget_n: [bound_inertia(g)],
+    "dominating-vertex": lambda g, budget_n: [bound_dominating_vertex(g)],
+    "triangle": lambda g, budget_n: [bound_triangle(g)],
+    "ratio": lambda g, budget_n: [bound_ratio(g)],
+    "regular": lambda g, budget_n: [bound_regular(g)],
+    "alon-boppana": lambda g, budget_n: [bound_alon_boppana(g)],
+    "surplus": lambda g, budget_n: [bound_surplus(g, budget_n)],
+    "pipeline": lambda g, budget_n: [certify_s_plus_pipeline(g)],
+    "energy-wall": lambda g, budget_n: [energy_wall_check(g)],
+    "conjectures": lambda g, budget_n: conjecture_checks(g, budget_n),
     "sdp-min": _sdp_min,
     "removal": _removal,
 }

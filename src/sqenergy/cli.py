@@ -22,6 +22,7 @@ from .harness import (
     RecordWriter,
     RunConfig,
     RunSummary,
+    check_budget_n,
     filter_minimal_counterexample_candidates,
     graph_fields,
     open_out,
@@ -39,7 +40,6 @@ from .spectral import spectrum, square_energies
 
 # Shared options; each subcommand declares only the ones it reads.
 _OPTIONS = {
-    "--seed": {"type": int, "default": 0, "help": "base RNG seed"},
     "--jobs": {"type": int, "default": 1, "help": "worker processes"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--out": {"default": "-", "help": "output path, '-' for stdout"},
@@ -97,7 +97,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
-    config = RunConfig(source, bounds, seed=args.seed, jobs=args.jobs, budget_n=args.budget_n)
+    config = RunConfig(source, bounds, jobs=args.jobs, budget_n=args.budget_n)
     config.source = resolve_source(source)  # after the config's checks, before open_out
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
@@ -124,6 +124,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    check_budget_n(args.budget_n)
+
     def fields(g: Graph) -> dict[str, Any]:
         if args.method == "star-clique":
             partition = star_clique_partition(g)
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", default="all",
         help=f"comma-separated bound names or 'all' ({', '.join(ALL_BOUND_NAMES)})",
     )
-    _add_options(p, "--seed", "--jobs", "--format", "--out", "--budget-n")
+    _add_options(p, "--jobs", "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("enumerate", help="stream graph6 lines, one per class")
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep one bound over all connected graphs on n vertices")
     p.add_argument("--conjecture", default="efgw")
     p.add_argument("--n", type=int, required=True)
-    _add_options(p, "--seed", "--jobs", "--format", "--out", "--budget-n")
+    _add_options(p, "--jobs", "--format", "--out", "--budget-n")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="filter minimal-counterexample candidates")

@@ -172,14 +172,14 @@ _NULL_FIELDS = {"applicable": False, "informational": False,
                 "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
-def evaluate_bound(name: str, g: Graph, budget_n: int, seed: int) -> list[BoundVerdict]:
+def evaluate_bound(name: str, g: Graph, budget_n: int) -> list[BoundVerdict]:
     """The verdicts of one registered bound on one graph."""
-    return BOUNDS[name](g, budget_n, seed)
+    return BOUNDS[name](g, budget_n)
 
 
-# One graph's work: its input index, the graph, the bound names, the
-# exact-search budget and the base seed.
-Task = tuple[int, Graph, tuple[str, ...], int, int]
+# One graph's work: its input index, the graph, the bound names and the
+# exact-search budget.
+Task = tuple[int, Graph, tuple[str, ...], int]
 
 
 def evaluate_graph(task: Task) -> list[dict[str, Any]]:
@@ -187,7 +187,7 @@ def evaluate_graph(task: Task) -> list[dict[str, Any]]:
     oracle results are computed once for all of them; preconditions that the
     graph does not meet become per-bound 'skipped' records and numeric
     failures per-bound 'error' records, never fatal errors."""
-    index, g, names, budget_n, seed = task
+    index, g, names, budget_n = task
     head = graph_fields(index, g)
     records: list[dict[str, Any]] = []
     for name in names:
@@ -196,7 +196,7 @@ def evaluate_graph(task: Task) -> list[dict[str, Any]]:
                 {**head, "name": v.bound_name, "status": "ok", "applicable": v.applicable,
                  "informational": v.informational, "lhs": v.lhs, "rhs": v.rhs,
                  "slack": v.slack, "holds": v.holds, "witness": v.witness, "reason": None}
-                for v in evaluate_bound(name, g, budget_n, seed + index)
+                for v in evaluate_bound(name, g, budget_n)
             ]
         except (ContractViolation, BudgetExceeded) as exc:
             records.append({**head, "name": name, "status": "skipped", **_NULL_FIELDS,
@@ -281,25 +281,28 @@ class RecordWriter:
 # ---------------------------------------------------------------------------
 
 
+def check_budget_n(budget_n: int) -> None:
+    """Refuse a negative exact-search budget, which no graph fits."""
+    if budget_n < 0:
+        raise ContractViolation(f"budget_n must be >= 0, got {budget_n}")
+
+
 @dataclass
 class RunConfig:
-    """One sweep: a graph source, a bound selection, the base seed of the
-    randomized checks, the worker count and the exact-search budget. The
-    record sink is passed to ``run`` separately. The worker count, seed and
-    bound names are checked on construction; ``run`` resolves a source string
-    afresh on each call."""
+    """One sweep: a graph source, a bound selection, the worker count and the
+    exact-search budget. The record sink is passed to ``run`` separately. The
+    worker count, budget and bound names are checked on construction; ``run``
+    resolves a source string afresh on each call."""
 
     source: str | Iterable[Graph]
     bounds: tuple[str, ...]
-    seed: int = 0
     jobs: int = 1
     budget_n: int = SEARCH_BUDGET_N
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+        check_budget_n(self.budget_n)
         names = self.bound_names()
         for i, name in enumerate(names):
             if name not in ALL_BOUND_NAMES:
@@ -352,7 +355,7 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
                 if block and entries + size > STACK_MAX_ENTRIES:
                     yield block
                     block, entries = [], 0
-                block.append((i, g, names, config.budget_n, config.seed))
+                block.append((i, g, names, config.budget_n))
                 entries += size
         except Graph6Error as exc:
             source_error.append(exc)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from _gen import all_trees, no_isolated_random_graphs
+import sqenergy.bounds as bounds
 from sqenergy.bounds import (
     bound_alon_boppana,
     bound_dominating_vertex,
@@ -42,7 +43,7 @@ from sqenergy.graphs import (
     join,
     parse_graph6,
 )
-from sqenergy.spectral import square_energies
+from sqenergy.spectral import Spectrum, numeric_tolerance, square_energies
 
 
 def test_efgw_examples():
@@ -221,6 +222,25 @@ def test_join_complement_spectrum_identity():
         assert is_regular(base)
         verdict = join_complement_spectrum_check(base)
         assert verdict.holds, (base, verdict.witness)
+
+
+def test_join_complement_spectrum_holds_within_one_tolerance(monkeypatch):
+    # Lower the least eigenvalue of the join of C5 (10 vertices) by half and
+    # by one and a half tolerances: only the first deviation passes.
+    real = bounds.spectrum
+    for factor, holds in ((0.5, True), (1.5, False)):
+        shift = factor * numeric_tolerance(10)
+
+        def shifted(g, shift=shift):
+            spec = real(g)
+            if g.n != 10:
+                return spec
+            return Spectrum(spec.values[:-1] + (spec.values[-1] - shift,), spec.residual_bound)
+
+        monkeypatch.setattr(bounds, "spectrum", shifted)
+        verdict = join_complement_spectrum_check(cycle(5))
+        assert verdict.holds is holds
+        assert (verdict.lhs, verdict.rhs) == (0.0, pytest.approx(shift, rel=1e-6))
 
 
 def test_unicyclic_lower_bound(connected_corpus):

@@ -1,10 +1,12 @@
 """CLI subcommands, the sweep harness, record formats, and determinism."""
 
+import argparse
 import csv
 import gc
 import hashlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -100,9 +102,11 @@ _REFUSED = [
     (["spectrum", "nosuch.g6"], "i/o error: "),
     (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 4"),
     (["hunt", "--n", "7", "--max-subset-size", "3"], "error: max_subset_size must be >= 4"),
-    (["bounds", "family:petersen", "--set", "sdp-min", "--seed", "-1"], "error: seed must be >= 0"),
-    (["bounds", "family:petersen", "--set", "efgw", "--seed", "-1"], "error: seed must be >= 0"),
-    (["verify", "--n", "5", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    (["bounds", "family:petersen", "--set", "domination,surplus", "--budget-n", "-1"],
+     "error: budget_n must be >= 0, got -1"),
+    (["verify", "--n", "5", "--budget-n", "-1"], "error: budget_n must be >= 0, got -1"),
+    (["decompose", "family:petersen", "--method", "domination", "--budget-n", "-1"],
+     "error: budget_n must be >= 0, got -1"),
 ]
 
 
@@ -269,7 +273,7 @@ def test_csv_parallel_matches_serial(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    args = ["bounds", "enumerate:5:connected", "--set", "efgw,surplus,sdp-min", "--seed", "7"]
+    args = ["bounds", "enumerate:5:connected", "--set", "efgw,surplus,sdp-min"]
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -277,11 +281,22 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    base = ["bounds", "enumerate:5:connected", "--set", "efgw,domination", "--seed", "3"]
+    base = ["bounds", "enumerate:5:connected", "--set", "efgw,domination"]
     serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
     assert main(base + ["--out", str(serial), "--jobs", "1"]) == 0
     assert main(base + ["--out", str(parallel), "--jobs", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sdp_min_fails_when_the_split_misses_the_tolerance(monkeypatch, tmp_path):
+    # No equality gap meets a negative tolerance: the record fails and the
+    # sweep exits 2.
+    monkeypatch.setattr(sdp, "numeric_tolerance", lambda n: -1.0)
+    out = tmp_path / "r.jsonl"
+    assert main(["bounds", "family:petersen", "--set", "sdp-min", "--out", str(out)]) == 2
+    [record] = _read_jsonl(out)
+    assert (record["name"], record["status"], record["holds"]) == ("sdp-min", "ok", False)
+    assert (record["lhs"], record["rhs"], record["slack"]) == (0.0, 0.0, 0.0)
 
 
 def test_run_reports_violations(monkeypatch):
@@ -467,6 +482,8 @@ def test_subcommands_reject_flags_they_never_read():
     for argv in (
         ["enumerate", "--n", "3", "--format", "csv"],
         ["spectrum", "family:petersen", "--seed", "1"],
+        ["bounds", "family:petersen", "--seed", "1"],
+        ["verify", "--n", "5", "--seed", "1"],
         ["gq", "--q", "2", "--budget-n", "10"],
         ["hunt", "--n", "5", "--jobs", "2"],
         ["hunt", "--n", "5", "--budget-n", "9"],
@@ -489,3 +506,26 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_options_table_matches_the_parser():
+    # README's options table names every option of every subcommand, and no
+    # other.
+    from sqenergy.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        _, names, options, _ = row.split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in documented, name
+            documented[name] = set(re.findall(r"`([^`]+)`", options))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == parsed

@@ -37,10 +37,8 @@ from sqenergy.graphs import Graph, parse_graph6, write_graph6
 from sqenergy.harness import evaluate_block, evaluate_graph
 from sqenergy.oracles import SEARCH_BUDGET_N
 
-SEED = 11
-
-# The public bound functions that read no seed, each called with the default
-# budget.
+# The public bound functions, each called with the default budget; `sdp-min`
+# and `removal` are registry entries only.
 PUBLIC_BOUNDS = (
     bound_efgw, bound_domination, bound_inertia, bound_dominating_vertex,
     bound_triangle, bound_ratio, bound_regular, bound_alon_boppana,
@@ -53,7 +51,7 @@ def _expected_records(index, g):
     out = []
     for name in ALL_BOUND_NAMES:
         try:
-            verdicts = BOUNDS[name](g, SEARCH_BUDGET_N, SEED + index)
+            verdicts = BOUNDS[name](g, SEARCH_BUDGET_N)
         except (ContractViolation, BudgetExceeded) as exc:
             out.append({**head, "name": name, "status": "skipped", "applicable": False,
                         "informational": False, "lhs": None, "rhs": None, "slack": None,
@@ -74,19 +72,19 @@ def test_registry_names_match_public_functions():
     g = petersen()
     for name in ALL_BOUND_NAMES:
         h = star(5) if name == "dominating-vertex" else g
-        got = [v.bound_name for v in BOUNDS[name](h, SEARCH_BUDGET_N, SEED)]
+        got = [v.bound_name for v in BOUNDS[name](h, SEARCH_BUDGET_N)]
         want = ["surplus-linear-ratio", "surplus-67-ratio"] if name == "conjectures" else [name]
         assert got == want
-    assert BOUNDS["surplus"](g, SEARCH_BUDGET_N, SEED) == [bound_surplus(g)]
-    assert BOUNDS["conjectures"](g, SEARCH_BUDGET_N, SEED) == conjecture_checks(g)
+    assert BOUNDS["surplus"](g, SEARCH_BUDGET_N) == [bound_surplus(g)]
+    assert BOUNDS["conjectures"](g, SEARCH_BUDGET_N) == conjecture_checks(g)
     with pytest.raises(BudgetExceeded):
-        BOUNDS["surplus"](g, g.n - 1, SEED)
+        BOUNDS["surplus"](g, g.n - 1)
 
 
 def test_sweep_records_equal_public_verdicts(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
     for index, g in enumerate(graphs):
-        records = evaluate_graph((index, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, SEED))
+        records = evaluate_graph((index, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
         expected = _expected_records(index, g)
         assert len(records) == len(expected)
         for got, want in zip(records, expected):
@@ -107,7 +105,7 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
-    records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+    records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N))
     assert {r["name"] for r in records if r["status"] == "ok"} >= {"surplus", "removal", "sdp-min"}
     # One decomposition of C5 and one stacked decomposition of the removal
     # witness's three vertex deletions; the split's halves take none.
@@ -123,7 +121,7 @@ def test_a_block_gives_the_records_of_each_graph_alone():
     lines = [write_graph6(gnp(rng, 9, 0.5)) for _ in range(60)]
 
     def tasks():
-        return [(i, parse_graph6(line), ALL_BOUND_NAMES, SEARCH_BUDGET_N, SEED)
+        return [(i, parse_graph6(line), ALL_BOUND_NAMES, SEARCH_BUDGET_N)
                 for i, line in enumerate(lines)]
 
     alone = [json.dumps(records) for records in map(evaluate_graph, tasks())]
@@ -159,7 +157,7 @@ def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
     monkeypatch.setattr(sdp, "eigen_decompose_stack", counting)
-    records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+    records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
     assert all(r["status"] != "error" for r in records)
     assert g in spectral._decomposition.memo
     # The graph itself once; the removal witness's three vertex-deleted
@@ -173,7 +171,7 @@ def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
 
 def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
     g = _fresh_graph(29)
-    evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+    evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
     calls = Counter()
     monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
@@ -197,7 +195,7 @@ def test_energies_and_cut_are_freed_with_their_graph():
     gc.disable()
     try:
         g = _fresh_graph(31)
-        evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N, 0))
+        evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
         probe = Graph(g.n, g.adj)  # equal, so it finds g's entries while g lives
         assert probe is not g and all(probe in memo for memo in memos)
         del g
