@@ -43,7 +43,9 @@ from .oracles import (
     SEARCH_BUDGET_N,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
+    find_induced_p3,
 )
+from .sdp import decompose_deletions
 from .spectral import STACK_MAX_ENTRIES, decompose_graphs
 
 
@@ -210,8 +212,13 @@ def evaluate_graph(task: Task) -> list[dict[str, Any]]:
 def evaluate_block(tasks: list[Task]) -> Iterator[list[dict[str, Any]]]:
     """The records of consecutive graphs, one ``evaluate_graph`` list per
     graph, made lazily once the graphs of each vertex count have been
-    decomposed by shared stacked eigensolves."""
-    decompose_graphs(task[1] for task in tasks)
+    decomposed by shared stacked eigensolves, and, when ``removal`` is
+    selected, the vertex deletions of each graph's first induced 3-vertex
+    path as well."""
+    stacks = decompose_graphs(task[1] for task in tasks)
+    if stacks and "removal" in tasks[0][2]:
+        for graphs, mats in stacks:
+            decompose_deletions(graphs, mats, [find_induced_p3(g) or () for g in graphs])
     return map(evaluate_graph, tasks)
 
 
@@ -247,6 +254,8 @@ class RecordWriter:
 
     CSV columns default to the sorted key set of the first record; pass
     ``columns`` for a fixed layout. Nested values are JSON-encoded in cells.
+    One encoder serves every record, with the output of
+    ``json.dumps(value, sort_keys=True)``.
     """
 
     def __init__(self, stream: TextIO, fmt: str = "json", columns: tuple[str, ...] | None = None):
@@ -256,11 +265,12 @@ class RecordWriter:
         self.fmt = fmt
         self.columns = columns
         self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
+        self._encode = json.JSONEncoder(sort_keys=True).encode
         self._header_written = False
 
     def write(self, record: dict[str, Any]) -> None:
         if self.fmt == "json":
-            self.stream.write(json.dumps(record, sort_keys=True) + "\n")
+            self.stream.write(self._encode(record) + "\n")
             return
         if not self._header_written:
             if self.columns is None:
@@ -271,7 +281,7 @@ class RecordWriter:
         for col in self.columns:
             value = record.get(col)
             if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
+                value = self._encode(value)
             row.append("" if value is None else value)
         self._csv.writerow(row)
 

@@ -10,23 +10,27 @@ PSD witness, runs an independent projected-gradient minimizer, scans the
 quartic inequality behind the 3x3 PSD row-sum bound, and finds the vertex
 of an induced 3-vertex path whose removal drops each square energy most;
 whether those drops are large enough is the removal bound's verdict in
-``bounds``. The removal witness builds no vertex-deleted graphs: it
-decomposes the three principal submatrices of the adjacency matrix by
-stacked, checked eigensolves within ``spectral.STACK_MAX_ENTRIES`` (one call
-up to 37 vertices) and keeps no memo entry for them.
+``bounds``. The removal witness builds no vertex-deleted graphs: the energies
+of G - u come from the principal submatrix of the adjacency matrix without
+u, decomposed by stacked, checked eigensolves within
+``spectral.STACK_MAX_ENTRIES``, and a ``graphs.per_graph`` memo keeps them
+per graph and vertex. ``decompose_deletions`` seeds that memo for a stack of
+graphs at once, as a sweep does for each block when ``removal`` is selected;
+the witness decomposes only the vertices still missing, a block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError, SquareEnergyError
-from .graphs import Graph
+from .graphs import Graph, per_graph
 from .oracles import induces_p3
 from .spectral import (
+    EnergyReport,
     eigen_decompose_stack,
     eigen_decompose_symmetric,
     numeric_tolerance,
@@ -251,6 +255,46 @@ class P3RemovalWitness:
     drop_plus: float
 
 
+@per_graph
+def _deletion_energies(g: Graph) -> dict[int, EnergyReport]:
+    """The checked default-band energies of g - u by vertex u, for the
+    vertices asked for so far; ``decompose_deletions`` fills it."""
+    return {}
+
+
+def decompose_deletions(
+    graphs: Sequence[Graph], mats: np.ndarray, vertices: Iterable[Iterable[int]]
+) -> list[SquareEnergyError]:
+    """Seed the energies of graphs[i] - u for each vertex u in vertices[i]
+    not yet seeded, where mats[i] is the adjacency matrix of graphs[i]. No
+    vertex-deleted graph is built: deleting u leaves the principal submatrix
+    without u's row and column, with m - deg(u) edges, sliced from ``mats``,
+    and the submatrices share stacked eigensolves within
+    ``spectral.STACK_MAX_ENTRIES``. A deletion that fails a check is not
+    kept; its error is returned, in input order."""
+    energies = [_deletion_energies(g) for g in graphs]
+    wanted = [
+        (i, u) for i, us in enumerate(vertices) for u in us if u not in energies[i]
+    ]
+    n = mats.shape[1] - 1
+    cols = np.arange(n)
+    size = stack_size(n)
+    errors = []
+    for start in range(0, len(wanted), size):
+        chunk = wanted[start:start + size]
+        rows, us = np.array(chunk).T
+        # Row j of keep lists the vertices other than us[j], in order.
+        keep = cols + (cols >= us[:, None])
+        subs = mats[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+        ms = [graphs[i].m - graphs[i].degree(u) for i, u in chunk]
+        for (i, u), out in zip(chunk, eigen_decompose_stack(subs, ms)):
+            if isinstance(out, SquareEnergyError):
+                errors.append(out)
+            else:
+                energies[i][u] = out[2]
+    return errors
+
+
 def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitness:
     """Search the three vertices of an induced 3-path for removal witnesses.
 
@@ -261,23 +305,13 @@ def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitne
     if not induces_p3(g, triple):
         raise ContractViolation(f"triple {triple} does not induce a 3-vertex path")
     whole = square_energies(g)
-    # Deleting u leaves the principal submatrix without u's row and column,
-    # with m - deg(u) edges; the three share stacked eigensolves.
-    a = g.adjacency_matrix()
-    keep = np.array([[v for v in range(g.n) if v != u] for u in triple])
-    ms = [g.m - g.degree(u) for u in triple]
-    size = stack_size(g.n - 1)
-    drops_plus = []
-    drops_minus = []
-    for start in range(0, len(triple), size):
-        rows = keep[start:start + size]
-        outs = eigen_decompose_stack(a[rows[:, :, None], rows[:, None, :]], ms[start:start + size])
-        for u, out in zip(triple[start:start + size], outs):
-            if isinstance(out, SquareEnergyError):
-                raise out
-            rest = out[2]
-            drops_plus.append((whole.s_plus - rest.s_plus, u))
-            drops_minus.append((whole.s_minus - rest.s_minus, u))
+    rests = _deletion_energies(g)
+    if any(u not in rests for u in triple):
+        errors = decompose_deletions([g], g.adjacency_matrix()[None], [triple])
+        if errors:
+            raise errors[0]
+    drops_plus = [(whole.s_plus - rests[u].s_plus, u) for u in triple]
+    drops_minus = [(whole.s_minus - rests[u].s_minus, u) for u in triple]
 
     def best(drops: list[tuple[float, int]]) -> tuple[int, float]:
         drop, vertex = max(drops, key=lambda t: (t[0], -t[1]))

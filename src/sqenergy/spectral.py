@@ -25,12 +25,15 @@ calls on the same graph reuse it, and it is freed with the graph, so a sweep
 and a library call on the same graph decompose it once.
 
 One routine, ``eigen_decompose_stack``, makes every checked decomposition:
-one solver call for a stack of same-size matrices, then each matrix's checks,
-so a single matrix is a stack of one and a stacked matrix gets bitwise the
-values, vectors, residual and energies it would get alone. A sweep seeds the
-memo of a block of small graphs with ``decompose_graphs``, one stacked call
-per vertex count; ``STACK_MAX_ENTRIES`` caps a stack, so a matrix with more
-than 64 rows is decomposed alone.
+one solver call for a stack of same-size matrices, then the residual, trace
+and square-sum checks and the default-band energies of the whole stack in
+array operations, so a single matrix is a stack of one and a stacked matrix
+gets bitwise the values, vectors, residual and energies it would get alone.
+A sweep seeds the memo of a block of small graphs with ``decompose_graphs``,
+one stacked call per vertex count, and slices the vertex-deleted submatrices
+that ``sdp.decompose_deletions`` decomposes from the same stacks;
+``STACK_MAX_ENTRIES`` caps a stack, so a matrix with more than 64 rows is
+decomposed alone.
 """
 
 from __future__ import annotations
@@ -139,44 +142,59 @@ def eigen_decompose_stack(
             out for i in range(k)
             for out in eigen_decompose_stack(mats[i:i + 1], None if ms is None else ms[i:i + 1])
         ]
-    vals = vals[:, ::-1]
+    # A contiguous copy of the values, so that each row sum below is bitwise
+    # the sum of that row alone.
+    vals = np.ascontiguousarray(vals[:, ::-1])
     vecs = vecs[:, :, ::-1]
     residuals = np.max(
         np.linalg.norm(mats @ vecs - vecs * vals[:, None, :], axis=1), axis=1, initial=0.0
     )
+    bounds = RESIDUAL_SCALE * np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", mats, mats)))
+    failed: list[str | None] = [
+        None if r <= b else f"residual {r:.3e} exceeds contract {b:.3e} for {n}x{n} matrix"
+        for r, b in zip(residuals.tolist(), bounds.tolist())
+    ]
+    if ms is not None:
+        tau = numeric_tolerance(n)
+        two_m = 2.0 * np.asarray(ms, dtype=np.float64)
+        squares = np.square(vals)
+        bad_trace = np.abs(vals.sum(axis=1)) > tau
+        bad_square = np.abs(squares.sum(axis=1) - two_m) > tau * np.maximum(1.0, two_m)
+        for i in np.flatnonzero(bad_trace | bad_square).tolist():
+            if failed[i] is None:
+                failed[i] = (
+                    "adjacency spectrum trace deviates from zero" if bad_trace[i]
+                    else "adjacency spectrum square-sum deviates from 2m"
+                )
+        vecs.setflags(write=False)
+        s_plus = _band_sums(squares, (vals > tau).sum(axis=1), head=True)
+        s_minus = _band_sums(squares, (vals < -tau).sum(axis=1), head=False)
+        energies = np.abs(vals).sum(axis=1)
     outs: list[tuple | SquareEnergyError] = []
-    for i in range(k):
-        try:
-            outs.append(_checked(
-                mats[i], vals[i], vecs[i], float(residuals[i]), None if ms is None else ms[i]
-            ))
-        except NumericError as exc:
-            outs.append(exc)
+    for i, (values, residual) in enumerate(zip(vals.tolist(), residuals.tolist())):
+        if failed[i] is not None:
+            outs.append(NumericError(failed[i]))
+        elif ms is None:
+            outs.append((Spectrum(tuple(values), residual), vecs[i]))
+        else:
+            report = EnergyReport(float(s_plus[i]), float(s_minus[i]), float(energies[i]), ms[i])
+            outs.append((Spectrum(tuple(values), residual), vecs[i], report))
     return outs
 
 
-def _checked(
-    mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray, residual: float, m: int | None
-) -> tuple:
-    """One solved matrix of a stack, checked as ``eigen_decompose_stack``
-    documents; raises NumericError."""
-    n = len(vals)
-    bound = RESIDUAL_SCALE * max(1.0, float(np.linalg.norm(mat)))
-    if not residual <= bound:
-        raise NumericError(
-            f"residual {residual:.3e} exceeds contract {bound:.3e} for {n}x{n} matrix"
-        )
-    spec = Spectrum(tuple(vals.tolist()), residual)
-    if m is None:
-        return spec, vecs
-    tau = numeric_tolerance(n)
-    values = np.array(spec.values)
-    if abs(float(values.sum())) > tau:
-        raise NumericError("adjacency spectrum trace deviates from zero")
-    if abs(float(np.square(values).sum()) - 2.0 * m) > tau * max(1.0, 2.0 * m):
-        raise NumericError("adjacency spectrum square-sum deviates from 2m")
-    vecs.setflags(write=False)
-    return spec, vecs, _energies(values, tau, m)
+def _band_sums(squares: np.ndarray, counts: np.ndarray, head: bool) -> np.ndarray:
+    """Each row's sum over its first (``head``) or last counts[i] entries.
+    The rows of one count are summed together from a contiguous copy, so each
+    sum is bitwise the 1-D sum of those entries alone; summing each whole row
+    with the other entries zeroed is not, at 8 or more columns, where numpy
+    sums pairwise."""
+    n = squares.shape[1]
+    out = np.empty(len(counts))
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        cols = slice(0, count) if head else slice(n - count, n)
+        out[rows] = squares[rows, cols].sum(axis=1)
+    return out
 
 
 def _one(out: tuple | SquareEnergyError) -> tuple:
@@ -213,15 +231,18 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
 _MEMO = _decomposition.memo
 
 
-def decompose_graphs(graphs: Iterable[Graph]) -> None:
+def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray]]:
     """Seed the decomposition memo of the graphs not yet in it: graphs of one
     vertex count share stacked eigensolves. A graph that a stack would hold
     alone, or that fails a check, is left to its own first call, which
-    decomposes it as before or raises the same error."""
+    decomposes it as before or raises the same error. Returns each stack's
+    graphs with their adjacency matrices, shape (k, n, n), for the caller to
+    slice."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
             by_n.setdefault(g.n, []).append(g)
+    stacks = []
     for n, same in by_n.items():
         size = stack_size(n)
         for start in range(0, len(same), size):
@@ -232,6 +253,8 @@ def decompose_graphs(graphs: Iterable[Graph]) -> None:
             for g, out in zip(stack, eigen_decompose_stack(mats, [g.m for g in stack])):
                 if not isinstance(out, SquareEnergyError):
                     _MEMO[g] = out
+            stacks.append((stack, mats))
+    return stacks
 
 
 def spectrum(g: Graph) -> Spectrum:

@@ -30,6 +30,7 @@ from sqenergy.harness import (
     resolve_source,
     run,
 )
+from sqenergy.oracles import find_induced_p3
 
 
 def _read_jsonl(path):
@@ -369,6 +370,47 @@ def test_a_numeric_failure_inside_a_block_leaves_its_neighbours_records(tmp_path
     errors = [r for r in _read_jsonl(faulted) if r["status"] == "error"]
     assert errors and {r["graph_index"] for r in errors} == {30}
     assert all(r["reason"].startswith("NumericError: residual ") for r in errors)
+
+
+def test_a_numeric_failure_in_a_seeded_deletion_fails_only_that_removal_record(tmp_path, monkeypatch):
+    # 120 seeded 9-vertex graphs take blocks of 50, whose vertex deletions
+    # are seeded in stacks of 8x8 submatrices. Shifted eigenvalues fail the
+    # residual check of one deletion of graph 30, in its block's stack and
+    # again in the witness's own call.
+    rng = np.random.default_rng(79)
+    graphs = [gnp(rng, 9, 0.5) for _ in range(120)]
+    source = tmp_path / "in.g6"
+    source.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+    base = ["bounds", str(source), "--set", "all", "--jobs", "1"]
+    clean, faulted = tmp_path / "clean.jsonl", tmp_path / "faulted.jsonl"
+    assert main(base + ["--out", str(clean)]) == 0
+
+    def deleted(g, u):
+        keep = [v for v in range(g.n) if v != u]
+        return g.adjacency_matrix()[np.ix_(keep, keep)]
+
+    target = deleted(graphs[30], find_induced_p3(graphs[30])[1])
+    deletions = [deleted(g, u) for g in graphs if find_induced_p3(g) for u in find_induced_p3(g)]
+    assert sum(np.array_equal(d, target) for d in deletions) == 1
+    eigh = np.linalg.eigh
+
+    def failing(mats):
+        vals, vecs = eigh(mats)
+        if mats.shape[-1] != target.shape[-1]:
+            return vals, vecs
+        return vals + np.all(mats == target, axis=(-2, -1))[..., None], vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert main(base + ["--out", str(faulted)]) == 1
+
+    def others(path):
+        return [line for line in path.read_text().splitlines()
+                if (json.loads(line)["graph_index"], json.loads(line)["name"]) != (30, "removal")]
+
+    assert others(faulted) == others(clean)
+    [error] = [r for r in _read_jsonl(faulted) if r["status"] == "error"]
+    assert (error["graph_index"], error["name"]) == (30, "removal")
+    assert error["reason"].startswith("NumericError: residual ")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

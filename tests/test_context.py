@@ -33,7 +33,7 @@ from sqenergy.bounds import (
 )
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import cycle, petersen, star
-from sqenergy.graphs import Graph, parse_graph6, write_graph6
+from sqenergy.graphs import Graph, is_connected, parse_graph6, write_graph6
 from sqenergy.harness import evaluate_block, evaluate_graph
 from sqenergy.oracles import SEARCH_BUDGET_N
 
@@ -191,7 +191,7 @@ def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
 
 
 def test_energies_and_cut_are_freed_with_their_graph():
-    memos = (spectral._decomposition.memo, bounds._shared_cut.memo)
+    memos = (spectral._decomposition.memo, bounds._shared_cut.memo, sdp._deletion_energies.memo)
     gc.disable()
     try:
         g = _fresh_graph(31)
@@ -202,3 +202,64 @@ def test_energies_and_cut_are_freed_with_their_graph():
         assert not any(probe in memo for memo in memos)
     finally:
         gc.enable()
+
+
+def _fresh_connected_lines(seed, n, count):
+    """graph6 lines of seeded connected n-vertex graphs, randomly labelled,
+    so that no graph another test keeps alive equals one of them."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    while len(lines) < count:
+        g = gnp(rng, n, 0.5)
+        if is_connected(g):
+            lines.append(write_graph6(g))
+    return lines
+
+
+def _fresh_block(lines, names):
+    gc.collect()
+    block = [(i, parse_graph6(line), names, SEARCH_BUDGET_N) for i, line in enumerate(lines)]
+    assert not any(task[1] in spectral._decomposition.memo for task in block)
+    assert not any(task[1] in sdp._deletion_energies.memo for task in block)
+    return block
+
+
+@pytest.mark.parametrize("names", [ALL_BOUND_NAMES, ("efgw",)])
+def test_a_block_makes_one_graph_stack_and_its_deletion_stacks(names, monkeypatch):
+    # 64 connected 7-vertex graphs take one stacked eigensolve. With
+    # `removal`, the 3 vertex deletions of each graph's first induced 3-path
+    # take 113 6x6 matrices a stack, and the witnesses decompose nothing more.
+    block = _fresh_block(_fresh_connected_lines(71, 7, 64), names)
+    with_p3 = sum(oracles.find_induced_p3(task[1]) is not None for task in block)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(mats):
+        shapes.append(mats.shape)
+        return eigh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    records = [r for rs in evaluate_block(block) for r in rs]
+    assert all(r["status"] != "error" for r in records)
+    deletions = 3 * with_p3 if "removal" in names else 0
+    want = [(64, 7, 7)] + [(min(113, deletions - start), 6, 6) for start in range(0, deletions, 113)]
+    assert shapes == want
+
+
+def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
+    lines = _fresh_connected_lines(73, 7, 40)
+    alone = []
+    for line in lines:
+        g = parse_graph6(line)
+        triple = oracles.find_induced_p3(g)
+        alone.append(None if triple is None else sdp.p3_removal_witness(g, triple))
+    del g
+    block = _fresh_block(lines, ("removal",))
+    records = evaluate_block(block)
+    for (_, g, _, _), want in zip(block, alone):
+        triple = oracles.find_induced_p3(g)
+        if triple is None:
+            continue
+        assert set(triple) <= set(sdp._deletion_energies.memo[g])
+        assert sdp.p3_removal_witness(g, triple) == want
+    assert len(list(records)) == len(block)

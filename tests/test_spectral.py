@@ -353,3 +353,29 @@ def test_a_failing_matrix_in_a_stack_gets_its_own_error():
     outs = spectral.eigen_decompose_stack(mats[[0, 3]], [3, 4])
     assert isinstance(outs[1], NumericError) and "square-sum" in str(outs[1])
     assert outs[0][2] == square_energies(complete(3))
+
+
+def _random_bipartite(rng, n, p):
+    half = n // 2
+    edges = [(i, j) for i in range(half) for j in range(half, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def test_whole_stack_energies_equal_those_of_each_matrix_alone():
+    # One stack per vertex count, at sizes where numpy sums pairwise, mixing
+    # an empty graph (every eigenvalue in the zero band), K_n, bipartite
+    # graphs and G(n, p): every report field equals (==) the 1-D energies of
+    # that matrix's values.
+    rng = np.random.default_rng(67)
+    for n in (8, 9, 12, 16, 33, 64):
+        graphs = [Graph(n, (0,) * n), complete(n), star(n), path(n)]
+        graphs += [_random_bipartite(rng, n, p) for p in (0.3, 0.7)]
+        graphs += [gnp(rng, n, p) for p in (0.1, 0.3, 0.5, 0.8)]
+        mats = np.stack([g.adjacency_matrix() for g in graphs])
+        outs = spectral.eigen_decompose_stack(mats, [g.m for g in graphs])
+        tau = numeric_tolerance(n)
+        for g, (spec, _, report) in zip(graphs, outs):
+            want = spectral._energies(np.array(spec.values), tau, g.m)
+            assert (report.s_plus, report.s_minus, report.energy, report.m) == (
+                want.s_plus, want.s_minus, want.energy, want.m
+            )
