@@ -169,6 +169,10 @@ def bound_alon_boppana(g: Graph) -> BoundVerdict:
 # every call and the search itself is given the graph's own size.
 _shared_cut = per_graph(lambda g: oracles.max_cut(g, g.n))
 
+# The first induced 3-vertex path of a live graph, () if it has none, which
+# `removal` and a block's seeding of its vertex deletions share.
+first_induced_p3 = per_graph(lambda g: oracles.find_induced_p3(g) or ())
+
 
 def _max_cut(g: Graph, budget_n: int) -> oracles.CutReport:
     oracles._check_budget(g, budget_n)
@@ -293,8 +297,8 @@ def _removal(g: Graph, budget_n: int) -> list[BoundVerdict]:
     """Some vertex of the first induced 3-vertex path drops s- by at least
     1 + ``REMOVAL_STRICTNESS``, and some drops s+ by as much; not applicable
     without such a path."""
-    triple = oracles.find_induced_p3(g)
-    if triple is None:
+    triple = first_induced_p3(g)
+    if not triple:
         note = {"note": "no induced 3-vertex path"}
         return [BoundVerdict("removal", 0.0, 0.0, 0.0, True, note, applicable=False)]
     witness = p3_removal_witness(g, triple)

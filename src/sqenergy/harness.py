@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict
+from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict, first_induced_p3
 from .errors import BudgetExceeded, ContractViolation, Graph6Error, NumericError
 from .families import (
     complete,
@@ -43,7 +43,6 @@ from .oracles import (
     SEARCH_BUDGET_N,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
-    find_induced_p3,
 )
 from .sdp import decompose_deletions
 from .spectral import STACK_MAX_ENTRIES, decompose_graphs
@@ -218,7 +217,7 @@ def evaluate_block(tasks: list[Task]) -> Iterator[list[dict[str, Any]]]:
     stacks = decompose_graphs(task[1] for task in tasks)
     if stacks and "removal" in tasks[0][2]:
         for graphs, mats in stacks:
-            decompose_deletions(graphs, mats, [find_induced_p3(g) or () for g in graphs])
+            decompose_deletions(graphs, mats, [first_induced_p3(g) for g in graphs])
     return map(evaluate_graph, tasks)
 
 

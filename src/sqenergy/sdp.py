@@ -6,22 +6,26 @@ The positive square energy is the minimum of ||A + M||_F^2 over PSD M
 M = A+. The dual view writes s+/s- as a Rayleigh-style maximum of
 max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module checks the
 minimization form at its minimizers, evaluates the maximization form on a
-PSD witness, runs an independent projected-gradient minimizer, scans the
-quartic inequality behind the 3x3 PSD row-sum bound, and finds the vertex
-of an induced 3-vertex path whose removal drops each square energy most;
-whether those drops are large enough is the removal bound's verdict in
-``bounds``. The removal witness builds no vertex-deleted graphs: the energies
-of G - u come from the principal submatrix of the adjacency matrix without
-u, decomposed by stacked, checked eigensolves within
-``spectral.STACK_MAX_ENTRIES``, and a ``graphs.per_graph`` memo keeps them
-per graph and vertex. ``decompose_deletions`` seeds that memo for a stack of
-graphs at once, as a sweep does for each block when ``removal`` is selected;
-the witness decomposes only the vertices still missing, a block of one.
+PSD witness, runs an independent projected-gradient minimizer, proves the
+quartic inequality behind the 3x3 PSD row-sum bound by an exact Sturm
+count, and finds the vertex of an induced 3-vertex path whose removal drops
+each square energy most; whether those drops are large enough is the
+removal bound's verdict in ``bounds``. The removal witness builds no
+vertex-deleted graphs: the energies of G - u come from the principal
+submatrix of the adjacency matrix without u, decomposed by stacked, checked
+eigensolves within ``spectral.STACK_MAX_ENTRIES``, and a
+``graphs.per_graph`` memo keeps them per graph and vertex.
+``decompose_deletions`` seeds that memo for a stack of graphs at once, as a
+sweep does for each block when ``removal`` is selected; the witness
+decomposes only the vertices still missing, a block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import dropwhile, zip_longest
+from numbers import Rational
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -44,10 +48,6 @@ Sign = Literal["plus", "minus"]
 # Iteration cap and step size of the projected-gradient minimizer.
 GRADIENT_MAX_ITERS = 10000
 GRADIENT_STEP = 0.5
-
-_P3_ADJACENCY = np.array(
-    [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-)
 
 
 def _check_sign(sign: str) -> None:
@@ -175,73 +175,70 @@ def rayleigh_max_value(g: Graph, w: PsdWitness, sign: Sign) -> float:
     return max(ip, 0.0) ** 2 / denom
 
 
-@dataclass(frozen=True)
-class P3PsdTrialViolation:
-    trial: int
-    side: str
-    max_row_col_sum: float
-    matrix: tuple[tuple[float, ...], ...]
+def p3_psd_margin(x: np.ndarray | Rational) -> np.ndarray | Rational:
+    """The quartic margin 16x^4 - 6(1 - 4(1-x)^2)(1 - 2(1-x)^2), exact on a
+    ``Fraction`` and elementwise on a float array."""
+    d = 1 - x
+    return 16 * x**4 - 6 * (1 - 4 * d**2) * (1 - 2 * d**2)
+
+
+# 2 (p3_psd_margin(x) - 1/2), highest degree first.
+P3_PSD_QUARTIC = (-64, 384, -504, 240, -37)
+
+
+def _evaluate(coeffs: Sequence[Rational], x: Rational) -> Rational:
+    return reduce(lambda value, c: value * x + c, coeffs, 0)
+
+
+def sturm_root_count(coeffs: Sequence[Rational], a: Rational, b: Rational) -> int:
+    """The number of distinct real roots strictly between a < b of the
+    polynomial with these coefficients (highest degree first), counted
+    exactly by Sturm's theorem; a root at a or b is refused."""
+    from fractions import Fraction  # imported late: it loads `decimal`, which sweeps never need
+    p = [Fraction(c) for c in dropwhile(lambda c: c == 0, coeffs)]
+    if _evaluate(p, a) == 0 or _evaluate(p, b) == 0:
+        raise ContractViolation(f"the polynomial vanishes at {a} or {b}")
+    # p, p', then each remainder of the last two with its sign flipped.
+    chain = [p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]]
+    while len(chain[-1]) > 1:
+        num, den = chain[-2], chain[-1]
+        while len(num) >= len(den):
+            q = num[0] / den[0]
+            num = [r - q * c for r, c in zip_longest(num[1:], den[1:], fillvalue=0)]
+        chain.append([-r for r in dropwhile(lambda r: r == 0, num)])
+
+    def sign_changes(x: Rational) -> int:
+        signs = [v > 0 for v in (_evaluate(f, x) for f in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return sign_changes(a) - sign_changes(b)
 
 
 @dataclass(frozen=True)
-class P3PsdScanReport:
-    grid_step: float
-    grid_min: float
-    grid_argmin: float
-    grid_ok: bool
-    trials: int
-    violations: tuple[P3PsdTrialViolation, ...]
+class P3PsdCertificate:
+    """``P3_PSD_QUARTIC``, its values at 1/2 and 1, and its roots between."""
+
+    coefficients: tuple[int, ...]
+    value_at_half: Rational
+    value_at_one: Rational
+    roots: int
     ok: bool
 
 
-def p3_psd_margin(x: np.ndarray) -> np.ndarray:
-    """The quartic margin 16x^4 - 6(1 - 4(1-x)^2)(1 - 2(1-x)^2)."""
-    d = 1.0 - x
-    return 16.0 * x**4 - 6.0 * (1.0 - 4.0 * d**2) * (1.0 - 2.0 * d**2)
-
-
-def scan_p3_psd_inequality(
-    grid_step: float, random_trials: int, seed: int
-) -> P3PsdScanReport:
-    """Certify the numeric core behind the 3x3 PSD row-sum bound.
-
-    Scans 16x^4 - 6(1 - 4(1-x)^2)(1 - 2(1-x)^2) over x in [0.5, 1]; the grid
-    minimum must stay >= 0.5. Additionally, for seeded random PSD 3x3
-    matrices M, some row/column square sum of A - M and of A + M (A the
-    3-path adjacency matrix) must exceed 1. A negative trial count or seed is
-    refused.
-    """
-    if not 0 < grid_step <= 1e-3:
-        raise ContractViolation(f"grid_step must be in (0, 1e-3], got {grid_step}")
-    if random_trials < 0:
-        raise ContractViolation(f"random_trials must be >= 0, got {random_trials}")
-    if seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {seed}")
-    steps = round(0.5 / grid_step)
-    xs = np.linspace(0.5, 1.0, steps + 1)
-    margins = p3_psd_margin(xs)
-    idx = int(np.argmin(margins))
-    grid_min = float(margins[idx])
-    rng = np.random.default_rng(seed)
-    violations: list[P3PsdTrialViolation] = []
-    for t in range(random_trials):
-        m = random_psd(rng, 3)
-        for side, mat in (("minus", _P3_ADJACENCY - m), ("plus", _P3_ADJACENCY + m)):
-            best = max(row_col_square_sum(mat, i) for i in range(3))
-            if not best > 1.0:
-                violations.append(
-                    P3PsdTrialViolation(t, side, best, tuple(map(tuple, m.tolist())))
-                )
-    grid_ok = grid_min >= 0.5
-    return P3PsdScanReport(
-        grid_step,
-        grid_min,
-        float(xs[idx]),
-        grid_ok,
-        random_trials,
-        tuple(violations),
-        grid_ok and not violations,
-    )
+def certify_p3_psd_inequality() -> P3PsdCertificate:
+    """Prove the numeric core behind the 3x3 PSD row-sum bound in exact
+    rationals: p3_psd_margin(x) > 1/2 on [1/2, 1], since ``P3_PSD_QUARTIC``,
+    2 (margin - 1/2), is positive at both ends and has no real root between
+    them. The coefficients are first checked against ``p3_psd_margin`` at
+    five points, which pin a quartic; a mismatch raises ContractViolation."""
+    from fractions import Fraction
+    points = [Fraction(k, 8) for k in range(4, 9)]
+    margins = [2 * p3_psd_margin(x) - 1 for x in points]
+    if len(P3_PSD_QUARTIC) != 5 or [_evaluate(P3_PSD_QUARTIC, x) for x in points] != margins:
+        raise ContractViolation(f"{P3_PSD_QUARTIC} is not 2 (p3_psd_margin - 1/2)")
+    lo, hi = margins[0], margins[-1]
+    roots = sturm_root_count(P3_PSD_QUARTIC, points[0], points[-1])
+    return P3PsdCertificate(P3_PSD_QUARTIC, lo, hi, roots, lo > 0 and hi > 0 and roots == 0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ connected corpus (all isomorphism classes, n <= 7) is built once per session.
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from sqenergy.families import (
     cycle_with_triangles,
     gq_collinearity_graph,
     gq_predicted_spectrum,
+    path,
     unicyclic_glue,
 )
 from sqenergy.graphs import is_bipartite, is_regular
@@ -41,11 +43,13 @@ from sqenergy.oracles import find_induced_p3
 from sqenergy.partitions import certify_superadditivity
 from sqenergy.sdp import (
     PsdWitness,
+    certify_p3_psd_inequality,
+    p3_psd_margin,
     p3_removal_witness,
     projected_gradient_min,
     random_psd,
     rayleigh_max_value,
-    scan_p3_psd_inequality,
+    row_col_square_sum,
 )
 from sqenergy.spectral import numeric_tolerance, spectral_split, spectrum, square_energies
 
@@ -123,16 +127,26 @@ def test_criterion_04_removal_witnesses():
 
 
 def test_criterion_05_p3_psd_core():
-    report = scan_p3_psd_inequality(grid_step=1e-4, random_trials=10000, seed=737373)
-    ok = 0.5 <= report.grid_min <= 0.6 and not report.violations
+    cert = certify_p3_psd_inequality()
+    # The margin comes within 1/10 of its bound 1/2 inside [1/2, 1].
+    near_min = p3_psd_margin(Fraction(16, 25))
+    a = path(3).adjacency_matrix()
+    rng = np.random.default_rng(737373)
+    violations = 0
+    for _ in range(10000):
+        m = random_psd(rng, 3)
+        for mat in (a - m, a + m):
+            violations += not max(row_col_square_sum(mat, i) for i in range(3)) > 1.0
+    ok = cert.ok and near_min <= Fraction(3, 5) and not violations
     _report(
         "5 3x3 PSD core",
         ok,
-        f"grid min {report.grid_min:.6f} at x={report.grid_argmin:.4f}, "
-        f"{report.trials} trials, {len(report.violations)} violations",
+        f"{cert.roots} roots of {cert.coefficients} in (1/2, 1), margin "
+        f"{float(near_min):.6f} at x=0.64, 10000 trials, {violations} violations",
     )
-    assert 0.5 <= report.grid_min <= 0.6
-    assert not report.violations
+    assert cert.ok
+    assert near_min <= Fraction(3, 5)
+    assert not violations
 
 
 def test_criterion_06_gq_spectra():

@@ -6,8 +6,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +512,25 @@ def test_enumeration_keeps_no_decomposition_alive(tmp_path):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     gc.collect()
     assert len(spectral._decomposition.memo) == before
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    # A None entry in sys.modules makes importing that name fail.
+    argv = ["bounds", "enumerate:5:connected", "--set", "all", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = sys.modules['networkx'] = None\n"
+        "import sqenergy.cli, sqenergy.sdp\n"
+        "assert sqenergy.sdp.certify_p3_psd_inequality().ok\n"
+        f"assert sqenergy.cli.main({argv!r}) == 0\n"
+    )
+    src = str(Path(sdp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert {r["graph_index"] for r in _read_jsonl(tmp_path / "out")} == set(range(21))
 
 
 def test_jobs_below_one_is_operational_error(capsys):

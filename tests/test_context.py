@@ -191,7 +191,10 @@ def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
 
 
 def test_energies_and_cut_are_freed_with_their_graph():
-    memos = (spectral._decomposition.memo, bounds._shared_cut.memo, sdp._deletion_energies.memo)
+    memos = (
+        spectral._decomposition.memo, bounds._shared_cut.memo,
+        bounds.first_induced_p3.memo, sdp._deletion_energies.memo,
+    )
     gc.disable()
     try:
         g = _fresh_graph(31)
@@ -221,6 +224,7 @@ def _fresh_block(lines, names):
     block = [(i, parse_graph6(line), names, SEARCH_BUDGET_N) for i, line in enumerate(lines)]
     assert not any(task[1] in spectral._decomposition.memo for task in block)
     assert not any(task[1] in sdp._deletion_energies.memo for task in block)
+    assert not any(task[1] in bounds.first_induced_p3.memo for task in block)
     return block
 
 
@@ -244,6 +248,22 @@ def test_a_block_makes_one_graph_stack_and_its_deletion_stacks(names, monkeypatc
     deletions = 3 * with_p3 if "removal" in names else 0
     want = [(64, 7, 7)] + [(min(113, deletions - start), 6, 6) for start in range(0, deletions, 113)]
     assert shapes == want
+
+
+def test_a_block_searches_each_graph_for_an_induced_p3_once(monkeypatch):
+    # Seeding the deletions and the `removal` bound share one search.
+    block = _fresh_block(_fresh_connected_lines(79, 7, 64), ALL_BOUND_NAMES)
+    searched = []
+    find = oracles.find_induced_p3
+
+    def recording(g):
+        searched.append(g)
+        return find(g)
+
+    monkeypatch.setattr(oracles, "find_induced_p3", recording)
+    records = [r for rs in evaluate_block(block) for r in rs]
+    assert all(r["status"] != "error" for r in records)
+    assert [id(g) for g in searched] == [id(task[1]) for task in block]
 
 
 def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
