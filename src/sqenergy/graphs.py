@@ -7,10 +7,11 @@ forms) run on plain integer arithmetic and every value is immutable and
 hashable. A graph6 column is converted to or from its row bitset whole, as a
 bit string, and components and 2-colorings share one breadth-first layer
 walk. Each isomorphism class is represented by its canonical form, the
-relabeling with the least column-major upper-triangle key; the classes on n
-vertices are generated in ascending key order from those on n - 1, and a
-last column that a one-vertex swap or an automorphism of the parent maps
-lower is refused before the canonical search.
+relabeling with the least column-major upper-triangle key, found by a search
+that builds only the partial orders whose next column ties the least. The
+classes on n vertices are generated in ascending key order from those on
+n - 1, and a last column that a one-vertex swap or an automorphism of the
+parent maps lower is refused before the canonical search.
 """
 
 from __future__ import annotations
@@ -428,11 +429,16 @@ def isolated_vertices(g: Graph) -> list[int]:
 #
 # The columns are fixed-width and concatenated, so the least key is found
 # level by level: keep every partial order whose key prefix is least, and
-# extend it only by the remaining vertices of least column. Twins (vertices
-# whose neighbourhoods agree outside the pair) are interchangeable: swapping
-# two remaining twins is an automorphism that fixes the chosen prefix, so only
-# the least of them is branched on. Without that, empty and complete graphs
-# would branch n! ways.
+# extend it only by the remaining vertices of least column. The remaining
+# vertices are kept in cells of equal column, so a child's next column is that
+# of its first remaining cell: the rest of its parent's first cell, or the
+# second cell when the chosen vertex was alone in the first. It is read before
+# the child is split into cells, and only the children whose next column ties
+# the least one seen at that level are built; a lower column drops those built
+# before it. Twins (vertices whose neighbourhoods agree outside the pair) are
+# interchangeable: swapping two remaining twins is an automorphism that fixes
+# the chosen prefix, so only the least of them is branched on. Without that,
+# empty and complete graphs would branch n! ways.
 #
 # The key is hereditary: a canonical graph's key without its last column is
 # the key of the graph with its last vertex deleted, and that key must be
@@ -453,7 +459,8 @@ def isolated_vertices(g: Graph) -> list[int]:
 # The parent's automorphisms refuse more. When the search accepts a class, the
 # identity order reaches its least key, so every order the search kept reaches
 # it too and is an automorphism, as is each swap of two twins; these are kept
-# with the class. Relabeling a candidate by an automorphism sigma of the parent
+# with the class, unless it is on CANONICAL_MAX_N vertices and has no children
+# to refuse. Relabeling a candidate by an automorphism sigma of the parent
 # that fixes the new vertex leaves the first n-1 columns alone and turns the
 # last column col(S), for the new vertex's neighbour set S, into
 # col(sigma(S)). If that is less than c, a smaller key exists and c is not
@@ -470,6 +477,8 @@ def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, list[tuple[int, 
     has a lower twin swapped with the least one."""
     if n > CANONICAL_MAX_N:
         raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
+    if n < 2:
+        return 0, [tuple(range(n))]
     # Bit w of lower_twins[u] is set for each twin w < u.
     lower_twins = [
         sum(1 << w for w in range(u) if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w))
@@ -477,31 +486,50 @@ def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, list[tuple[int, 
     ]
     # Each node is a chosen order and its remaining vertices grouped by their
     # column against that order, as (column, mask) cells in ascending column.
+    # Every node of a level has the level's least column ``best`` at its head.
     nodes = [((), [(0, (1 << n) - 1)])]
-    key = 0
-    for level in range(n):
-        best = min(cells[0][0] for _, cells in nodes)
+    key = best = 0
+    for level in range(n - 1):
         key = key << level | best
+        # Heads of the next level are level + 1 bits wide, so none reaches this.
+        least = 1 << (level + 1)
         children = []
         for order, cells in nodes:
-            head, first = cells[0]
-            if head != best:
-                continue
-            for v in _iter_bits(first):
+            first = cells[0][1]
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 # Twins share a column, so a remaining lower twin is in ``first``.
                 if lower_twins[v] & first:
                     continue
                 row = adj[v]
+                off = ~(row | low)  # the vertices other than v that v misses
+                # The child's head is the column of its first remaining cell,
+                # the rest of ``first`` or else the second cell, extended by 0
+                # if v misses a vertex of that cell and by 1 if not.
+                mask = first ^ low
+                if mask:
+                    head = best << 1 | (not mask & off)
+                else:
+                    col, mask = cells[1]
+                    head = col << 1 | (not mask & off)
+                if head > least:
+                    continue
+                if head < least:
+                    least, children = head, []
                 split = []
                 for col, mask in cells:
-                    mask &= ~(1 << v)
-                    if mask & ~row:
-                        split.append((col << 1, mask & ~row))
+                    if mask & off:
+                        split.append((col << 1, mask & off))
                     if mask & row:
                         split.append((col << 1 | 1, mask & row))
                 children.append((order + (v,), split))
-        nodes = children
-    orders = [order for order, _ in nodes]
+        nodes, best = children, least
+    # One vertex remains, alone in its cell.
+    key = key << (n - 1) | best
+    orders = [order + (cells[0][1].bit_length() - 1,) for order, cells in nodes]
     for u, twins in enumerate(lower_twins):
         if twins:
             w = (twins & -twins).bit_length() - 1
@@ -536,14 +564,14 @@ def _orbit_least_columns(autos: Sequence[tuple[int, ...]], width: int) -> list[i
     """The last columns over ``width`` parent vertices, ascending, that are
     least in their orbit under the group the automorphisms ``autos`` generate.
     Vertex i is bit width-1-i of a column, so each automorphism maps the
-    columns by a table built one low bit at a time."""
+    columns by a table doubled one bit at a time: the columns with bit b set
+    map as those without it, plus the image of bit b."""
     tables = []
     for sigma in autos:
-        image = [1 << (width - 1 - sigma[width - 1 - b]) for b in range(width)]
-        table = [0] * (1 << width)
-        for c in range(1, 1 << width):
-            low = c & -c
-            table[c] = table[c ^ low] | image[low.bit_length() - 1]
+        table = [0]
+        for b in range(width):
+            image = 1 << (width - 1 - sigma[width - 1 - b])
+            table += [t | image for t in table]
         tables.append(table)
     # Columns are visited in ascending order, so the first one met in an
     # orbit is its least and the walk from it marks the rest.
@@ -571,7 +599,8 @@ def _isomorphism_classes(
 ) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """The canonical key, rows and automorphism generators of every
     isomorphism class on exactly n vertices in canonical form, ascending key,
-    by orderly generation from those on n-1. Rows rather than graphs are
+    by orderly generation from those on n-1. At ``CANONICAL_MAX_N`` no class
+    is extended, so none keeps automorphisms. Rows rather than graphs are
     kept, so the cache holds no ``Graph`` and nothing keyed on one stays
     alive with it."""
     if n == 1:
@@ -592,8 +621,10 @@ def _isomorphism_classes(
             found, orders = _canonical_search(rows, n)
             if found == base | c:
                 # The identity reaches the least key, so every order that
-                # does is an automorphism of rows.
-                classes.append((base | c, rows, tuple(o for o in orders if o != identity)))
+                # does is an automorphism of rows. Only the classes one
+                # vertex larger read them, so the largest classes keep none.
+                kept = () if n == CANONICAL_MAX_N else tuple(o for o in orders if o != identity)
+                classes.append((base | c, rows, kept))
     return tuple(classes)
 
 

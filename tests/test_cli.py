@@ -81,17 +81,19 @@ def test_enumerate_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, digest",
+    "n, flags, digest",
     [
-        ([], "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"),
-        (["--connected"], "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"),
+        ("7", [], "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"),
+        ("7", ["--connected"], "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"),
+        ("8", [], "e1aed63b07ff72557885ee1244044d6ad30ba1b182f74cc7bcb7a02da8d34867"),
+        ("8", ["--connected"], "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"),
     ],
-    ids=["all", "connected"],
+    ids=["all", "connected", "n8-all", "n8-connected"],
 )
-def test_enumeration_output_is_pinned(flags, digest, capsys):
+def test_enumeration_output_is_pinned(n, flags, digest, capsys):
     # Integers only reach the output, so these digests hold on every platform;
     # a faster generator must keep every byte.
-    assert main(["enumerate", "--n", "7"] + flags) == 0
+    assert main(["enumerate", "--n", n] + flags) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 

@@ -1,11 +1,17 @@
 """Graph representation, graph6 I/O, algebra, and enumeration."""
 
+import json
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _gen import gnp, random_graphs
+import sqenergy
 from sqenergy.errors import BudgetExceeded, ContractViolation, Graph6Error
 from sqenergy.graphs import (
     Graph,
@@ -419,6 +425,69 @@ def test_canonical_form_matches_brute_force():
                 for i in range(j):
                     bits.append(1 if c.has_edge(i, j) else 0)
             assert tuple(bits) == _brute_canonical(g)
+
+
+def _specified_search(adj: tuple[int, ...], n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The canonical search's return value from its specification over all n!
+    orders: the least column-major key; the orders reaching it in which no
+    vertex has a lower twin later, ascending; then the first of them with each
+    vertex that has a lower twin swapped with its least one."""
+    mat = np.array([[(row >> j) & 1 for j in range(n)] for row in adj], dtype=np.int64)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    keys = np.zeros(len(perms), dtype=np.int64)
+    for j in range(n):
+        for i in range(j):
+            keys = keys << 1 | mat[perms[:, i], perms[:, j]]
+    least = int(keys.min())
+    lower_twins = [
+        {w for w in range(u) if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w)} for u in range(n)
+    ]
+    orders = [
+        order
+        for order in map(tuple, perms[keys == least].tolist())
+        if not any(lower_twins[v] & set(order[pos + 1:]) for pos, v in enumerate(order))
+    ]
+    for u, twins in enumerate(lower_twins):
+        if twins:
+            w = min(twins)
+            orders.append(tuple(w if v == u else u if v == w else v for v in orders[0]))
+    return least, orders
+
+
+def test_canonical_search_returns_its_specified_key_and_orders():
+    rng = np.random.default_rng(19)
+    classes = [(n, rows) for n in range(1, 7) for _, rows, _ in _isomorphism_classes(n)]
+    sevens = _isomorphism_classes(7)
+    classes += [(7, sevens[i][1]) for i in rng.choice(len(sevens), size=12, replace=False)]
+    for n, rows in classes:
+        for _ in range(2):
+            adj = relabel(Graph(n, rows), rng.permutation(n)).adj
+            assert _canonical_search(adj, n) == _specified_search(adj, n), (n, adj)
+
+
+def test_a_cold_generation_up_to_n7_searches_1548_candidates():
+    # A fresh interpreter, so the cached classes of this one stay as they are.
+    # The count goes through the module attribute, as the bench tracer's does.
+    code = (
+        "import json\n"
+        "from sqenergy import graphs\n"
+        "search, counts = graphs._canonical_search, [0] * 8\n"
+        "def counted(adj, n):\n"
+        "    counts[n] += 1\n"
+        "    return search(adj, n)\n"
+        "graphs._canonical_search = counted\n"
+        "graphs._isomorphism_classes(7)\n"
+        "print(json.dumps(counts[2:]))\n"
+    )
+    src = str(Path(sqenergy.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert counts == [2, 4, 11, 36, 184, 1311]
+    assert sum(counts) == 1548
 
 
 def _symmetric_graphs_on_8():
