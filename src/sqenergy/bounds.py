@@ -10,9 +10,10 @@ of failing when their hypothesis is not met.
 Each bound reads the graph's spectral quantities and oracle results through
 the library functions. Those that several bounds read (the decomposition,
 the default-band square energies and the max cut) are kept per live graph,
-so a sweep computes them once per graph for all bounds. ``BOUNDS`` maps each
-``--set`` name to its bound, called with the graph and the exact-search
-budget.
+so a sweep computes them once per graph for all bounds. ``sdp-min`` reads
+the split halves and the energies and reports how far the halves miss the
+minimization form. ``BOUNDS`` maps each ``--set`` name to its bound, called
+with the graph and the exact-search budget.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from . import oracles
 from .errors import ContractViolation
@@ -35,8 +38,14 @@ from .graphs import (
 )
 from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
-from .sdp import p3_removal_witness, verify_min_characterization
-from .spectral import graph_inertia, numeric_tolerance, spectrum, square_energies
+from .sdp import p3_removal_witness
+from .spectral import (
+    graph_inertia,
+    numeric_tolerance,
+    spectral_split,
+    spectrum,
+    square_energies,
+)
 
 # Strictness margin by which the removal bound's drops must exceed 1.
 REMOVAL_STRICTNESS = 1e-9
@@ -287,10 +296,16 @@ def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVe
 
 
 def _sdp_min(g: Graph, budget_n: int) -> list[BoundVerdict]:
-    """The split halves attain the PSD minimization form of s+ and s-."""
-    report = verify_min_characterization(g)
-    witness = {"equality_gap": report.equality_gap}
-    return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, report.ok, witness)]
+    """The split halves attain the PSD minimization form of s+ and s-:
+    ||A + A-||^2 = s+ and ||A - A+||^2 = s- within the global tolerance. That
+    no PSD M does better is the theorem, not a property of the graph."""
+    a = g.adjacency_matrix()
+    e = square_energies(g)
+    split = spectral_split(g)
+    gap = max(abs(float(np.square(a + split.a_minus).sum()) - e.s_plus),
+              abs(float(np.square(a - split.a_plus).sum()) - e.s_minus))
+    holds = gap <= numeric_tolerance(g.n)
+    return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, holds, {"equality_gap": gap})]
 
 
 def _removal(g: Graph, budget_n: int) -> list[BoundVerdict]:

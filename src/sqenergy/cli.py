@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: spectrum, energy, bounds, enumerate, decompose, gq, verify,
-hunt. Graph sources are ``family:<name>[:k=v,...]``,
-``enumerate:<n>[:connected]``, a graph6 file path, or ``-`` for graph6 lines
-on stdin. Exit codes: 0 clean, 2 when a sweep found violations, 1 when it
-wrote error records but found no violation, and 1 on operational errors.
+hunt. ``verify --n N`` is the sweep ``bounds enumerate:N:connected --set
+efgw``; ``hunt --n N`` screens the connected graphs on N vertices with the
+exact minimal-counterexample filter. Graph sources are
+``family:<name>[:k=v,...]``, ``enumerate:<n>[:connected]``, a graph6 file
+path, or ``-`` for graph6 lines on stdin. Exit codes: 0 clean, 2 when a
+sweep found violations, 1 when it wrote error records but found no
+violation, and 1 on operational errors.
 """
 
 from __future__ import annotations
@@ -96,9 +99,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return _per_graph(args, resolve_source(args.source), fields)
 
 
-def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
-    config = RunConfig(source, bounds, jobs=args.jobs, budget_n=args.budget_n)
-    config.source = resolve_source(source)  # after the config's checks, before open_out
+def _sweep(args: argparse.Namespace, config: RunConfig) -> int:
+    config.source = resolve_source(config.source)  # after the config's checks, before open_out
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
     _print_summary(summary)
@@ -108,11 +110,12 @@ def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> in
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    return _sweep(args, args.source, tuple(args.set.split(",")))
+    bounds = tuple(args.set.split(","))
+    return _sweep(args, RunConfig(args.source, bounds, args.jobs, args.budget_n))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return _sweep(args, f"enumerate:{args.n}:connected", (args.conjecture,))
+    return _sweep(args, RunConfig(f"enumerate:{args.n}:connected", ("efgw",), args.jobs))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -178,7 +181,7 @@ def cmd_gq(args: argparse.Namespace) -> int:
 
 def cmd_hunt(args: argparse.Namespace) -> int:
     graphs = enumerate_graphs(args.n, connected_only=True)
-    outcome = filter_minimal_counterexample_candidates(graphs, args.max_subset_size)
+    outcome = filter_minimal_counterexample_candidates(graphs)
     verdicts = []
 
     def fields(g: Graph) -> dict[str, Any]:
@@ -238,15 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_gq)
 
-    p = sub.add_parser("verify", help="sweep one bound over all connected graphs on n vertices")
-    p.add_argument("--conjecture", default="efgw")
+    p = sub.add_parser(
+        "verify",
+        help="check efgw on all connected graphs on n vertices",
+        description="Check efgw, min(s+, s-) >= n - 1, on every connected graph on "
+        "n vertices. 'bounds enumerate:<n>:connected --set <names>' sweeps any other bound.",
+    )
     p.add_argument("--n", type=int, required=True)
-    _add_options(p, "--jobs", "--format", "--out", "--budget-n")
+    _add_options(p, "--jobs", "--format", "--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hunt", help="filter minimal-counterexample candidates")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-subset-size", type=int, default=None)
     _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_hunt)
 

@@ -312,6 +312,8 @@ class RunConfig:
         if self.jobs < 1:
             raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
         check_budget_n(self.budget_n)
+        if "all" in self.bounds and self.bounds != ("all",):
+            raise ContractViolation("bound 'all' must be given alone")
         names = self.bound_names()
         for i, name in enumerate(names):
             if name not in ALL_BOUND_NAMES:

@@ -4,16 +4,16 @@ witnesses.
 The positive square energy is the minimum of ||A + M||_F^2 over PSD M
 (attained at M = A-), and symmetrically s- minimizes ||A - M||_F^2 at
 M = A+. The dual view writes s+/s- as a Rayleigh-style maximum of
-max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module checks the
-minimization form at its minimizers, evaluates the maximization form on a
-PSD witness, runs an independent projected-gradient minimizer, proves the
-quartic inequality behind the 3x3 PSD row-sum bound by an exact Sturm
-count, and finds the vertex of an induced 3-vertex path whose removal drops
-each square energy most; whether those drops are large enough is the
-removal bound's verdict in ``bounds``. The removal witness builds no
-vertex-deleted graphs: the energies of G - u come from the principal
-submatrix of the adjacency matrix without u, decomposed by stacked, checked
-eigensolves within ``spectral.STACK_MAX_ENTRIES``, and a
+max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module evaluates the
+maximization form on a PSD witness, runs an independent projected-gradient
+minimizer of the minimization form, proves the quartic inequality behind the
+3x3 PSD row-sum bound by an exact Sturm count, and finds the vertex of an
+induced 3-vertex path whose removal drops each square energy most; whether
+those drops are large enough is the removal bound's verdict in ``bounds``.
+The removal witness builds no vertex-deleted graphs: the energies of G - u
+come from the principal submatrix of the adjacency matrix without u,
+decomposed by stacked, checked eigensolves within
+``spectral.STACK_MAX_ENTRIES``, and a
 ``graphs.per_graph`` memo keeps them per graph and vertex.
 ``decompose_deletions`` seeds that memo for a stack of graphs at once, as a
 sweep does for each block when ``removal`` is selected; the witness
@@ -38,7 +38,6 @@ from .spectral import (
     eigen_decompose_stack,
     eigen_decompose_symmetric,
     numeric_tolerance,
-    spectral_split,
     square_energies,
     stack_size,
 )
@@ -86,34 +85,6 @@ def row_col_square_sum(mat: np.ndarray, i: int) -> float:
         raise ContractViolation(f"index {i} out of range for shape {mat.shape}")
     return float(
         np.square(mat[i, :]).sum() + np.square(mat[:, i]).sum() - mat[i, i] ** 2
-    )
-
-
-@dataclass(frozen=True)
-class MinCharacterizationReport:
-    s_plus: float
-    s_minus: float
-    split_plus_objective: float
-    split_minus_objective: float
-    equality_gap: float
-    ok: bool
-
-
-def verify_min_characterization(g: Graph) -> MinCharacterizationReport:
-    """Check the PSD minimization form of s+/s- at its minimizers.
-
-    ||A + A-||^2 = s+ and ||A - A+||^2 = s- up to the global tolerance; that
-    no PSD M does better is the theorem, not a property of the graph.
-    """
-    a = g.adjacency_matrix()
-    report = square_energies(g)
-    split = spectral_split(g)
-    obj_plus = float(np.square(a + split.a_minus).sum())
-    obj_minus = float(np.square(a - split.a_plus).sum())
-    gap = max(abs(obj_plus - report.s_plus), abs(obj_minus - report.s_minus))
-    return MinCharacterizationReport(
-        report.s_plus, report.s_minus, obj_plus, obj_minus, gap,
-        gap <= numeric_tolerance(g.n),
     )
 
 

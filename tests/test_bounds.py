@@ -222,6 +222,8 @@ def test_join_complement_spectrum_identity():
         assert is_regular(base)
         verdict = join_complement_spectrum_check(base)
         assert verdict.holds, (base, verdict.witness)
+    with pytest.raises(ContractViolation, match="base graph must have at least one vertex"):
+        join_complement_spectrum_check(Graph(0, ()))
 
 
 def test_join_complement_spectrum_holds_within_one_tolerance(monkeypatch):

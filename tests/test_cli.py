@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from _gen import gnp
+import sqenergy.bounds as bounds
 import sqenergy.harness as harness
 import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
@@ -59,6 +60,8 @@ def test_family_specs():
         build_family("cycle", {"n": 3, "extra": 1})
     with pytest.raises(ContractViolation, match="'n' given twice"):
         parse_family_spec("family:complete:n=5,n=6")
+    with pytest.raises(ContractViolation, match="not a family spec: 'complete:n=3'"):
+        parse_family_spec("complete:n=3")
 
 
 def test_resolve_source(tmp_path):
@@ -106,13 +109,17 @@ _REFUSED = [
     (["bounds", "family:petersen", "--set", "efgw", "--jobs", "0"], "error: jobs must be >= 1"),
     (["bounds", "nosuch.g6", "--set", "efgw"], "i/o error: "),
     (["spectrum", "nosuch.g6"], "i/o error: "),
-    (["hunt", "--n", "7", "--max-subset-size", "-1"], "error: max_subset_size must be >= 4"),
-    (["hunt", "--n", "7", "--max-subset-size", "3"], "error: max_subset_size must be >= 4"),
+    (["hunt", "--n", "9"], "error: enumeration"),
+    (["hunt", "--n", "0"], "error: enumeration"),
     (["bounds", "family:petersen", "--set", "domination,surplus", "--budget-n", "-1"],
      "error: budget_n must be >= 0, got -1"),
-    (["verify", "--n", "5", "--budget-n", "-1"], "error: budget_n must be >= 0, got -1"),
+    (["verify", "--n", "9"], "error: enumeration"),
     (["decompose", "family:petersen", "--method", "domination", "--budget-n", "-1"],
      "error: budget_n must be >= 0, got -1"),
+    (["bounds", "family:petersen", "--set", "all,efgw"], "error: bound 'all' must be given alone"),
+    (["bounds", "family:petersen", "--set", "efgw,all"], "error: bound 'all' must be given alone"),
+    (["bounds", "family:complete:n=x", "--set", "efgw"], "error: parameter n='x' is not an integer"),
+    (["bounds", "family:complete:n", "--set", "efgw"], "error: malformed family parameter 'n'"),
 ]
 
 
@@ -164,10 +171,17 @@ def test_bounds_skip_records(tmp_path):
     assert by_name["domination"]["status"] == "ok" and by_name["domination"]["holds"]
 
 
-def test_verify_command(tmp_path):
-    out = tmp_path / "verify.jsonl"
-    assert main(["verify", "--conjecture", "efgw", "--n", "5", "--out", str(out)]) == 0
-    assert len(_read_jsonl(out)) == 21
+def test_verify_command(capsys):
+    # verify is the efgw sweep of the connected graphs, byte for byte.
+    def summary_without_wall(err):
+        return re.sub(r"  wall: [0-9.]+s", "", err)
+
+    assert main(["verify", "--n", "6"]) == 0
+    verify = capsys.readouterr()
+    assert main(["bounds", "enumerate:6:connected", "--set", "efgw"]) == 0
+    sweep = capsys.readouterr()
+    assert verify.out == sweep.out and verify.out.count("\n") == 112
+    assert summary_without_wall(verify.err) == summary_without_wall(sweep.err)
 
 
 def test_hunt_command(tmp_path, capsys):
@@ -187,6 +201,15 @@ def test_hunt_rejects_cycle():
     outcome = filter_minimal_counterexample_candidates([cycle(5)])
     assert not outcome.survivors
     assert outcome.rejection_counts["p3-cut-vertex"] == 1
+
+
+def test_hunt_enumerations_fit_the_exact_subset_scan():
+    # hunt reads only enumerations, so its subset scan is always exact and
+    # uncapped.
+    from sqenergy.graphs import CANONICAL_MAX_N
+    from sqenergy.oracles import SUBSET_PROPERTY_BUDGET_N
+
+    assert CANONICAL_MAX_N <= SUBSET_PROPERTY_BUDGET_N
 
 
 def test_filter_takes_large_graphs_when_the_subset_scan_is_capped():
@@ -297,7 +320,7 @@ def test_parallel_matches_serial(tmp_path):
 def test_sdp_min_fails_when_the_split_misses_the_tolerance(monkeypatch, tmp_path):
     # No equality gap meets a negative tolerance: the record fails and the
     # sweep exits 2.
-    monkeypatch.setattr(sdp, "numeric_tolerance", lambda n: -1.0)
+    monkeypatch.setattr(bounds, "numeric_tolerance", lambda n: -1.0)
     out = tmp_path / "r.jsonl"
     assert main(["bounds", "family:petersen", "--set", "sdp-min", "--out", str(out)]) == 2
     [record] = _read_jsonl(out)
@@ -459,7 +482,7 @@ def test_unknown_bound_is_operational_error(capsys):
     assert captured.err == "error: bound 'efgw' given twice\n"
 
 
-@pytest.mark.parametrize("source", ["enumerate:4:conected", "enumerate:4:connected:x"])
+@pytest.mark.parametrize("source", ["enumerate:4:conected", "enumerate:4:connected:x", "enumerate:x"])
 def test_bad_enumerate_suffix_is_operational_error(source, capsys):
     assert main(["bounds", source, "--set", "efgw"]) == 1
     captured = capsys.readouterr()
@@ -550,13 +573,17 @@ def test_subcommands_reject_flags_they_never_read():
         ["spectrum", "family:petersen", "--seed", "1"],
         ["bounds", "family:petersen", "--seed", "1"],
         ["verify", "--n", "5", "--seed", "1"],
+        ["verify", "--n", "5", "--conjecture", "efgw"],
+        ["verify", "--n", "5", "--budget-n", "9"],
         ["gq", "--q", "2", "--budget-n", "10"],
         ["hunt", "--n", "5", "--jobs", "2"],
         ["hunt", "--n", "5", "--budget-n", "9"],
         ["hunt", "--n", "5", "--filter", "minimal-candidates"],
+        ["hunt", "--n", "5", "--max-subset-size", "4"],
     ):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             parser.parse_args(argv)
+        assert info.value.code == 2
     args = parser.parse_args(["decompose", "--method", "domination", "x", "--budget-n", "9"])
     assert args.budget_n == 9
 

@@ -37,6 +37,8 @@ def test_basic_families():
             builder(0)
     with pytest.raises(ContractViolation):
         cycle(2)
+    with pytest.raises(ContractViolation, match=r"star_plus_edge\(n\) needs n >= 3"):
+        star_plus_edge(2)
 
 
 def test_star_plus_edge_is_paw_at_4():

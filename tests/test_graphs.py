@@ -49,6 +49,16 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ContractViolation):
         Graph.from_edges(2, [(0, 0)])
+    with pytest.raises(ContractViolation, match="vertex count must be >= 0, got -1"):
+        Graph(-1, ())
+    with pytest.raises(ContractViolation, match="expected 2 adjacency rows, got 1"):
+        Graph(2, (0,))
+    with pytest.raises(ContractViolation, match=r"row 0 has bits outside 0\.\.1"):
+        Graph(2, (4, 0))
+    with pytest.raises(ContractViolation, match="ambient_n must be >= 0"):
+        VertexSet(0, -1)
+    with pytest.raises(ContractViolation, match=r"perm must be a permutation of 0\.\.n-1"):
+        relabel(path(3), [0, 0, 1])
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.m == 2 and g.degrees() == (1, 2, 1)
     assert g.edges() == [(0, 1), (1, 2)]
@@ -326,6 +336,8 @@ def test_enumeration_distinct_and_deterministic():
         enumerate_graphs(0)
     with pytest.raises(BudgetExceeded):
         enumerate_graphs(9, connected_only=True)
+    with pytest.raises(BudgetExceeded, match="canonical form supported for n <= 8"):
+        canonical_key(path(9))
 
 
 def _order_key(g: Graph) -> int:

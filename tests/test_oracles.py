@@ -195,6 +195,8 @@ def test_bipartite_removal_property():
     )
     report = check_bipartite_removal_property(c6_pendant)
     assert not report.holds and report.violation_count >= 1
+    with pytest.raises(ContractViolation, match="property check requires a connected graph"):
+        check_bipartite_removal_property(disjoint_union(path(2), path(2)))
     # forests never produce a bipartite subset with e >= |U|
     for n in range(2, 8):
         for g in enumerate_graphs(n, connected_only=True):

@@ -33,6 +33,12 @@ def test_partition_validation():
         Partition((VertexSet.of([0], 2),), ("a",))  # does not cover
     with pytest.raises(ContractViolation):
         Partition((VertexSet.of([], 2), VertexSet.of([0, 1], 2)), ("a", "b"))
+    with pytest.raises(ContractViolation, match="parts and labels must have equal length"):
+        Partition((VertexSet.of([0, 1], 2),), ("a", "b"))
+    with pytest.raises(ContractViolation, match="parts disagree on the ambient vertex count"):
+        Partition((VertexSet.of([0], 1), VertexSet.of([1], 2)), ("a", "b"))
+    with pytest.raises(ContractViolation, match="degree classes need m >= 1"):
+        degree_class_thresholds(0)
     # empty parts allowed only for degree classes
     Partition(
         (VertexSet.of([0, 1], 2), VertexSet.of([], 2)),

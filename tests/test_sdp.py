@@ -11,10 +11,11 @@ import sympy
 
 from _gen import random_connected_with_p3, random_graphs
 import sqenergy.sdp as sdp
+from sqenergy.bounds import BOUNDS
 from sqenergy.errors import ContractViolation, ConvergenceError
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import delete_vertex, enumerate_graphs
-from sqenergy.oracles import find_induced_p3
+from sqenergy.oracles import SEARCH_BUDGET_N, find_induced_p3
 from sqenergy.sdp import (
     PsdWitness,
     certify_p3_psd_inequality,
@@ -25,7 +26,6 @@ from sqenergy.sdp import (
     rayleigh_max_value,
     row_col_square_sum,
     sturm_root_count,
-    verify_min_characterization,
 )
 from sqenergy.spectral import spectral_split, square_energies
 
@@ -51,24 +51,33 @@ def test_row_col_square_sum():
         )
 
 
-def test_min_characterization_examples():
-    k3 = complete(3)
-    report = verify_min_characterization(k3)
-    assert report.ok
-    assert report.split_plus_objective == pytest.approx(4.0, abs=1e-9)
-    # M = 0 gives ||A||^2 = 2m >= s+
-    a = k3.adjacency_matrix()
-    assert float(np.square(a).sum()) >= report.s_plus - 1e-9
+def _sdp_min(g):
+    [verdict] = BOUNDS["sdp-min"](g, SEARCH_BUDGET_N)
+    return verdict
 
-    p3 = path(3)
-    report = verify_min_characterization(p3)
-    assert report.ok and report.s_plus == pytest.approx(2.0)
+
+def test_min_characterization_examples():
+    # The split halves attain the minimization form: ||A + A-||^2 = s+.
+    for g, s_plus in ((complete(3), 4.0), (path(3), 2.0)):
+        verdict = _sdp_min(g)
+        assert verdict.holds and verdict.witness["equality_gap"] <= 1e-9
+        a = g.adjacency_matrix()
+        objective = float(np.square(a + spectral_split(g).a_minus).sum())
+        assert objective == pytest.approx(square_energies(g).s_plus, abs=1e-9)
+        assert objective == pytest.approx(s_plus, abs=1e-9)
+        # M = 0 gives ||A||^2 = 2m >= s+
+        assert float(np.square(a).sum()) >= s_plus - 1e-9
 
 
 def test_min_characterization_random_sweep():
     for g in random_graphs(seed=77, count=200, n_max=10):
-        report = verify_min_characterization(g)
-        assert report.ok, (g, report.equality_gap)
+        verdict = _sdp_min(g)
+        a, e, split = g.adjacency_matrix(), square_energies(g), spectral_split(g)
+        gap = max(abs(float(np.square(a + split.a_minus).sum()) - e.s_plus),
+                  abs(float(np.square(a - split.a_plus).sum()) - e.s_minus))
+        assert verdict.holds, (g, gap)
+        assert verdict.witness == {"equality_gap": gap}
+        assert (verdict.lhs, verdict.rhs, verdict.slack) == (0.0, 0.0, 0.0)
 
 
 def test_projected_gradient_examples():

@@ -1,6 +1,7 @@
 """Eigendecomposition kernel and spectrum-derived quantities."""
 
 import gc
+import json
 import math
 from collections import Counter
 
@@ -21,6 +22,7 @@ from sqenergy.spectral import (
     inertia,
     numeric_tolerance,
     spectral_split,
+    eigen_decompose_stack,
     spectrum,
     square_energies,
     triangle_count_spectral,
@@ -41,6 +43,8 @@ def test_eigen_contracts():
         eigen_decompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ContractViolation):
         eigen_decompose_symmetric(np.zeros((2, 3)))
+    with pytest.raises(ContractViolation, match="expected a stack of square matrices"):
+        eigen_decompose_stack(np.zeros((2, 3)))
     for bad in (math.nan, math.inf):
         for mat in ([[0.0, bad], [bad, 0.0]], [[bad, 0.0], [0.0, 1.0]]):
             with pytest.raises(ContractViolation, match="non-finite"):
@@ -109,6 +113,36 @@ def test_square_energy_identities_random():
         report = square_energies(g)
         assert abs(report.s_plus - g.m) <= 1e-8 * max(1, g.m)
         assert abs(report.s_minus - g.m) <= 1e-8 * max(1, g.m)
+
+
+def test_a_failing_solver_is_a_numeric_error(monkeypatch):
+    def failing(mats):
+        raise np.linalg.LinAlgError("no convergence")
+
+    gc.collect()
+    g = cycle(6)
+    assert g not in spectral._MEMO
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericError, match="^eigendecomposition failed for 6x6 matrix$"):
+        square_energies(g)
+
+
+def test_wrong_eigenvectors_fail_the_reconstruction_check(monkeypatch, tmp_path, capsys):
+    # C5's eigenvector columns reversed: each half is still a certified PSD
+    # matrix, so only the reconstruction of A can catch them.
+    from sqenergy.cli import main
+
+    g = cycle(5)
+    spec, vecs, energies = spectral._decomposition(g)
+    monkeypatch.setitem(spectral._MEMO, g, (spec, vecs[:, ::-1], energies))
+    with pytest.raises(NumericError, match="^split does not reconstruct the adjacency matrix$"):
+        spectral_split(g)
+    out = tmp_path / "r.jsonl"
+    assert main(["bounds", "family:cycle:n=5", "--set", "sdp-min", "--out", str(out)]) == 1
+    [record] = [json.loads(line) for line in out.read_text().splitlines()]
+    assert (record["name"], record["status"]) == ("sdp-min", "error")
+    assert record["reason"] == "NumericError: split does not reconstruct the adjacency matrix"
+    assert "errors: 1" in capsys.readouterr().err
 
 
 def test_spectral_split_examples():
