@@ -1,6 +1,7 @@
 """Square-energy toolkit: graph spectra, positive/negative square energies,
-semidefinite witnesses, constructive partitions, exact combinatorial oracles,
-bound certificates, named graph families, and a sweep harness with a CLI.
+the exact P3 certificate and removal witnesses, constructive partitions,
+exact combinatorial oracles, bound certificates, named graph families, and a
+sweep harness with a CLI.
 """
 
 from .bounds import (
@@ -23,7 +24,6 @@ from .bounds import (
 from .errors import (
     BudgetExceeded,
     ContractViolation,
-    ConvergenceError,
     Graph6Error,
     NumericError,
     SquareEnergyError,
@@ -86,9 +86,7 @@ from .oracles import (
     cut_vertices,
     domination_number,
     find_induced_p3,
-    independence_number,
     max_cut,
-    triangle_count_exact,
 )
 from .partitions import (
     Partition,
@@ -101,27 +99,20 @@ from .partitions import (
 from .sdp import (
     P3PsdCertificate,
     P3RemovalWitness,
-    PsdWitness,
     certify_p3_psd_inequality,
     p3_removal_witness,
-    projected_gradient_min,
-    random_psd,
-    rayleigh_max_value,
-    row_col_square_sum,
 )
 from .spectral import (
     EnergyReport,
     Inertia,
     SpectralSplit,
     Spectrum,
-    eigen_decompose_symmetric,
     graph_inertia,
     inertia,
     numeric_tolerance,
     spectral_split,
     spectrum,
     square_energies,
-    triangle_count_spectral,
 )
 
 __version__ = "0.1.0"

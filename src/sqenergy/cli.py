@@ -75,11 +75,17 @@ def _print_summary(summary: RunSummary) -> None:
 def _per_graph(
     args: argparse.Namespace, graphs: Iterable[Graph], fields: Callable[[Graph], dict]
 ) -> int:
-    """Write one record per graph: its common fields plus ``fields(g)``."""
+    """Write one record per graph: its common fields plus ``fields(g)``. An
+    error in ``fields`` stops the run, its message prefixed with the graph's
+    index and graph6."""
     with open_out(args.out) as out:
         writer = RecordWriter(out, args.format)
         for index, g in enumerate(graphs):
-            writer.write({**graph_fields(index, g), **fields(g)})
+            try:
+                extra = fields(g)
+            except SquareEnergyError as exc:
+                raise type(exc)(f"graph {index} ({write_graph6(g)}): {exc}") from exc
+            writer.write({**graph_fields(index, g), **extra})
     return 0
 
 

@@ -26,10 +26,3 @@ class BudgetExceeded(SquareEnergyError, ValueError):
 class NumericError(SquareEnergyError, RuntimeError):
     """A numeric kernel failed to meet its accuracy contract."""
 
-
-class ConvergenceError(NumericError):
-    """An iterative solver exhausted its budget. Carries the objective tail."""
-
-    def __init__(self, message: str, trajectory_tail: tuple[float, ...] = ()):
-        super().__init__(message)
-        self.trajectory_tail = trajectory_tail

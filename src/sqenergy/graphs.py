@@ -155,6 +155,8 @@ class VertexSet:
     def of(cls, vertices: Iterable[int], ambient_n: int) -> "VertexSet":
         mask = 0
         for v in vertices:
+            if not 0 <= v < ambient_n:
+                raise ContractViolation(f"vertex {v} outside 0..{ambient_n - 1}")
             mask |= 1 << v
         return cls(mask, ambient_n)
 

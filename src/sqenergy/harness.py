@@ -431,10 +431,7 @@ class FilterOutcome:
     rejection_counts: dict[str, int]
 
 
-def filter_minimal_counterexample_candidates(
-    graphs: Iterable[Graph],
-    max_subset_size: int | None = None,
-) -> FilterOutcome:
+def filter_minimal_counterexample_candidates(graphs: Iterable[Graph]) -> FilterOutcome:
     """Keep connected graphs on which every induced 3-vertex path contains a
     disconnecting vertex and every bipartite subset with at least |U| edges
     disconnects the rest on removal; any minimal counterexample to the
@@ -448,7 +445,7 @@ def filter_minimal_counterexample_candidates(
         if not check_p3_cut_vertex_property(g).holds:
             counts["p3-cut-vertex"] += 1
             continue
-        if not check_bipartite_removal_property(g, max_subset_size).holds:
+        if not check_bipartite_removal_property(g).holds:
             counts["bipartite-removal"] += 1
             continue
         survivors.append(g)

@@ -1,7 +1,7 @@
 """Exact exponential-time oracles for the combinatorial quantities feeding the
-bound certificates: domination number, independence number, maxcut/surplus,
-triangle count, induced-path detection, and the structural filters used in
-the minimal-counterexample hunt.
+bound certificates: domination number, maxcut/surplus, induced-path
+detection, and the structural filters used in the minimal-counterexample
+hunt.
 
 All searches are deterministic (ascending-index tie-breaking) and guarded by
 explicit budgets; none of them approximate.
@@ -111,32 +111,6 @@ def domination_number(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> DominationCe
     raise AssertionError("unreachable: v itself dominates v")
 
 
-def independence_number(
-    g: Graph, budget_n: int = SEARCH_BUDGET_N
-) -> tuple[int, VertexSet]:
-    """Maximum independent set size with a witness, by branch and bound."""
-    _check_budget(g, budget_n)
-    n = g.n
-    closed = [g.adj[v] | (1 << v) for v in range(n)]
-    best = -1
-    best_mask = 0
-
-    def search(candidates: int, chosen: int, size: int) -> None:
-        nonlocal best, best_mask
-        if size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            if size > best:
-                best, best_mask = size, chosen
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        search(candidates & ~closed[v], chosen | (1 << v), size + 1)
-        search(candidates & ~(1 << v), chosen, size)
-
-    search((1 << n) - 1, 0, 0)
-    return best, VertexSet(best_mask, n)
-
-
 def _edges_between(adj: tuple[int, ...], a: int, b: int) -> int:
     """Number of (u, w) with u in ``a``, w in ``b`` and uw an edge: the edges
     between disjoint sets, twice the edges inside ``a`` when ``a == b``."""
@@ -174,17 +148,6 @@ def max_cut(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> CutReport:
     if cut_size(g, best_side) != best:
         raise AssertionError("incremental cut accounting disagrees with recount")
     return CutReport(best, best - g.m / 2.0, VertexSet(best_side, n))
-
-
-def triangle_count_exact(g: Graph) -> int:
-    """Exact triangle count by bitset intersection over ordered edges."""
-    total = 0
-    for u in range(g.n):
-        above_u = g.adj[u] >> (u + 1) << (u + 1)
-        for v in _iter_bits(above_u):
-            common = g.adj[u] & g.adj[v]
-            total += (common >> (v + 1)).bit_count()
-    return total
 
 
 def _induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
@@ -240,49 +203,35 @@ def check_p3_cut_vertex_property(g: Graph) -> P3CutVertexReport:
     return P3CutVertexReport(count == 0, tuple(violations), count, checked)
 
 
-def _masks_by_size(n: int, least: int, most: int) -> Iterator[int]:
-    """The subsets of n vertices with least..most members, least >= 1, as
-    masks in ascending order. After a mask of ``most`` members the next
-    candidate adds its lowest bit, whose carry clears that bit at least; a
-    candidate with fewer than ``least`` members then takes its lowest clear
-    bits until it has ``least``. Every mask stepped over has too many or too
-    few members."""
-    if least > most:
-        return
+def _masks_by_size(n: int, least: int) -> Iterator[int]:
+    """The subsets of n vertices with at least ``least`` >= 1 members, as
+    masks in ascending order. A candidate with fewer than ``least`` members
+    takes its lowest clear bits until it has ``least``; every mask stepped
+    over has too few members."""
     mask = (1 << least) - 1
     while mask >> n == 0:
         yield mask
-        mask += mask & -mask if mask.bit_count() >= most else 1
+        mask += 1
         while mask.bit_count() < least:
             mask |= mask + 1
 
 
-def check_bipartite_removal_property(
-    g: Graph, max_subset_size: int | None = None
-) -> BipartiteRemovalReport:
+def check_bipartite_removal_property(g: Graph) -> BipartiteRemovalReport:
     """For every subset U inducing a bipartite graph with at least |U| edges,
     is the rest of the graph empty or disconnected?
 
-    Enumerates all subsets when n <= 16; larger graphs need an explicit
-    ``max_subset_size`` cap. A qualifying subset has at least 4 vertices, so
-    a cap below 4, which would scan nothing, is refused.
+    Enumerates all subsets, so graphs with n > 16 are refused.
     """
-    if max_subset_size is not None and max_subset_size < 4:
-        raise ContractViolation(f"max_subset_size must be >= 4, got {max_subset_size}")
     if not is_connected(g):
         raise ContractViolation("property check requires a connected graph")
-    if max_subset_size is None and g.n > SUBSET_PROPERTY_BUDGET_N:
-        raise BudgetExceeded(
-            f"full subset scan limited to n <= {SUBSET_PROPERTY_BUDGET_N}; "
-            "pass max_subset_size to cap the search"
-        )
+    if g.n > SUBSET_PROPERTY_BUDGET_N:
+        raise BudgetExceeded(f"full subset scan limited to n <= {SUBSET_PROPERTY_BUDGET_N}")
     full = (1 << g.n) - 1
     violations: list[tuple[int, ...]] = []
     count = 0
     qualifying = 0
     # A bipartite subgraph with >= |U| edges needs |U| >= 4.
-    cap = g.n if max_subset_size is None else max_subset_size
-    for mask in _masks_by_size(g.n, 4, cap):
+    for mask in _masks_by_size(g.n, 4):
         if _edges_between(g.adj, mask, mask) // 2 < mask.bit_count():
             continue
         if _bipartition_mask(g.adj, mask) is None:

@@ -1,15 +1,14 @@
-"""Semidefinite characterizations of the square energies and their numeric
-witnesses.
+"""Semidefinite facts about the square energies that the bounds use.
 
 The positive square energy is the minimum of ||A + M||_F^2 over PSD M
 (attained at M = A-), and symmetrically s- minimizes ||A - M||_F^2 at
-M = A+. The dual view writes s+/s- as a Rayleigh-style maximum of
-max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module evaluates the
-maximization form on a PSD witness, runs an independent projected-gradient
-minimizer of the minimization form, proves the quartic inequality behind the
-3x3 PSD row-sum bound by an exact Sturm count, and finds the vertex of an
-induced 3-vertex path whose removal drops each square energy most; whether
-those drops are large enough is the removal bound's verdict in ``bounds``.
+M = A+; the ``sdp-min`` bound checks that the spectral split attains both.
+The dual view writes s+/s- as a Rayleigh-style maximum of
+max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module proves the
+quartic inequality behind the 3x3 PSD row-sum bound by an exact Sturm count,
+and finds the vertex of an induced 3-vertex path whose removal drops each
+square energy most; whether those drops are large enough is the removal
+bound's verdict in ``bounds``.
 The removal witness builds no vertex-deleted graphs: the energies of G - u
 come from the principal submatrix of the adjacency matrix without u,
 decomposed by stacked, checked eigensolves within
@@ -26,124 +25,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import dropwhile, zip_longest
 from numbers import Rational
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError, SquareEnergyError
+from .errors import ContractViolation, SquareEnergyError
 from .graphs import Graph, per_graph
 from .oracles import induces_p3
-from .spectral import (
-    EnergyReport,
-    eigen_decompose_stack,
-    eigen_decompose_symmetric,
-    numeric_tolerance,
-    square_energies,
-    stack_size,
-)
-
-Sign = Literal["plus", "minus"]
-
-# Iteration cap and step size of the projected-gradient minimizer.
-GRADIENT_MAX_ITERS = 10000
-GRADIENT_STEP = 0.5
-
-
-def _check_sign(sign: str) -> None:
-    if sign not in ("plus", "minus"):
-        raise ContractViolation(f"sign must be 'plus' or 'minus', got {sign!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class PsdWitness:
-    """A symmetric matrix certified PSD within the global tolerance."""
-
-    mat: np.ndarray
-    min_eigenvalue: float
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "PsdWitness":
-        spec, _ = eigen_decompose_symmetric(np.asarray(mat, dtype=np.float64))
-        lo = spec.values[-1] if spec.values else 0.0
-        if lo < -numeric_tolerance(spec.n):
-            raise ContractViolation(f"matrix is not PSD: min eigenvalue {lo:.3e}")
-        return cls(np.asarray(mat, dtype=np.float64), float(lo))
-
-
-def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Gram matrix F^T F of an n-by-n standard normal factor."""
-    f = rng.standard_normal((n, n))
-    m = f.T @ f
-    return (m + m.T) / 2.0
-
-
-def row_col_square_sum(mat: np.ndarray, i: int) -> float:
-    """Sum of squared entries on row i or column i; (i, j) and (j, i) both
-    count, (i, i) once."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if not 0 <= i < mat.shape[0]:
-        raise ContractViolation(f"index {i} out of range for shape {mat.shape}")
-    return float(
-        np.square(mat[i, :]).sum() + np.square(mat[:, i]).sum() - mat[i, i] ** 2
-    )
-
-
-def _psd_projection(mat: np.ndarray) -> np.ndarray:
-    spec, vecs = eigen_decompose_symmetric(mat)
-    vals = np.maximum(np.array(spec.values), 0.0)
-    out = (vecs * vals) @ vecs.T
-    return (out + out.T) / 2.0
-
-
-def projected_gradient_min(g: Graph, sign: Sign) -> float:
-    """Minimize ||A +- M||_F^2 over the PSD cone by gradient steps followed by
-    projection (eigenvalue clamping); an oracle for the square energies that
-    never reads them.
-
-    Stops when the objective change drops below ``1e-4 * max(1, 2m)``; raises
-    ConvergenceError with the objective tail if ``GRADIENT_MAX_ITERS`` steps
-    run out first.
-    """
-    _check_sign(sign)
-    tol = 1e-4 * max(1.0, 2.0 * g.m)
-    a = g.adjacency_matrix()
-    sgn = 1.0 if sign == "plus" else -1.0
-
-    def objective(mat: np.ndarray) -> float:
-        return float(np.square(a + sgn * mat).sum())
-
-    m = np.zeros_like(a)
-    prev = objective(m)
-    tail: list[float] = [prev]
-    for _ in range(GRADIENT_MAX_ITERS):
-        grad = 2.0 * sgn * (a + sgn * m)
-        m = _psd_projection(m - GRADIENT_STEP * grad)
-        obj = objective(m)
-        tail.append(obj)
-        if abs(obj - prev) <= tol:
-            return obj
-        prev = obj
-    raise ConvergenceError(
-        f"projected gradient did not stabilize within {GRADIENT_MAX_ITERS} iterations",
-        tuple(tail[-10:]),
-    )
-
-
-def rayleigh_max_value(g: Graph, w: PsdWitness, sign: Sign) -> float:
-    """Objective max(+-<A, M>, 0)^2 / <M, M> of the maximization form; never
-    exceeds the corresponding square energy, with equality at the matching
-    split half."""
-    _check_sign(sign)
-    mat = w.mat
-    if mat.shape != (g.n, g.n):
-        raise ContractViolation(f"witness of shape {mat.shape} on a graph with n={g.n}")
-    denom = float(np.square(mat).sum())
-    if denom == 0.0:
-        raise ContractViolation("witness matrix must be nonzero")
-    ip = float((g.adjacency_matrix() * mat).sum())
-    if sign == "minus":
-        ip = -ip
-    return max(ip, 0.0) ** 2 / denom
+from .spectral import EnergyReport, eigen_decompose_stack, square_energies, stack_size
 
 
 def p3_psd_margin(x: np.ndarray | Rational) -> np.ndarray | Rational:

@@ -1,6 +1,6 @@
 """Dense symmetric eigendecomposition and the spectrum-derived graph
 quantities: positive/negative square energies, the PSD split of the adjacency
-matrix, inertia, and the spectral triangle count.
+matrix, and inertia.
 
 Conventions. Eigenvalues are sorted descending. ``numeric_tolerance(n)``,
 ``1e-8 * max(1, n)``, is the one absolute tolerance: downstream certificates
@@ -24,11 +24,12 @@ default-band ``square_energies`` report: the first call computes it, later
 calls on the same graph reuse it, and it is freed with the graph, so a sweep
 and a library call on the same graph decompose it once.
 
-One routine, ``eigen_decompose_stack``, makes every checked decomposition:
-one solver call for a stack of same-size matrices, then the residual, trace
-and square-sum checks and the default-band energies of the whole stack in
-array operations, so a single matrix is a stack of one and a stacked matrix
-gets bitwise the values, vectors, residual and energies it would get alone.
+One routine, ``eigen_decompose_stack``, makes every checked decomposition,
+and every decomposition is of an adjacency matrix: one solver call for a
+stack of same-size matrices, then the residual, trace and square-sum checks
+and the default-band energies of the whole stack in array operations, so a
+single matrix is a stack of one and a stacked matrix gets bitwise the values,
+vectors, residual and energies it would get alone.
 A sweep seeds the memo of a block of small graphs with ``decompose_graphs``,
 one stacked call per vertex count, and slices the vertex-deleted submatrices
 that ``sdp.decompose_deletions`` decomposes from the same stacks;
@@ -110,16 +111,17 @@ def stack_size(n: int) -> int:
 
 
 def eigen_decompose_stack(
-    mats: np.ndarray, ms: Sequence[int] | None = None
+    mats: np.ndarray, ms: Sequence[int]
 ) -> list[tuple | SquareEnergyError]:
-    """Checked eigendecompositions of a stack of same-size real symmetric
-    matrices, shape (k, n, n), by one solver call.
+    """Checked eigendecompositions of a stack of adjacency matrices, shape
+    (k, n, n), matrix i having ms[i] edges, by one solver call.
 
-    Item i is what ``eigen_decompose_symmetric`` returns for matrix i, or the
-    error it would raise. With ``ms``, matrix i is an adjacency matrix with
-    ms[i] edges: its spectrum must also have zero trace and square sum
-    2 ms[i], its vectors are read-only, and its default-band ``EnergyReport``
-    comes third.
+    Item i is matrix i's spectrum (descending), its orthonormal eigenvectors
+    as read-only columns and its default-band ``EnergyReport``, or the error
+    that refuses it: ContractViolation for non-symmetric or non-finite input,
+    and NumericError if the solver fails, the residual is not within
+    ``1e-10 * max(1, ||mat||_F)``, or the trace is not zero or the square
+    sum not 2 ms[i] within ``numeric_tolerance(n)``.
     """
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -140,7 +142,7 @@ def eigen_decompose_stack(
         # Some matrix fails before the residual check: each alone names it.
         return [
             out for i in range(k)
-            for out in eigen_decompose_stack(mats[i:i + 1], None if ms is None else ms[i:i + 1])
+            for out in eigen_decompose_stack(mats[i:i + 1], ms[i:i + 1])
         ]
     # A contiguous copy of the values, so that each row sum below is bitwise
     # the sum of that row alone.
@@ -154,28 +156,25 @@ def eigen_decompose_stack(
         None if r <= b else f"residual {r:.3e} exceeds contract {b:.3e} for {n}x{n} matrix"
         for r, b in zip(residuals.tolist(), bounds.tolist())
     ]
-    if ms is not None:
-        tau = numeric_tolerance(n)
-        two_m = 2.0 * np.asarray(ms, dtype=np.float64)
-        squares = np.square(vals)
-        bad_trace = np.abs(vals.sum(axis=1)) > tau
-        bad_square = np.abs(squares.sum(axis=1) - two_m) > tau * np.maximum(1.0, two_m)
-        for i in np.flatnonzero(bad_trace | bad_square).tolist():
-            if failed[i] is None:
-                failed[i] = (
-                    "adjacency spectrum trace deviates from zero" if bad_trace[i]
-                    else "adjacency spectrum square-sum deviates from 2m"
-                )
-        vecs.setflags(write=False)
-        s_plus = _band_sums(squares, (vals > tau).sum(axis=1), head=True)
-        s_minus = _band_sums(squares, (vals < -tau).sum(axis=1), head=False)
-        energies = np.abs(vals).sum(axis=1)
+    tau = numeric_tolerance(n)
+    two_m = 2.0 * np.asarray(ms, dtype=np.float64)
+    squares = np.square(vals)
+    bad_trace = np.abs(vals.sum(axis=1)) > tau
+    bad_square = np.abs(squares.sum(axis=1) - two_m) > tau * np.maximum(1.0, two_m)
+    for i in np.flatnonzero(bad_trace | bad_square).tolist():
+        if failed[i] is None:
+            failed[i] = (
+                "adjacency spectrum trace deviates from zero" if bad_trace[i]
+                else "adjacency spectrum square-sum deviates from 2m"
+            )
+    vecs.setflags(write=False)
+    s_plus = _band_sums(squares, (vals > tau).sum(axis=1), head=True)
+    s_minus = _band_sums(squares, (vals < -tau).sum(axis=1), head=False)
+    energies = np.abs(vals).sum(axis=1)
     outs: list[tuple | SquareEnergyError] = []
     for i, (values, residual) in enumerate(zip(vals.tolist(), residuals.tolist())):
         if failed[i] is not None:
             outs.append(NumericError(failed[i]))
-        elif ms is None:
-            outs.append((Spectrum(tuple(values), residual), vecs[i]))
         else:
             report = EnergyReport(float(s_plus[i]), float(s_minus[i]), float(energies[i]), ms[i])
             outs.append((Spectrum(tuple(values), residual), vecs[i], report))
@@ -197,33 +196,15 @@ def _band_sums(squares: np.ndarray, counts: np.ndarray, head: bool) -> np.ndarra
     return out
 
 
-def _one(out: tuple | SquareEnergyError) -> tuple:
-    """A stack item's decomposition, or its error raised."""
-    if isinstance(out, SquareEnergyError):
-        raise out
-    return out
-
-
-def eigen_decompose_symmetric(mat: np.ndarray) -> tuple[Spectrum, np.ndarray]:
-    """Full eigendecomposition of a real symmetric matrix.
-
-    Returns the spectrum (descending) and the matching orthonormal
-    eigenvectors as columns. Raises ContractViolation for non-symmetric input
-    and non-finite input, and NumericError if the solver fails or the
-    residual is not within ``1e-10 * max(1, ||mat||_F)``.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {mat.shape}")
-    return _one(eigen_decompose_stack(mat[None])[0])
-
-
 @per_graph
 def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
     """The decomposition of g's adjacency matrix, with the solver residual,
     the zero trace and the 2m square sum checked, and its default-band
     energies, once per live graph. Every caller shares the read-only vectors."""
-    return _one(eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0])
+    out = eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0]
+    if isinstance(out, SquareEnergyError):
+        raise out
+    return out
 
 
 # The memo itself, so that seeding reaches it where ``_decomposition`` is
@@ -362,8 +343,3 @@ def inertia(s: Spectrum) -> Inertia:
 def graph_inertia(g: Graph) -> Inertia:
     return inertia(_decomposition(g)[0])
 
-
-def triangle_count_spectral(s: Spectrum) -> float:
-    """One sixth of the third spectral moment; equals the triangle count for
-    graph spectra."""
-    return float(np.sum(np.power(np.array(s.values), 3))) / 6.0

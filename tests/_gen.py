@@ -132,6 +132,13 @@ def brute_independence_number(g: Graph) -> int:
     return best
 
 
+def brute_triangle_count(g: Graph) -> int:
+    return sum(
+        g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+        for u, v, w in combinations(range(g.n), 3)
+    )
+
+
 def brute_max_cut(g: Graph) -> int:
     best = 0
     for mask in range(1 << max(0, g.n - 1)):
@@ -142,3 +149,49 @@ def brute_max_cut(g: Graph) -> int:
                 cut += 1
         best = max(best, cut)
     return best
+
+
+# Reference forms of the square energies on numpy alone: s+ = min ||A + M||^2
+# and s- = min ||A - M||^2 over PSD M, and their Rayleigh duals.
+
+
+def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gram matrix F^T F of an n-by-n standard normal factor."""
+    f = rng.standard_normal((n, n))
+    m = f.T @ f
+    return (m + m.T) / 2.0
+
+
+def row_col_square_sum(mat: np.ndarray, i: int) -> float:
+    """Sum of squared entries on row i or column i; (i, j) and (j, i) both
+    count, (i, i) once."""
+    return float(np.square(mat[i, :]).sum() + np.square(mat[:, i]).sum() - mat[i, i] ** 2)
+
+
+def rayleigh_value(a: np.ndarray, mat: np.ndarray, sign: str) -> float:
+    """max(+-<A, M>, 0)^2 / <M, M> for a nonzero M; at most s+ (sign "plus")
+    or s- ("minus") when M is PSD, with equality at the matching split half."""
+    ip = float((a * mat).sum())
+    if sign == "minus":
+        ip = -ip
+    return max(ip, 0.0) ** 2 / float(np.square(mat).sum())
+
+
+def projected_gradient_min(g: Graph, sign: str) -> float:
+    """Minimize ||A +- M||_F^2 over the PSD cone by gradient steps of size 1/2,
+    each followed by projection (eigenvalue clamping), until the objective
+    changes by at most 1e-4 * max(1, 2m)."""
+    tol = 1e-4 * max(1.0, 2.0 * g.m)
+    a = g.adjacency_matrix()
+    sgn = 1.0 if sign == "plus" else -1.0
+    m = np.zeros_like(a)
+    prev = float(np.square(a).sum())
+    for _ in range(10000):
+        vals, vecs = np.linalg.eigh(m - sgn * (a + sgn * m))
+        m = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        m = (m + m.T) / 2.0
+        obj = float(np.square(a + sgn * m).sum())
+        if abs(obj - prev) <= tol:
+            return obj
+        prev = obj
+    raise AssertionError(f"projected gradient did not stabilize on {g}")

@@ -22,7 +22,7 @@ import sqenergy.harness as harness
 import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.cli import main
-from sqenergy.errors import ContractViolation, NumericError
+from sqenergy.errors import BudgetExceeded, ContractViolation, NumericError
 from sqenergy.families import cycle, path, petersen
 from sqenergy.graphs import parse_graph6, write_graph6
 from sqenergy.harness import (
@@ -212,10 +212,10 @@ def test_hunt_enumerations_fit_the_exact_subset_scan():
     assert CANONICAL_MAX_N <= SUBSET_PROPERTY_BUDGET_N
 
 
-def test_filter_takes_large_graphs_when_the_subset_scan_is_capped():
-    # The subset scan's own budget (n <= 16 uncapped) is the only size limit.
-    outcome = filter_minimal_counterexample_candidates([path(20)], max_subset_size=4)
-    assert len(outcome.survivors) == 1
+def test_filter_refuses_graphs_past_the_subset_scan_budget():
+    # The subset scan's own budget, n <= 16, is the only size limit.
+    with pytest.raises(BudgetExceeded, match=r"full subset scan limited to n <= 16$"):
+        filter_minimal_counterexample_candidates([path(20)])
 
 
 def test_hunt_counts_every_rejection_kind(capsys):
@@ -265,6 +265,15 @@ def test_decompose_command(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["parts"] == [[0, 7, 8, 9], [1, 5, 6], [2, 3, 4]]  # gamma = 3
     assert record["holds"]
+
+
+def test_a_per_graph_error_names_its_graph(monkeypatch, capsys):
+    # K2, then the one-vertex graph, which has no star-clique partition.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"A_\n@\n")))
+    assert main(["decompose", "--method", "star-clique", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["A_"]
+    assert err == "error: graph 1 (@): isolated vertex 0\n"
 
 
 def test_gq_command(capsys):

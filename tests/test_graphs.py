@@ -57,6 +57,10 @@ def test_graph_validation():
         Graph(2, (4, 0))
     with pytest.raises(ContractViolation, match="ambient_n must be >= 0"):
         VertexSet(0, -1)
+    for v in (-1, 3):
+        with pytest.raises(ContractViolation, match=rf"vertex {v} outside 0\.\.2"):
+            VertexSet.of([0, v], 3)
+    assert VertexSet.of([2, 0], 3) == VertexSet(0b101, 3)
     with pytest.raises(ContractViolation, match=r"perm must be a permutation of 0\.\.n-1"):
         relabel(path(3), [0, 0, 1])
     g = Graph.from_edges(3, [(0, 1), (1, 2)])

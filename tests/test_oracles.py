@@ -1,5 +1,5 @@
-"""Exact combinatorial oracles: domination, independence, maxcut, triangles,
-induced paths, and the structural filter properties."""
+"""Exact combinatorial oracles: domination, maxcut, induced paths, and the
+structural filter properties."""
 
 import pytest
 
@@ -29,10 +29,8 @@ from sqenergy.oracles import (
     cut_vertices,
     domination_number,
     find_induced_p3,
-    independence_number,
     is_dominating,
     max_cut,
-    triangle_count_exact,
 )
 from sqenergy.spectral import graph_inertia
 
@@ -63,30 +61,11 @@ def test_domination_budget():
         domination_number(Graph(25, (0,) * 25))
 
 
-def test_independence_examples():
-    assert independence_number(complete(5))[0] == 1
-    assert independence_number(cycle(5))[0] == 2
-    alpha, witness = independence_number(star(7))
-    assert alpha == 6 and witness.vertices == (1, 2, 3, 4, 5, 6)
-
-
-def test_independence_cross_check():
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            alpha, witness = independence_number(g)
-            assert alpha == brute_independence_number(g)
-            assert len(witness) == alpha
-            verts = witness.vertices
-            assert all(
-                not g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]
-            )
-
-
 def test_combinatorial_inequalities(connected_corpus):
     for n in range(1, 8):
         for g in connected_corpus[n]:
             cert = domination_number(g)
-            alpha, _ = independence_number(g)
+            alpha = brute_independence_number(g)
             assert cert.gamma <= alpha
             inert = graph_inertia(g)
             assert max(inert.n_plus, inert.n_minus) <= g.n - alpha
@@ -126,13 +105,6 @@ def test_max_cut_cross_check():
         assert report.maxcut == brute_max_cut(g)
         if is_bipartite(g):
             assert report.maxcut == g.m and report.surplus == g.m / 2.0
-
-
-def test_triangle_count_exact():
-    assert triangle_count_exact(complete(4)) == 4
-    assert triangle_count_exact(cycle(6)) == 0
-    assert triangle_count_exact(petersen()) == 0
-    assert triangle_count_exact(complete(6)) == 20
 
 
 def test_find_induced_p3():
@@ -206,15 +178,8 @@ def test_bipartite_removal_property():
 
 
 def test_bipartite_removal_budget_and_cap():
-    big = cycle(17)
-    with pytest.raises(BudgetExceeded):
-        check_bipartite_removal_property(big)
-    capped = check_bipartite_removal_property(big, max_subset_size=4)
-    assert capped.holds  # no 4-vertex subset of C_17 has 4 edges
-    # A qualifying subset has at least 4 vertices: a smaller cap scans nothing.
-    for cap in (-1, 0, 3):
-        with pytest.raises(ContractViolation, match="max_subset_size must be >= 4"):
-            check_bipartite_removal_property(cycle(6), max_subset_size=cap)
+    with pytest.raises(BudgetExceeded, match=r"full subset scan limited to n <= 16$"):
+        check_bipartite_removal_property(cycle(17))
 
 
 def _brute_bipartite_subsets(g: Graph) -> list[tuple[VertexSet, bool]]:
@@ -232,16 +197,14 @@ def _brute_bipartite_subsets(g: Graph) -> list[tuple[VertexSet, bool]]:
     return out
 
 
-def test_capped_bipartite_removal_matches_a_walk_over_every_mask():
+def test_bipartite_removal_matches_a_walk_over_every_mask():
     graphs = [g for g in random_graphs(seed=31, count=40, n_max=12, n_min=4) if is_connected(g)]
     graphs.append(path(12))
     assert len(graphs) >= 20 and max(g.n for g in graphs) == 12
     for g in graphs:
         subsets = _brute_bipartite_subsets(g)
-        for cap in (None, 4, 5, 6):
-            kept = [(u, bad) for u, bad in subsets if cap is None or len(u) <= cap]
-            listed = [u.vertices for u, bad in kept if bad]
-            expected = BipartiteRemovalReport(
-                not listed, tuple(listed[:MAX_LISTED_VIOLATIONS]), len(listed), len(kept)
-            )
-            assert check_bipartite_removal_property(g, cap) == expected
+        listed = [u.vertices for u, bad in subsets if bad]
+        expected = BipartiteRemovalReport(
+            not listed, tuple(listed[:MAX_LISTED_VIOLATIONS]), len(listed), len(subsets)
+        )
+        assert check_bipartite_removal_property(g) == expected

@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 import sympy
 
-from _gen import gnp, random_bipartite_graphs, random_graphs
+from _gen import brute_triangle_count, gnp, random_bipartite_graphs, random_graphs
 import sqenergy.spectral as spectral
 from sqenergy.errors import ContractViolation, NumericError
 from sqenergy.families import complete, cycle, path, petersen, star, star_plus_edge
 from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
-from sqenergy.oracles import triangle_count_exact
 from sqenergy.spectral import (
     Spectrum,
-    eigen_decompose_symmetric,
     graph_inertia,
     inertia,
     numeric_tolerance,
@@ -25,38 +23,42 @@ from sqenergy.spectral import (
     eigen_decompose_stack,
     spectrum,
     square_energies,
-    triangle_count_spectral,
 )
 
 
+def _decompose(mat, m):
+    """One matrix with m edges as a stack of one, its error raised."""
+    [out] = eigen_decompose_stack(np.asarray(mat, dtype=np.float64)[None], [m])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def test_eigen_examples():
-    spec, vecs = eigen_decompose_symmetric(np.diag([3.0, 1.0, -2.0]))
-    assert np.allclose(spec.values, [3.0, 1.0, -2.0])
-    spec, _ = eigen_decompose_symmetric(complete(2).adjacency_matrix())
+    spec, _, report = _decompose(complete(4).adjacency_matrix(), 6)
+    assert np.allclose(spec.values, [3.0, -1.0, -1.0, -1.0])
+    assert (report.s_plus, report.m) == (pytest.approx(9.0), 6)
+    spec, _, _ = _decompose(complete(2).adjacency_matrix(), 1)
     assert np.allclose(spec.values, [1.0, -1.0])
-    spec, _ = eigen_decompose_symmetric(path(3).adjacency_matrix())
+    spec, _, _ = _decompose(path(3).adjacency_matrix(), 2)
     assert np.allclose(spec.values, [math.sqrt(2), 0.0, -math.sqrt(2)])
 
 
 def test_eigen_contracts():
-    with pytest.raises(ContractViolation):
-        eigen_decompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ContractViolation):
-        eigen_decompose_symmetric(np.zeros((2, 3)))
-    with pytest.raises(ContractViolation, match="expected a stack of square matrices"):
-        eigen_decompose_stack(np.zeros((2, 3)))
+    with pytest.raises(ContractViolation, match="not symmetric"):
+        _decompose([[0.0, 1.0], [0.0, 0.0]], 1)
+    for shape in ((2, 3), (1, 2, 3)):
+        with pytest.raises(ContractViolation, match="expected a stack of square matrices"):
+            eigen_decompose_stack(np.zeros(shape), [0])
     for bad in (math.nan, math.inf):
         for mat in ([[0.0, bad], [bad, 0.0]], [[bad, 0.0], [0.0, 1.0]]):
             with pytest.raises(ContractViolation, match="non-finite"):
-                eigen_decompose_symmetric(mat)
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        n = int(rng.integers(1, 15))
-        mat = rng.standard_normal((n, n))
-        mat = (mat + mat.T) / 2.0
-        spec, vecs = eigen_decompose_symmetric(mat)
+                _decompose(mat, 1)
+    for g in random_graphs(seed=42, count=20, n_max=14):
+        mat = g.adjacency_matrix()
+        spec, vecs, _ = _decompose(mat, g.m)
         assert list(spec.values) == sorted(spec.values, reverse=True)
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-10
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(g.n))) < 1e-10
         assert spec.residual_bound <= 1e-10 * max(1.0, np.linalg.norm(mat))
 
 
@@ -65,7 +67,7 @@ def test_a_nan_residual_fails_the_residual_check(monkeypatch):
         np.linalg, "eigh", lambda mats: (np.full(mats.shape[:-1], np.nan), np.eye(2) + 0 * mats)
     )
     with pytest.raises(NumericError, match="residual nan exceeds"):
-        eigen_decompose_symmetric(np.eye(2))
+        _decompose(complete(2).adjacency_matrix(), 1)
 
 
 def test_spectrum_examples():
@@ -227,13 +229,18 @@ def test_inertia_examples():
 
 
 def test_triangle_count_spectral():
-    assert abs(triangle_count_spectral(spectrum(complete(3))) - 1.0) < 1e-9
-    assert abs(triangle_count_spectral(spectrum(complete(4))) - 4.0) < 1e-9
-    assert abs(triangle_count_spectral(spectrum(cycle(6)))) < 1e-9
+    # tr(A^3) / 6, a sixth of the third spectral moment, counts triangles.
+    def spectral_count(g):
+        return float(np.sum(np.power(np.array(spectrum(g).values), 3))) / 6.0
+
+    for g, count in ((complete(3), 1), (complete(4), 4), (complete(6), 20),
+                     (cycle(6), 0), (petersen(), 0)):
+        assert brute_triangle_count(g) == count
+        assert abs(spectral_count(g) - count) < 1e-9
     for n in range(1, 8):
         for g in enumerate_graphs(n):
-            got = triangle_count_spectral(spectrum(g))
-            assert abs(got - triangle_count_exact(g)) < 1e-6
+            got = spectral_count(g)
+            assert abs(got - brute_triangle_count(g)) < 1e-6
             if is_bipartite(g):
                 assert abs(got) < 1e-9
 
@@ -315,7 +322,7 @@ def test_shared_eigenvectors_are_read_only():
 def test_graph_level_functions_equal_a_fresh_decomposition(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
     for g in graphs:
-        spec, vecs = eigen_decompose_symmetric(g.adjacency_matrix())
+        spec, vecs, _ = _decompose(g.adjacency_matrix(), g.m)
         values = np.array(spec.values)
         tau = numeric_tolerance(g.n)
         plus, minus = values > tau, values < -tau
@@ -330,11 +337,11 @@ def _bits(*arrays):
     return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays)
 
 
-def _decomposition_bits(spec, vecs, report=None):
-    parts = [spec.values, [spec.residual_bound], vecs]
-    if report is not None:
-        parts.append([report.s_plus, report.s_minus, report.energy, report.m])
-    return _bits(*parts)
+def _decomposition_bits(spec, vecs, report):
+    return _bits(
+        spec.values, [spec.residual_bound], vecs,
+        [report.s_plus, report.s_minus, report.energy, report.m],
+    )
 
 
 def test_a_stacked_decomposition_equals_stacks_of_one():
@@ -347,14 +354,10 @@ def test_a_stacked_decomposition_equals_stacks_of_one():
     for graphs in groups:
         mats = np.stack([g.adjacency_matrix() for g in graphs])
         stacked = spectral.eigen_decompose_stack(mats, [g.m for g in graphs])
-        general = spectral.eigen_decompose_stack(mats)
-        for g, mat, got, got_general in zip(graphs, mats, stacked, general):
+        for g, mat, got in zip(graphs, mats, stacked):
             [alone] = spectral.eigen_decompose_stack(mat[None], [g.m])
             assert _decomposition_bits(*got) == _decomposition_bits(*alone)
             assert not got[1].flags.writeable
-            want_general = eigen_decompose_symmetric(mat)
-            assert _decomposition_bits(*got_general) == _decomposition_bits(*want_general)
-            assert _decomposition_bits(*want_general) == _decomposition_bits(*got[:2])
 
 
 def test_seeded_decompositions_equal_a_graph_decomposed_alone():
