@@ -4,14 +4,19 @@ exhaustive enumeration of small graphs up to isomorphism.
 Vertices are integers ``0..n-1``. Adjacency is stored as one Python-int bitset
 per vertex, so structural algorithms (components, subset searches, canonical
 forms) run on plain integer arithmetic and every value is immutable and
-hashable. A graph6 column is converted to or from its row bitset whole, as a
-bit string, and components and 2-colorings share one breadth-first layer
-walk. Each isomorphism class is represented by its canonical form, the
-relabeling with the least column-major upper-triangle key, found by a search
-that builds only the partial orders whose next column ties the least. The
-classes on n vertices are generated in ascending key order from those on
-n - 1, and a last column that a one-vertex swap or an automorphism of the
-parent maps lower is refused before the canonical search.
+hashable. ``Graph(n, adj)`` checks its rows; ``Graph.from_edges`` checks each
+edge and then builds its rows valid; the graph6 parser, the graph algebra,
+canonical forms and enumeration also build valid rows, and skip the check
+through the private ``Graph._from_valid_rows``, which no other module calls.
+A graph6 column is converted to or from its row bitset whole, as a bit
+string, and components and 2-colorings share one breadth-first layer walk.
+Each isomorphism class is represented by its canonical form, the relabeling
+with the least column-major upper-triangle key, found by a search that builds
+only the partial orders whose next column ties the least. The classes on n
+vertices are generated in ascending key order from those on n - 1: a last
+column that a one-vertex swap or an automorphism of the parent maps lower is
+refused before the search, and the search, told the candidate's own key, stops
+at the first order that beats it.
 """
 
 from __future__ import annotations
@@ -91,10 +96,27 @@ class Graph:
         return hash((self.n, self.adj))
 
     @classmethod
+    def _from_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph on rows that the caller built valid, as ``__post_init__``
+        would accept them: ``n`` an int >= 0 and ``adj`` a tuple of n
+        symmetric loop-free int rows. Nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on n vertices with ``edges``. Each edge is checked in
+        input order; then a self-loop is refused at its least vertex, then a
+        negative n (which refuses any edge first, as out of range)."""
         n = _vertex_count(n)
         rows = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ContractViolation(f"edge {edge!r} is not a pair of vertices") from None
             try:
                 u, v = operator.index(u), operator.index(v)
             except TypeError as exc:
@@ -103,7 +125,12 @@ class Graph:
                 raise ContractViolation(f"edge ({u}, {v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        for i, row in enumerate(rows):
+            if row >> i & 1:
+                raise ContractViolation(f"self-loop at vertex {i}")
+        if n < 0:
+            raise ContractViolation(f"vertex count must be >= 0, got {n}")
+        return cls._from_valid_rows(n, tuple(rows))
 
     @cached_property
     def m(self) -> int:
@@ -269,7 +296,7 @@ def parse_graph6(line: str) -> Graph:
         rows[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
         for i in _iter_bits(rows[j]):
             rows[i] |= 1 << j
-    return Graph(n, tuple(rows))
+    return Graph._from_valid_rows(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +324,25 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
             f"vertex set over {s.ambient_n} vertices applied to graph on {g.n}"
         )
     verts = s.vertices
-    return Graph(len(verts), _induced_rows(g.adj, verts))
+    return Graph._from_valid_rows(len(verts), _induced_rows(g.adj, verts))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     if not 0 <= v < g.n:
         raise ContractViolation(f"vertex {v} out of range for n={g.n}")
     keep = [u for u in range(g.n) if u != v]
-    return Graph(g.n - 1, _induced_rows(g.adj, keep))
+    return Graph._from_valid_rows(g.n - 1, _induced_rows(g.adj, keep))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((~g.adj[i]) & full & ~(1 << i) for i in range(g.n))
-    return Graph(g.n, rows)
+    return Graph._from_valid_rows(g.n, rows)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._from_valid_rows(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -324,7 +351,7 @@ def join(g: Graph, h: Graph) -> Graph:
     high = ((1 << h.n) - 1) << g.n
     rows = [row | high for row in g.adj]
     rows += [(row << g.n) | low for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._from_valid_rows(g.n + h.n, tuple(rows))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -335,7 +362,7 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     old = [0] * g.n
     for i, p in enumerate(perm):
         old[p] = i
-    return Graph(g.n, _induced_rows(g.adj, old))
+    return Graph._from_valid_rows(g.n, _induced_rows(g.adj, old))
 
 
 def _layers(adj: Sequence[int], domain: int) -> Iterator[tuple[int, int]]:
@@ -431,25 +458,34 @@ def isolated_vertices(g: Graph) -> list[int]:
 #
 # The columns are fixed-width and concatenated, so the least key is found
 # level by level: keep every partial order whose key prefix is least, and
-# extend it only by the remaining vertices of least column. The remaining
-# vertices are kept in cells of equal column, so a child's next column is that
-# of its first remaining cell: the rest of its parent's first cell, or the
-# second cell when the chosen vertex was alone in the first. It is read before
-# the child is split into cells, and only the children whose next column ties
-# the least one seen at that level are built; a lower column drops those built
-# before it. Twins (vertices whose neighbourhoods agree outside the pair) are
-# interchangeable: swapping two remaining twins is an automorphism that fixes
-# the chosen prefix, so only the least of them is branched on. Without that,
-# empty and complete graphs would branch n! ways.
+# extend it only by the remaining vertices of least column, its first cell. A
+# child's next column is the least column of the vertices it leaves: those of
+# its parent's first cell, or, when the chosen vertex was alone there, the
+# least of the others, found once per parent by one walk along its order. It
+# is read before the child is built, and only the children whose next column
+# ties the least one seen at that level are built; a lower column drops those
+# built before it. Twins (vertices whose neighbourhoods agree outside the
+# pair) are interchangeable: swapping two remaining twins is an automorphism
+# that fixes the chosen prefix, so only the least of them is branched on.
+# Without that, empty and complete graphs would branch n! ways. Open twins
+# share a row and closed twins share a row with their own bit set, so one
+# pass with two dicts finds every vertex's lower twins.
+#
+# Given the key of some order, the target, the search answers only whether
+# it is the least. Every kept prefix is then the target's, so each level's
+# least column starts at the target's column: a child above it is never built,
+# and the first child below it means some order beats the target, so the
+# search stops there. A target that is least gets the same key and orders as
+# the search without one.
 #
 # The key is hereditary: a canonical graph's key without its last column is
 # the key of the graph with its last vertex deleted, and that key must be
 # least too, so the parent is canonical. Every class on n vertices therefore
 # extends a canonical parent on n-1 vertices by a last column, and is kept
 # exactly when that extension is its own canonical form (Read's orderly
-# generation). Parents in ascending key order, each with ascending last
-# columns, give the classes in ascending key order with no store of the
-# classes already seen.
+# generation): the search, given the candidate's own key as its target.
+# Parents in ascending key order, each with ascending last columns, give the
+# classes in ascending key order with no store of the classes already seen.
 #
 # Most last columns are refused before the search. Swapping the new vertex
 # v_{n-1} with v_j leaves columns 0..j-1 alone and makes column j the top j
@@ -473,31 +509,59 @@ def isolated_vertices(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, list[tuple[int, ...]]]:
+def _least_cell(adj: Sequence[int], order: tuple[int, ...], vertices: int) -> tuple[int, int]:
+    """The least column of ``vertices`` against ``order``, and the vertices
+    that have it: a vertex that ``order[i]`` misses beats one it does not."""
+    col = 0
+    for u in order:
+        missed = vertices & ~adj[u]
+        if missed:
+            col, vertices = col << 1, missed
+        else:
+            col = col << 1 | 1
+    return col, vertices
+
+
+def _canonical_search(
+    adj: Sequence[int], n: int, target: int | None = None
+) -> tuple[int, list[tuple[int, ...]]] | None:
     """Least key of the graph on rows ``adj`` and vertex orders reaching it:
     each branch the search kept, then the first of them with each vertex that
-    has a lower twin swapped with the least one."""
+    has a lower twin swapped with the least one. Given the key ``target`` of
+    some order of the graph, None when the least key is below it."""
     if n > CANONICAL_MAX_N:
         raise BudgetExceeded(f"canonical form supported for n <= {CANONICAL_MAX_N}")
     if n < 2:
         return 0, [tuple(range(n))]
-    # Bit w of lower_twins[u] is set for each twin w < u.
-    lower_twins = [
-        sum(1 << w for w in range(u) if not (adj[u] ^ adj[w]) & ~(1 << u | 1 << w))
-        for u in range(n)
-    ]
-    # Each node is a chosen order and its remaining vertices grouped by their
-    # column against that order, as (column, mask) cells in ascending column.
-    # Every node of a level has the level's least column ``best`` at its head.
-    nodes = [((), [(0, (1 << n) - 1)])]
+    # Bit w of lower_twins[u] is set for each twin w < u. Open twins share a
+    # row, closed twins share a row with their own bit set.
+    lower_twins = []
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] = {}
+    for u, row in enumerate(adj):
+        bit = 1 << u
+        lower_twins.append(open_rows.get(row, 0) | closed_rows.get(row | bit, 0))
+        open_rows[row] = open_rows.get(row, 0) | bit
+        closed_rows[row | bit] = closed_rows.get(row | bit, 0) | bit
+    # Each node is a chosen order, its remaining vertices, and those of them
+    # whose column against the order is least: the level's least column
+    # ``best``, the same at every node of a level.
+    nodes = [((), (1 << n) - 1, (1 << n) - 1)]
     key = best = 0
+    width = n * (n - 1) // 2
     for level in range(n - 1):
         key = key << level | best
-        # Heads of the next level are level + 1 bits wide, so none reaches this.
-        least = 1 << (level + 1)
+        if target is None:
+            # Heads of the next level are level + 1 bits wide, so none reaches this.
+            least = 1 << (level + 1)
+        else:
+            # Every node's prefix is the target's, so the least head is at
+            # most the target's next column, and any head below it beats it.
+            width -= level + 1
+            least = target >> width & ((1 << (level + 1)) - 1)
         children = []
-        for order, cells in nodes:
-            first = cells[0][1]
+        for order, remaining, first in nodes:
+            second = None
             rest = first
             while rest:
                 low = rest & -rest
@@ -506,32 +570,33 @@ def _canonical_search(adj: Sequence[int], n: int) -> tuple[int, list[tuple[int, 
                 # Twins share a column, so a remaining lower twin is in ``first``.
                 if lower_twins[v] & first:
                     continue
-                row = adj[v]
-                off = ~(row | low)  # the vertices other than v that v misses
-                # The child's head is the column of its first remaining cell,
-                # the rest of ``first`` or else the second cell, extended by 0
-                # if v misses a vertex of that cell and by 1 if not.
-                mask = first ^ low
-                if mask:
-                    head = best << 1 | (not mask & off)
+                # The child's head is the least column of the vertices left
+                # after v: the rest of ``first`` if any, else the least of the
+                # others, found once per node; extended by 0 if v misses one
+                # of them and by 1 if not.
+                cell = first ^ low
+                if cell:
+                    col = best
                 else:
-                    col, mask = cells[1]
-                    head = col << 1 | (not mask & off)
+                    if second is None:
+                        second = _least_cell(adj, order, remaining ^ first)
+                    col, cell = second
+                missed = cell & ~adj[v]
+                if missed:
+                    head, cell = col << 1, missed
+                else:
+                    head = col << 1 | 1
                 if head > least:
                     continue
                 if head < least:
+                    if target is not None:
+                        return None
                     least, children = head, []
-                split = []
-                for col, mask in cells:
-                    if mask & off:
-                        split.append((col << 1, mask & off))
-                    if mask & row:
-                        split.append((col << 1 | 1, mask & row))
-                children.append((order + (v,), split))
+                children.append((order + (v,), remaining ^ low, cell))
         nodes, best = children, least
-    # One vertex remains, alone in its cell.
+    # One vertex remains.
     key = key << (n - 1) | best
-    orders = [order + (cells[0][1].bit_length() - 1,) for order, cells in nodes]
+    orders = [order + (remaining.bit_length() - 1,) for order, remaining, _ in nodes]
     for u, twins in enumerate(lower_twins):
         if twins:
             w = (twins & -twins).bit_length() - 1
@@ -547,7 +612,7 @@ def canonical_key(g: Graph) -> int:
 
 def canonical_form(g: Graph) -> Graph:
     """Representative of g's isomorphism class with the least key."""
-    return Graph(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1][0]))
+    return Graph._from_valid_rows(g.n, _induced_rows(g.adj, _canonical_search(g.adj, g.n)[1][0]))
 
 
 def _least_unbeaten_column(key: int, n: int) -> int:
@@ -620,12 +685,14 @@ def _isomorphism_classes(
             nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
             rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
             rows += (nbrs,)
-            found, orders = _canonical_search(rows, n)
-            if found == base | c:
+            # The identity order's key is base | c, so the search stops at the
+            # first order that beats it.
+            found = _canonical_search(rows, n, base | c)
+            if found is not None:
                 # The identity reaches the least key, so every order that
                 # does is an automorphism of rows. Only the classes one
                 # vertex larger read them, so the largest classes keep none.
-                kept = () if n == CANONICAL_MAX_N else tuple(o for o in orders if o != identity)
+                kept = () if n == CANONICAL_MAX_N else tuple(o for o in found[1] if o != identity)
                 classes.append((base | c, rows, kept))
     return tuple(classes)
 
@@ -643,7 +710,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
     def stream() -> Iterator[Graph]:
         for _, rows, _ in _isomorphism_classes(n):
-            g = Graph(n, rows)
+            g = Graph._from_valid_rows(n, rows)
             if not connected_only or is_connected(g):
                 yield g
 

@@ -77,6 +77,49 @@ def test_edges_take_any_integer_type_and_refuse_other_endpoints():
         Graph.from_edges(3, [(0, 1.0)])
     with pytest.raises(ContractViolation, match="non-integer endpoint"):
         Graph.from_edges(3, [("0", 1)])
+    for edge, shown in (((0, 1, 2), r"\(0, 1, 2\)"), (5, "5"), ((1,), r"\(1,\)")):
+        with pytest.raises(ContractViolation, match=rf"^edge {shown} is not a pair of vertices$"):
+            Graph.from_edges(3, [(0, 1), edge])
+    # Edges are refused in input order, whatever the fault; then a self-loop
+    # at its least vertex; then a negative vertex count.
+    with pytest.raises(ContractViolation, match=r"edge \(0, 5\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 5), (0, 1, 2)])
+    with pytest.raises(ContractViolation, match=r"edge \(0, 1, 2\) is not a pair"):
+        Graph.from_edges(3, [(0, 1, 2), (0, 5)])
+    with pytest.raises(ContractViolation, match="^self-loop at vertex 1$"):
+        Graph.from_edges(4, [(3, 3), (1, 1)])
+    with pytest.raises(ContractViolation, match="^self-loop at vertex 2$"):
+        Graph.from_edges(4, [(2, 2), (0, 1), (1, 0)])
+    with pytest.raises(ContractViolation, match="^vertex count must be >= 0, got -1$"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ContractViolation, match=r"^edge \(0, 1\) out of range for n=-1$"):
+        Graph.from_edges(-1, [(0, 1)])
+
+
+def test_graphs_built_from_valid_rows_equal_the_checked_constructor():
+    rng = np.random.default_rng(31)
+    built = []
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            built += [g, parse_graph6(write_graph6(g))]
+    built.append(Graph.from_edges(0, []))
+    for _ in range(60):
+        n = int(rng.integers(1, 90))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        built.append(Graph.from_edges(n, [(u, v) for u, v in pairs.tolist() if u != v]))
+    algebra = []
+    for g, h in zip(built, built[1:] + built[:1]):
+        algebra += [complement(g), join(g, h), disjoint_union(g, h)]
+        algebra.append(relabel(g, rng.permutation(g.n)))
+        kept = VertexSet.of(np.flatnonzero(rng.random(g.n) < 0.5).tolist(), g.n)
+        algebra.append(induced_subgraph(g, kept))
+        if g.n:
+            algebra.append(delete_vertex(g, int(rng.integers(0, g.n))))
+        if g.n <= 8:
+            algebra.append(canonical_form(g))
+    for g in built + algebra:
+        checked = Graph(g.n, g.adj)
+        assert type(g.n) is int and checked == g and hash(checked) == hash(g), g
 
 
 def test_a_float_vertex_count_is_refused():
@@ -481,19 +524,42 @@ def test_canonical_search_returns_its_specified_key_and_orders():
             assert _canonical_search(adj, n) == _specified_search(adj, n), (n, adj)
 
 
+def test_a_bounded_search_refuses_exactly_the_candidates_a_full_search_beats():
+    # Every last column of every parent class on up to 6 vertices, as orderly
+    # generation would build it before its two pre-tests.
+    candidates = 0
+    for n in range(2, 8):
+        for key, parent, _ in _isomorphism_classes(n - 1):
+            base = key << (n - 1)
+            for c in range(1 << (n - 1)):
+                nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
+                rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
+                rows += (nbrs,)
+                full = _canonical_search(rows, n)
+                bounded = _canonical_search(rows, n, base | c)
+                if full[0] == base | c:
+                    assert bounded == full, (n, rows)
+                else:
+                    assert full[0] < base | c and bounded is None, (n, rows)
+                candidates += 1
+    assert candidates == 11290
+
+
 def test_a_cold_generation_up_to_n7_searches_1548_candidates():
     # A fresh interpreter, so the cached classes of this one stay as they are.
     # The count goes through the module attribute, as the bench tracer's does.
     code = (
         "import json\n"
         "from sqenergy import graphs\n"
-        "search, counts = graphs._canonical_search, [0] * 8\n"
-        "def counted(adj, n):\n"
+        "search, counts, rejected = graphs._canonical_search, [0] * 8, [0] * 8\n"
+        "def counted(adj, n, target=None):\n"
         "    counts[n] += 1\n"
-        "    return search(adj, n)\n"
+        "    found = search(adj, n, target)\n"
+        "    rejected[n] += found is None\n"
+        "    return found\n"
         "graphs._canonical_search = counted\n"
         "graphs._isomorphism_classes(7)\n"
-        "print(json.dumps(counts[2:]))\n"
+        "print(json.dumps([counts[2:], rejected[2:]]))\n"
     )
     src = str(Path(sqenergy.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -501,9 +567,12 @@ def test_a_cold_generation_up_to_n7_searches_1548_candidates():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout)
+    counts, rejected = json.loads(done.stdout)
     assert counts == [2, 4, 11, 36, 184, 1311]
     assert sum(counts) == 1548
+    # Every search that keeps no class stops at the first order that beats
+    # its candidate: the searches less the classes on 2..7 vertices.
+    assert rejected == [0, 0, 0, 2, 28, 267]
 
 
 def _symmetric_graphs_on_8():
