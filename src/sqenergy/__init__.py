@@ -19,7 +19,6 @@ from .bounds import (
     certify_s_plus_pipeline,
     conjecture_checks,
     energy_wall_check,
-    join_complement_spectrum_check,
 )
 from .errors import (
     BudgetExceeded,
@@ -77,10 +76,8 @@ from .harness import (
     run,
 )
 from .oracles import (
-    BipartiteRemovalReport,
     CutReport,
     DominationCertificate,
-    P3CutVertexReport,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
     cut_vertices,

@@ -12,8 +12,8 @@ the library functions. Those that several bounds read (the decomposition,
 the default-band square energies and the max cut) are kept per live graph,
 so a sweep computes them once per graph for all bounds. ``sdp-min`` reads
 the split halves and the energies and reports how far the halves miss the
-minimization form. ``BOUNDS`` maps each ``--set`` name to its bound, called
-with the graph and the exact-search budget.
+minimization form. ``BOUNDS`` maps each ``--set`` name to its bound, a
+function of the graph alone; the exact searches take their default budget.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVe
     ]
 
 
-def _sdp_min(g: Graph, budget_n: int) -> list[BoundVerdict]:
+def _sdp_min(g: Graph) -> list[BoundVerdict]:
     """The split halves attain the PSD minimization form of s+ and s-:
     ||A + A-||^2 = s+ and ||A - A+||^2 = s- within the global tolerance. That
     no PSD M does better is the theorem, not a property of the graph."""
@@ -308,7 +308,7 @@ def _sdp_min(g: Graph, budget_n: int) -> list[BoundVerdict]:
     return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, holds, {"equality_gap": gap})]
 
 
-def _removal(g: Graph, budget_n: int) -> list[BoundVerdict]:
+def _removal(g: Graph) -> list[BoundVerdict]:
     """Some vertex of the first induced 3-vertex path drops s- by at least
     1 + ``REMOVAL_STRICTNESS``, and some drops s+ by as much; not applicable
     without such a path."""
@@ -323,45 +323,21 @@ def _removal(g: Graph, budget_n: int) -> list[BoundVerdict]:
     return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, holds, fields)]
 
 
-def join_complement_spectrum_check(h: Graph) -> BoundVerdict:
-    """Spectrum identity for the join of two complement copies of a regular
-    graph: apart from its top eigenvalue, the join's spectrum is the multiset
-    {-lambda - 1} over the base spectrum, doubled except for one copy of the
-    top base eigenvalue."""
-    from .families import join_complement
-
-    if h.n < 1:
-        raise ContractViolation("base graph must have at least one vertex")
-    big = join_complement(h)
-    actual = sorted(spectrum(big).values[1:])
-    base = spectrum(h).values
-    expected = [-lam - 1.0 for lam in base] * 2
-    expected.remove(-base[0] - 1.0)
-    expected.sort()
-    deviation = max(
-        (abs(a - b) for a, b in zip(actual, expected)), default=0.0
-    ) if len(actual) == len(expected) else float("inf")
-    return _verdict(
-        "join-complement-spectrum", 0.0, deviation, big.n,
-        {"expected": expected, "actual": actual},
-    )
-
-
-# Every bound a sweep can select, in `--set all` order, as a function of the
-# graph and the exact-search budget.
-BOUNDS: dict[str, Callable[[Graph, int], list[BoundVerdict]]] = {
-    "efgw": lambda g, budget_n: [bound_efgw(g)],
-    "domination": lambda g, budget_n: [bound_domination(g, budget_n)],
-    "inertia": lambda g, budget_n: [bound_inertia(g)],
-    "dominating-vertex": lambda g, budget_n: [bound_dominating_vertex(g)],
-    "triangle": lambda g, budget_n: [bound_triangle(g)],
-    "ratio": lambda g, budget_n: [bound_ratio(g)],
-    "regular": lambda g, budget_n: [bound_regular(g)],
-    "alon-boppana": lambda g, budget_n: [bound_alon_boppana(g)],
-    "surplus": lambda g, budget_n: [bound_surplus(g, budget_n)],
-    "pipeline": lambda g, budget_n: [certify_s_plus_pipeline(g)],
-    "energy-wall": lambda g, budget_n: [energy_wall_check(g)],
-    "conjectures": lambda g, budget_n: conjecture_checks(g, budget_n),
+# Every bound a sweep can select, in `--set all` order, each a function of
+# the graph alone.
+BOUNDS: dict[str, Callable[[Graph], list[BoundVerdict]]] = {
+    "efgw": lambda g: [bound_efgw(g)],
+    "domination": lambda g: [bound_domination(g)],
+    "inertia": lambda g: [bound_inertia(g)],
+    "dominating-vertex": lambda g: [bound_dominating_vertex(g)],
+    "triangle": lambda g: [bound_triangle(g)],
+    "ratio": lambda g: [bound_ratio(g)],
+    "regular": lambda g: [bound_regular(g)],
+    "alon-boppana": lambda g: [bound_alon_boppana(g)],
+    "surplus": lambda g: [bound_surplus(g)],
+    "pipeline": lambda g: [certify_s_plus_pipeline(g)],
+    "energy-wall": lambda g: [energy_wall_check(g)],
+    "conjectures": conjecture_checks,
     "sdp-min": _sdp_min,
     "removal": _removal,
 }

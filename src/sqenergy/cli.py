@@ -25,14 +25,13 @@ from .harness import (
     RecordWriter,
     RunConfig,
     RunSummary,
-    check_budget_n,
     filter_minimal_counterexample_candidates,
     graph_fields,
     open_out,
     resolve_source,
     run,
 )
-from .oracles import SEARCH_BUDGET_N, domination_number
+from .oracles import domination_number
 from .partitions import (
     certify_superadditivity,
     degree_class_partition,
@@ -46,8 +45,6 @@ _OPTIONS = {
     "--jobs": {"type": int, "default": 1, "help": "worker processes"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--out": {"default": "-", "help": "output path, '-' for stdout"},
-    "--budget-n": {"type": int, "default": SEARCH_BUDGET_N,
-                   "help": "max n for exact exponential oracles"},
 }
 
 
@@ -117,7 +114,7 @@ def _sweep(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     bounds = tuple(args.set.split(","))
-    return _sweep(args, RunConfig(args.source, bounds, args.jobs, args.budget_n))
+    return _sweep(args, RunConfig(args.source, bounds, args.jobs))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -133,13 +130,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    check_budget_n(args.budget_n)
-
     def fields(g: Graph) -> dict[str, Any]:
         if args.method == "star-clique":
             partition = star_clique_partition(g)
         elif args.method == "domination":
-            partition = domination_partition(g, domination_number(g, args.budget_n))
+            partition = domination_partition(g, domination_number(g))
         else:
             partition = degree_class_partition(g)
         certificate = certify_superadditivity(g, partition)
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", default="all",
         help=f"comma-separated bound names or 'all' ({', '.join(ALL_BOUND_NAMES)})",
     )
-    _add_options(p, "--jobs", "--format", "--out", "--budget-n")
+    _add_options(p, "--jobs", "--format", "--out")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("enumerate", help="stream graph6 lines, one per class")
@@ -239,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=("star-clique", "domination", "degree-class"), required=True
     )
-    _add_options(p, "--format", "--out", "--budget-n")
+    _add_options(p, "--format", "--out")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gq", help="generalized-quadrangle graph summary")

@@ -43,11 +43,13 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _vertex_count(n: int) -> int:
+def _integer(value: int, what: str) -> int:
+    """``value`` as an int, refusing floats, strings and other non-integers;
+    numpy integers are accepted."""
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError as exc:
-        raise ContractViolation(f"vertex count must be an integer, got {n!r}") from exc
+        raise ContractViolation(f"{what} must be an integer, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _vertex_count(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "vertex count"))
         if self.n < 0:
             raise ContractViolation(f"vertex count must be >= 0, got {self.n}")
         if not isinstance(self.adj, tuple):
@@ -110,7 +112,7 @@ class Graph:
         """The graph on n vertices with ``edges``. Each edge is checked in
         input order; then a self-loop is refused at its least vertex, then a
         negative n (which refuses any edge first, as out of range)."""
-        n = _vertex_count(n)
+        n = _integer(n, "vertex count")
         rows = [0] * n
         for edge in edges:
             try:
@@ -182,6 +184,7 @@ class VertexSet:
     def of(cls, vertices: Iterable[int], ambient_n: int) -> "VertexSet":
         mask = 0
         for v in vertices:
+            v = _integer(v, "vertex")
             if not 0 <= v < ambient_n:
                 raise ContractViolation(f"vertex {v} outside 0..{ambient_n - 1}")
             mask |= 1 << v
@@ -328,6 +331,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
+    v = _integer(v, "vertex")
     if not 0 <= v < g.n:
         raise ContractViolation(f"vertex {v} out of range for n={g.n}")
     keep = [u for u in range(g.n) if u != v]
@@ -356,7 +360,7 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Graph with vertex ``i`` renamed to ``perm[i]``."""
-    perm = [int(p) for p in perm]
+    perm = [_integer(p, "vertex") for p in perm]
     if sorted(perm) != list(range(g.n)):
         raise ContractViolation("perm must be a permutation of 0..n-1")
     old = [0] * g.n

@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -39,11 +40,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .oracles import (
-    SEARCH_BUDGET_N,
-    check_bipartite_removal_property,
-    check_p3_cut_vertex_property,
-)
+from .oracles import check_bipartite_removal_property, check_p3_cut_vertex_property
 from .sdp import decompose_deletions
 from .spectral import STACK_MAX_ENTRIES, decompose_graphs
 
@@ -173,22 +170,16 @@ _NULL_FIELDS = {"applicable": False, "informational": False,
                 "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
-def evaluate_bound(name: str, g: Graph, budget_n: int) -> list[BoundVerdict]:
+def evaluate_bound(name: str, g: Graph) -> list[BoundVerdict]:
     """The verdicts of one registered bound on one graph."""
-    return BOUNDS[name](g, budget_n)
+    return BOUNDS[name](g)
 
 
-# One graph's work: its input index, the graph, the bound names and the
-# exact-search budget.
-Task = tuple[int, Graph, tuple[str, ...], int]
-
-
-def evaluate_graph(task: Task) -> list[dict[str, Any]]:
+def evaluate_graph(index: int, g: Graph, names: tuple[str, ...]) -> list[dict[str, Any]]:
     """Evaluate the selected bounds on one graph, whose spectra and shared
     oracle results are computed once for all of them; preconditions that the
     graph does not meet become per-bound 'skipped' records and numeric
     failures per-bound 'error' records, never fatal errors."""
-    index, g, names, budget_n = task
     head = graph_fields(index, g)
     records: list[dict[str, Any]] = []
     for name in names:
@@ -197,7 +188,7 @@ def evaluate_graph(task: Task) -> list[dict[str, Any]]:
                 {**head, "name": v.bound_name, "status": "ok", "applicable": v.applicable,
                  "informational": v.informational, "lhs": v.lhs, "rhs": v.rhs,
                  "slack": v.slack, "holds": v.holds, "witness": v.witness, "reason": None}
-                for v in evaluate_bound(name, g, budget_n)
+                for v in evaluate_bound(name, g)
             ]
         except (ContractViolation, BudgetExceeded) as exc:
             records.append({**head, "name": name, "status": "skipped", **_NULL_FIELDS,
@@ -208,22 +199,26 @@ def evaluate_graph(task: Task) -> list[dict[str, Any]]:
     return records
 
 
-def evaluate_block(tasks: list[Task]) -> Iterator[list[dict[str, Any]]]:
-    """The records of consecutive graphs, one ``evaluate_graph`` list per
-    graph, made lazily once the graphs of each vertex count have been
-    decomposed by shared stacked eigensolves, and, when ``removal`` is
-    selected, the vertex deletions of each graph's first induced 3-vertex
-    path as well."""
-    stacks = decompose_graphs(task[1] for task in tasks)
-    if stacks and "removal" in tasks[0][2]:
+def evaluate_block(
+    names: tuple[str, ...], block: list[tuple[int, Graph]]
+) -> Iterator[list[dict[str, Any]]]:
+    """The records of consecutive ``(index, graph)`` pairs, one
+    ``evaluate_graph`` list per graph, made lazily once the graphs of each
+    vertex count have been decomposed by shared stacked eigensolves, and,
+    when ``removal`` is selected, the vertex deletions of each graph's first
+    induced 3-vertex path as well."""
+    stacks = decompose_graphs(g for _, g in block)
+    if "removal" in names:
         for graphs, mats in stacks:
             decompose_deletions(graphs, mats, [first_induced_p3(g) for g in graphs])
-    return map(evaluate_graph, tasks)
+    return (evaluate_graph(index, g, names) for index, g in block)
 
 
-def _block_records(tasks: list[Task]) -> list[list[dict[str, Any]]]:
+def _block_records(
+    names: tuple[str, ...], block: list[tuple[int, Graph]]
+) -> list[list[dict[str, Any]]]:
     """``evaluate_block`` read to the end, for a worker to send back."""
-    return list(evaluate_block(tasks))
+    return list(evaluate_block(names, block))
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +285,20 @@ class RecordWriter:
 # ---------------------------------------------------------------------------
 
 
-def check_budget_n(budget_n: int) -> None:
-    """Refuse a negative exact-search budget, which no graph fits."""
-    if budget_n < 0:
-        raise ContractViolation(f"budget_n must be >= 0, got {budget_n}")
-
-
 @dataclass
 class RunConfig:
-    """One sweep: a graph source, a bound selection, the worker count and the
-    exact-search budget. The record sink is passed to ``run`` separately. The
-    worker count, budget and bound names are checked on construction; ``run``
-    resolves a source string afresh on each call."""
+    """One sweep: a graph source, a bound selection and the worker count. The
+    record sink is passed to ``run`` separately. The worker count and bound
+    names are checked on construction; ``run`` resolves a source string
+    afresh on each call."""
 
     source: str | Iterable[Graph]
     bounds: tuple[str, ...]
     jobs: int = 1
-    budget_n: int = SEARCH_BUDGET_N
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
-        check_budget_n(self.budget_n)
         if "all" in self.bounds and self.bounds != ("all",):
             raise ContractViolation("bound 'all' must be given alone")
         names = self.bound_names()
@@ -357,8 +344,8 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     # it ends the blocks instead and is raised after them.
     source_error: list[Graph6Error] = []
 
-    def blocks() -> Iterator[list[Task]]:
-        block: list[Task] = []
+    def blocks() -> Iterator[list[tuple[int, Graph]]]:
+        block: list[tuple[int, Graph]] = []
         entries = 0
         try:
             for i, g in enumerate(graphs):
@@ -366,7 +353,7 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
                 if block and entries + size > STACK_MAX_ENTRIES:
                     yield block
                     block, entries = [], 0
-                block.append((i, g, names, config.budget_n))
+                block.append((i, g))
                 entries += size
         except Graph6Error as exc:
             source_error.append(exc)
@@ -401,9 +388,9 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            consume(chain.from_iterable(pool.map(_block_records, blocks())))
+            consume(chain.from_iterable(pool.map(partial(_block_records, names), blocks())))
     else:
-        consume(chain.from_iterable(map(evaluate_block, blocks())))
+        consume(chain.from_iterable(map(partial(evaluate_block, names), blocks())))
     if source_error:
         raise source_error[0]
     summary.wall_time = time.monotonic() - start
@@ -442,10 +429,10 @@ def filter_minimal_counterexample_candidates(graphs: Iterable[Graph]) -> FilterO
         if not is_connected(g):
             counts["disconnected"] += 1
             continue
-        if not check_p3_cut_vertex_property(g).holds:
+        if not check_p3_cut_vertex_property(g):
             counts["p3-cut-vertex"] += 1
             continue
-        if not check_bipartite_removal_property(g).holds:
+        if not check_bipartite_removal_property(g):
             counts["bipartite-removal"] += 1
             continue
         survivors.append(g)

@@ -1,7 +1,7 @@
 """Exact exponential-time oracles for the combinatorial quantities feeding the
 bound certificates: domination number, maxcut/surplus, induced-path
-detection, and the structural filters used in the minimal-counterexample
-hunt.
+detection, and the two structural checks of the minimal-counterexample
+hunt, which answer yes or no and stop at the first violation.
 
 All searches are deterministic (ascending-index tie-breaking) and guarded by
 explicit budgets; none of them approximate.
@@ -24,8 +24,6 @@ from .graphs import (
 
 SEARCH_BUDGET_N = 24
 SUBSET_PROPERTY_BUDGET_N = 16
-# Violations a structural-property report lists; it counts all of them.
-MAX_LISTED_VIOLATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -41,28 +39,6 @@ class CutReport:
 class DominationCertificate:
     gamma: int
     witness: VertexSet
-
-
-@dataclass(frozen=True)
-class P3CutVertexReport:
-    """Whether every induced 3-vertex path contains a vertex whose removal
-    disconnects the graph."""
-
-    holds: bool
-    violations: tuple[tuple[int, int, int], ...]
-    violation_count: int
-    triples_checked: int
-
-
-@dataclass(frozen=True)
-class BipartiteRemovalReport:
-    """Whether every vertex subset inducing a bipartite graph with at least
-    |U| edges leaves a disconnected or empty remainder when removed."""
-
-    holds: bool
-    violations: tuple[tuple[int, ...], ...]
-    violation_count: int
-    qualifying_subsets: int
 
 
 def _check_budget(g: Graph, budget_n: int) -> None:
@@ -185,22 +161,13 @@ def cut_vertices(g: Graph) -> list[int]:
     return out
 
 
-def check_p3_cut_vertex_property(g: Graph) -> P3CutVertexReport:
+def check_p3_cut_vertex_property(g: Graph) -> bool:
     """For every induced 3-vertex path, does some path vertex disconnect the
     graph when removed? Vacuously true without induced paths."""
     if not is_connected(g):
         raise ContractViolation("property check requires a connected graph")
     cuts = sum(1 << v for v in cut_vertices(g))
-    violations: list[tuple[int, int, int]] = []
-    count = 0
-    checked = 0
-    for u, v, w in _induced_p3s(g):
-        checked += 1
-        if not (cuts & ((1 << u) | (1 << v) | (1 << w))):
-            count += 1
-            if len(violations) < MAX_LISTED_VIOLATIONS:
-                violations.append((u, v, w))
-    return P3CutVertexReport(count == 0, tuple(violations), count, checked)
+    return all(cuts & ((1 << u) | (1 << v) | (1 << w)) for u, v, w in _induced_p3s(g))
 
 
 def _masks_by_size(n: int, least: int) -> Iterator[int]:
@@ -216,7 +183,7 @@ def _masks_by_size(n: int, least: int) -> Iterator[int]:
             mask |= mask + 1
 
 
-def check_bipartite_removal_property(g: Graph) -> BipartiteRemovalReport:
+def check_bipartite_removal_property(g: Graph) -> bool:
     """For every subset U inducing a bipartite graph with at least |U| edges,
     is the rest of the graph empty or disconnected?
 
@@ -227,20 +194,13 @@ def check_bipartite_removal_property(g: Graph) -> BipartiteRemovalReport:
     if g.n > SUBSET_PROPERTY_BUDGET_N:
         raise BudgetExceeded(f"full subset scan limited to n <= {SUBSET_PROPERTY_BUDGET_N}")
     full = (1 << g.n) - 1
-    violations: list[tuple[int, ...]] = []
-    count = 0
-    qualifying = 0
     # A bipartite subgraph with >= |U| edges needs |U| >= 4.
     for mask in _masks_by_size(g.n, 4):
         if _edges_between(g.adj, mask, mask) // 2 < mask.bit_count():
             continue
         if _bipartition_mask(g.adj, mask) is None:
             continue
-        qualifying += 1
         rest = full & ~mask
-        if rest == 0 or _least_component(g.adj, rest) != rest:
-            continue
-        count += 1
-        if len(violations) < MAX_LISTED_VIOLATIONS:
-            violations.append(tuple(_iter_bits(mask)))
-    return BipartiteRemovalReport(count == 0, tuple(violations), count, qualifying)
+        if rest and _least_component(g.adj, rest) == rest:
+            return False
+    return True

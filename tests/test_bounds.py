@@ -6,7 +6,6 @@ import math
 import pytest
 
 from _gen import all_trees, no_isolated_random_graphs
-import sqenergy.bounds as bounds
 from sqenergy.bounds import (
     bound_alon_boppana,
     bound_dominating_vertex,
@@ -20,7 +19,6 @@ from sqenergy.bounds import (
     certify_s_plus_pipeline,
     conjecture_checks,
     energy_wall_check,
-    join_complement_spectrum_check,
 )
 from sqenergy.errors import ContractViolation
 from sqenergy.families import (
@@ -38,12 +36,11 @@ from sqenergy.graphs import (
     disjoint_union,
     is_bipartite,
     is_clique,
-    is_regular,
     is_star,
     join,
     parse_graph6,
 )
-from sqenergy.spectral import Spectrum, numeric_tolerance, square_energies
+from sqenergy.spectral import square_energies
 
 
 def test_efgw_examples():
@@ -215,34 +212,6 @@ def test_conjecture_checks():
     checks = conjecture_checks(cycle_with_triangles(5))
     assert all(v.informational for v in checks)
     assert all(v.witness["surplus"] > 0 for v in checks)
-
-
-def test_join_complement_spectrum_identity():
-    for base in (petersen(), complete(4), cycle(5), disjoint_union(complete(2), complete(2))):
-        assert is_regular(base)
-        verdict = join_complement_spectrum_check(base)
-        assert verdict.holds, (base, verdict.witness)
-    with pytest.raises(ContractViolation, match="base graph must have at least one vertex"):
-        join_complement_spectrum_check(Graph(0, ()))
-
-
-def test_join_complement_spectrum_holds_within_one_tolerance(monkeypatch):
-    # Lower the least eigenvalue of the join of C5 (10 vertices) by half and
-    # by one and a half tolerances: only the first deviation passes.
-    real = bounds.spectrum
-    for factor, holds in ((0.5, True), (1.5, False)):
-        shift = factor * numeric_tolerance(10)
-
-        def shifted(g, shift=shift):
-            spec = real(g)
-            if g.n != 10:
-                return spec
-            return Spectrum(spec.values[:-1] + (spec.values[-1] - shift,), spec.residual_bound)
-
-        monkeypatch.setattr(bounds, "spectrum", shifted)
-        verdict = join_complement_spectrum_check(cycle(5))
-        assert verdict.holds is holds
-        assert (verdict.lhs, verdict.rhs) == (0.0, pytest.approx(shift, rel=1e-6))
 
 
 def test_unicyclic_lower_bound(connected_corpus):

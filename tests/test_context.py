@@ -35,7 +35,6 @@ from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import cycle, petersen, star
 from sqenergy.graphs import Graph, is_connected, parse_graph6, write_graph6
 from sqenergy.harness import evaluate_block, evaluate_graph
-from sqenergy.oracles import SEARCH_BUDGET_N
 
 # The public bound functions, each called with the default budget; `sdp-min`
 # and `removal` are registry entries only.
@@ -51,7 +50,7 @@ def _expected_records(index, g):
     out = []
     for name in ALL_BOUND_NAMES:
         try:
-            verdicts = BOUNDS[name](g, SEARCH_BUDGET_N)
+            verdicts = BOUNDS[name](g)
         except (ContractViolation, BudgetExceeded) as exc:
             out.append({**head, "name": name, "status": "skipped", "applicable": False,
                         "informational": False, "lhs": None, "rhs": None, "slack": None,
@@ -72,19 +71,19 @@ def test_registry_names_match_public_functions():
     g = petersen()
     for name in ALL_BOUND_NAMES:
         h = star(5) if name == "dominating-vertex" else g
-        got = [v.bound_name for v in BOUNDS[name](h, SEARCH_BUDGET_N)]
+        got = [v.bound_name for v in BOUNDS[name](h)]
         want = ["surplus-linear-ratio", "surplus-67-ratio"] if name == "conjectures" else [name]
         assert got == want
-    assert BOUNDS["surplus"](g, SEARCH_BUDGET_N) == [bound_surplus(g)]
-    assert BOUNDS["conjectures"](g, SEARCH_BUDGET_N) == conjecture_checks(g)
+    assert BOUNDS["surplus"](g) == [bound_surplus(g)]
+    assert BOUNDS["conjectures"](g) == conjecture_checks(g)
     with pytest.raises(BudgetExceeded):
-        BOUNDS["surplus"](g, g.n - 1)
+        bound_surplus(g, g.n - 1)
 
 
 def test_sweep_records_equal_public_verdicts(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
     for index, g in enumerate(graphs):
-        records = evaluate_graph((index, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
+        records = evaluate_graph(index, g, ALL_BOUND_NAMES)
         expected = _expected_records(index, g)
         assert len(records) == len(expected)
         for got, want in zip(records, expected):
@@ -105,7 +104,7 @@ def test_one_evaluation_computes_spectra_and_max_cut_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(oracles, "max_cut", _counting(calls, "max_cut", oracles.max_cut))
-    records = evaluate_graph((0, cycle(5), ALL_BOUND_NAMES, SEARCH_BUDGET_N))
+    records = evaluate_graph(0, cycle(5), ALL_BOUND_NAMES)
     assert {r["name"] for r in records if r["status"] == "ok"} >= {"surplus", "removal", "sdp-min"}
     # One decomposition of C5 and one stacked decomposition of the removal
     # witness's three vertex deletions; the split's halves take none.
@@ -120,17 +119,16 @@ def test_a_block_gives_the_records_of_each_graph_alone():
     rng = np.random.default_rng(61)
     lines = [write_graph6(gnp(rng, 9, 0.5)) for _ in range(60)]
 
-    def tasks():
-        return [(i, parse_graph6(line), ALL_BOUND_NAMES, SEARCH_BUDGET_N)
-                for i, line in enumerate(lines)]
+    def pairs():
+        return [(i, parse_graph6(line)) for i, line in enumerate(lines)]
 
-    alone = [json.dumps(records) for records in map(evaluate_graph, tasks())]
+    alone = [json.dumps(evaluate_graph(i, g, ALL_BOUND_NAMES)) for i, g in pairs()]
     gc.collect()
-    block = tasks()
+    block = pairs()
     memo = spectral._decomposition.memo
-    assert not any(task[1] in memo for task in block)
-    blocked = [json.dumps(records) for records in evaluate_block(block)]
-    assert all(task[1] in memo for task in block)
+    assert not any(g in memo for _, g in block)
+    blocked = [json.dumps(records) for records in evaluate_block(ALL_BOUND_NAMES, block)]
+    assert all(g in memo for _, g in block)
     assert len(blocked) == len(alone)
     for got, want in zip(blocked, alone):
         assert got == want
@@ -157,7 +155,7 @@ def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
     monkeypatch.setattr(sdp, "eigen_decompose_stack", counting)
-    records = evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
+    records = evaluate_graph(0, g, ALL_BOUND_NAMES)
     assert all(r["status"] != "error" for r in records)
     assert g in spectral._decomposition.memo
     # The graph itself once; the removal witness's three vertex-deleted
@@ -171,7 +169,7 @@ def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
 
 def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
     g = _fresh_graph(29)
-    evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
+    evaluate_graph(0, g, ALL_BOUND_NAMES)
     calls = Counter()
     monkeypatch.setattr(np.linalg, "eigh", _counting(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", _counting(calls, "eigvalsh", np.linalg.eigvalsh))
@@ -198,7 +196,7 @@ def test_energies_and_cut_are_freed_with_their_graph():
     gc.disable()
     try:
         g = _fresh_graph(31)
-        evaluate_graph((0, g, ALL_BOUND_NAMES, SEARCH_BUDGET_N))
+        evaluate_graph(0, g, ALL_BOUND_NAMES)
         probe = Graph(g.n, g.adj)  # equal, so it finds g's entries while g lives
         assert probe is not g and all(probe in memo for memo in memos)
         del g
@@ -219,12 +217,12 @@ def _fresh_connected_lines(seed, n, count):
     return lines
 
 
-def _fresh_block(lines, names):
+def _fresh_block(lines):
     gc.collect()
-    block = [(i, parse_graph6(line), names, SEARCH_BUDGET_N) for i, line in enumerate(lines)]
-    assert not any(task[1] in spectral._decomposition.memo for task in block)
-    assert not any(task[1] in sdp._deletion_energies.memo for task in block)
-    assert not any(task[1] in bounds.first_induced_p3.memo for task in block)
+    block = [(i, parse_graph6(line)) for i, line in enumerate(lines)]
+    assert not any(g in spectral._decomposition.memo for _, g in block)
+    assert not any(g in sdp._deletion_energies.memo for _, g in block)
+    assert not any(g in bounds.first_induced_p3.memo for _, g in block)
     return block
 
 
@@ -233,8 +231,8 @@ def test_a_block_makes_one_graph_stack_and_its_deletion_stacks(names, monkeypatc
     # 64 connected 7-vertex graphs take one stacked eigensolve. With
     # `removal`, the 3 vertex deletions of each graph's first induced 3-path
     # take 113 6x6 matrices a stack, and the witnesses decompose nothing more.
-    block = _fresh_block(_fresh_connected_lines(71, 7, 64), names)
-    with_p3 = sum(oracles.find_induced_p3(task[1]) is not None for task in block)
+    block = _fresh_block(_fresh_connected_lines(71, 7, 64))
+    with_p3 = sum(oracles.find_induced_p3(g) is not None for _, g in block)
     shapes = []
     eigh = np.linalg.eigh
 
@@ -243,7 +241,7 @@ def test_a_block_makes_one_graph_stack_and_its_deletion_stacks(names, monkeypatc
         return eigh(mats)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    records = [r for rs in evaluate_block(block) for r in rs]
+    records = [r for rs in evaluate_block(names, block) for r in rs]
     assert all(r["status"] != "error" for r in records)
     deletions = 3 * with_p3 if "removal" in names else 0
     want = [(64, 7, 7)] + [(min(113, deletions - start), 6, 6) for start in range(0, deletions, 113)]
@@ -252,7 +250,7 @@ def test_a_block_makes_one_graph_stack_and_its_deletion_stacks(names, monkeypatc
 
 def test_a_block_searches_each_graph_for_an_induced_p3_once(monkeypatch):
     # Seeding the deletions and the `removal` bound share one search.
-    block = _fresh_block(_fresh_connected_lines(79, 7, 64), ALL_BOUND_NAMES)
+    block = _fresh_block(_fresh_connected_lines(79, 7, 64))
     searched = []
     find = oracles.find_induced_p3
 
@@ -261,9 +259,9 @@ def test_a_block_searches_each_graph_for_an_induced_p3_once(monkeypatch):
         return find(g)
 
     monkeypatch.setattr(oracles, "find_induced_p3", recording)
-    records = [r for rs in evaluate_block(block) for r in rs]
+    records = [r for rs in evaluate_block(ALL_BOUND_NAMES, block) for r in rs]
     assert all(r["status"] != "error" for r in records)
-    assert [id(g) for g in searched] == [id(task[1]) for task in block]
+    assert [id(g) for g in searched] == [id(g) for _, g in block]
 
 
 def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
@@ -274,9 +272,9 @@ def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
         triple = oracles.find_induced_p3(g)
         alone.append(None if triple is None else sdp.p3_removal_witness(g, triple))
     del g
-    block = _fresh_block(lines, ("removal",))
-    records = evaluate_block(block)
-    for (_, g, _, _), want in zip(block, alone):
+    block = _fresh_block(lines)
+    records = evaluate_block(("removal",), block)
+    for (_, g), want in zip(block, alone):
         triple = oracles.find_induced_p3(g)
         if triple is None:
             continue

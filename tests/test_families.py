@@ -21,9 +21,9 @@ from sqenergy.families import (
     star_plus_edge,
     unicyclic_glue,
 )
-from sqenergy.graphs import VertexSet, is_bipartite, is_connected
+from sqenergy.graphs import VertexSet, disjoint_union, is_bipartite, is_connected, is_regular
 from sqenergy.partitions import Partition, certify_superadditivity
-from sqenergy.spectral import spectrum, square_energies
+from sqenergy.spectral import numeric_tolerance, spectrum, square_energies
 
 
 def test_basic_families():
@@ -90,6 +90,21 @@ def test_join_complement():
     assert np.allclose(spectrum(g).values, [3, 0, 0, 0, 0, -3])
     with pytest.raises(ContractViolation):
         join_complement(path(3))
+
+
+def test_join_complement_spectrum_identity():
+    # Apart from its top eigenvalue, the join's spectrum is {-lambda - 1} over
+    # the base spectrum, doubled except for one copy of the top base value.
+    for base in (petersen(), complete(4), cycle(5), disjoint_union(complete(2), complete(2))):
+        assert is_regular(base)
+        big = join_complement(base)
+        actual = sorted(spectrum(big).values[1:])
+        values = spectrum(base).values
+        expected = [-lam - 1.0 for lam in values] * 2
+        expected.remove(-values[0] - 1.0)
+        assert len(actual) == len(expected) == 2 * base.n - 1
+        deviation = max(abs(a - b) for a, b in zip(actual, sorted(expected)))
+        assert deviation <= numeric_tolerance(big.n), base
 
 
 def test_gq_predicted_spectrum_values():

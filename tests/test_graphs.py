@@ -63,6 +63,19 @@ def test_graph_validation():
     assert VertexSet.of([2, 0], 3) == VertexSet(0b101, 3)
     with pytest.raises(ContractViolation, match=r"perm must be a permutation of 0\.\.n-1"):
         relabel(path(3), [0, 0, 1])
+    # A vertex that is not an integer is refused by name, never truncated;
+    # numpy integers are integers.
+    with pytest.raises(ContractViolation, match="^vertex must be an integer, got 0.0$"):
+        relabel(path(3), [0.0, 1.9, 2.2])
+    with pytest.raises(ContractViolation, match="^vertex must be an integer, got 1.0$"):
+        delete_vertex(path(3), 1.0)
+    with pytest.raises(ContractViolation, match="^vertex must be an integer, got 1.5$"):
+        VertexSet.of([1.5], 3)
+    with pytest.raises(ContractViolation, match="^vertex must be an integer, got '1'$"):
+        VertexSet.of(["1"], 3)
+    assert relabel(path(3), np.array([2, 1, 0])) == path(3)
+    assert delete_vertex(path(3), np.int64(1)) == Graph(2, (0, 0))
+    assert VertexSet.of(np.array([2, 0]), 3) == VertexSet(0b101, 3)
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.m == 2 and g.degrees() == (1, 2, 1)
     assert g.edges() == [(0, 1), (1, 2)]

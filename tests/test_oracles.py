@@ -20,9 +20,8 @@ from sqenergy.graphs import (
     is_bipartite,
     is_connected,
 )
+from sqenergy import oracles
 from sqenergy.oracles import (
-    MAX_LISTED_VIOLATIONS,
-    BipartiteRemovalReport,
     check_bipartite_removal_property,
     check_p3_cut_vertex_property,
     cut_size,
@@ -146,35 +145,43 @@ def test_cut_vertices():
 
 
 def test_p3_cut_vertex_property():
-    assert check_p3_cut_vertex_property(path(3)).holds
-    report = check_p3_cut_vertex_property(cycle(5))
-    assert not report.holds and report.violation_count > 0
-    assert report.violations[0] == (0, 1, 2)
-    assert check_p3_cut_vertex_property(complete(4)).holds  # vacuous
-    # C25 has 25 induced 3-paths and no cut vertex: all are counted, 20 listed.
-    report = check_p3_cut_vertex_property(cycle(25))
-    assert report.violation_count == report.triples_checked == 25
-    assert len(report.violations) == 20 and report.violations[0] == (0, 1, 2)
+    assert check_p3_cut_vertex_property(path(3)) is True
+    assert check_p3_cut_vertex_property(cycle(5)) is False
+    assert check_p3_cut_vertex_property(complete(4)) is True  # vacuous
     with pytest.raises(ContractViolation):
         check_p3_cut_vertex_property(disjoint_union(complete(2), complete(2)))
 
 
+def test_p3_cut_vertex_check_stops_at_the_first_violation(monkeypatch):
+    # C25 has 25 induced 3-paths and no cut vertex, so its first path decides.
+    drawn = []
+    real = oracles._induced_p3s
+
+    def counted(g):
+        for triple in real(g):
+            drawn.append(triple)
+            yield triple
+
+    monkeypatch.setattr(oracles, "_induced_p3s", counted)
+    assert check_p3_cut_vertex_property(cycle(25)) is False
+    assert drawn == [(0, 1, 2)]
+
+
 def test_bipartite_removal_property():
-    assert check_bipartite_removal_property(cycle(4)).holds
+    assert check_bipartite_removal_property(cycle(4)) is True
     # 4-cycle qualifies; the leftover pendant vertex stays connected
     c6_pendant = Graph.from_edges(
         7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)]
     )
-    report = check_bipartite_removal_property(c6_pendant)
-    assert not report.holds and report.violation_count >= 1
+    assert check_bipartite_removal_property(c6_pendant) is False
     with pytest.raises(ContractViolation, match="property check requires a connected graph"):
         check_bipartite_removal_property(disjoint_union(path(2), path(2)))
     # forests never produce a bipartite subset with e >= |U|
     for n in range(2, 8):
         for g in enumerate_graphs(n, connected_only=True):
             if g.m == g.n - 1:
-                rep = check_bipartite_removal_property(g)
-                assert rep.holds and rep.qualifying_subsets == 0
+                assert check_bipartite_removal_property(g) is True
+                assert not _brute_bipartite_subsets(g)
 
 
 def test_bipartite_removal_budget_and_cap():
@@ -201,10 +208,9 @@ def test_bipartite_removal_matches_a_walk_over_every_mask():
     graphs = [g for g in random_graphs(seed=31, count=40, n_max=12, n_min=4) if is_connected(g)]
     graphs.append(path(12))
     assert len(graphs) >= 20 and max(g.n for g in graphs) == 12
+    answers = []
     for g in graphs:
-        subsets = _brute_bipartite_subsets(g)
-        listed = [u.vertices for u, bad in subsets if bad]
-        expected = BipartiteRemovalReport(
-            not listed, tuple(listed[:MAX_LISTED_VIOLATIONS]), len(listed), len(subsets)
-        )
-        assert check_bipartite_removal_property(g) == expected
+        no_bad_subset = not any(bad for _, bad in _brute_bipartite_subsets(g))
+        assert check_bipartite_removal_property(g) is no_bad_subset, g
+        answers.append(no_bad_subset)
+    assert True in answers and False in answers

@@ -22,7 +22,7 @@ from sqenergy.bounds import BOUNDS
 from sqenergy.errors import ContractViolation
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import delete_vertex, enumerate_graphs
-from sqenergy.oracles import SEARCH_BUDGET_N, find_induced_p3
+from sqenergy.oracles import find_induced_p3
 from sqenergy.sdp import (
     certify_p3_psd_inequality,
     p3_psd_margin,
@@ -52,7 +52,7 @@ def test_row_col_square_sum():
 
 
 def _sdp_min(g):
-    [verdict] = BOUNDS["sdp-min"](g, SEARCH_BUDGET_N)
+    [verdict] = BOUNDS["sdp-min"](g)
     return verdict
 
 
