@@ -111,7 +111,9 @@ _REFUSED = [
     (["spectrum", "nosuch.g6"], "i/o error: "),
     (["hunt", "--n", "9"], "error: enumeration"),
     (["hunt", "--n", "0"], "error: enumeration"),
+    (["bounds", "family:nosuch", "--set", "efgw"], "error: unknown family 'nosuch'"),
     (["verify", "--n", "9"], "error: enumeration"),
+    (["decompose", "nosuch.g6", "--method", "domination"], "i/o error: "),
     (["bounds", "family:petersen", "--set", "all,efgw"], "error: bound 'all' must be given alone"),
     (["bounds", "family:petersen", "--set", "efgw,all"], "error: bound 'all' must be given alone"),
     (["bounds", "family:complete:n=x", "--set", "efgw"], "error: parameter n='x' is not an integer"),
