@@ -140,11 +140,19 @@ class Graph:
         first access."""
         return sum(row.bit_count() for row in self.adj) // 2
 
+    def _vertex(self, v: int) -> int:
+        """``v`` as a vertex of this graph, refused with ContractViolation
+        unless it is an integer in 0..n-1."""
+        v = _integer(v, "vertex")
+        if not 0 <= v < self.n:
+            raise ContractViolation(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return bool((self.adj[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
@@ -198,7 +206,10 @@ class VertexSet:
         return self.members.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.ambient_n and bool((self.members >> v) & 1)
+        v = _integer(v, "vertex")
+        if not 0 <= v < self.ambient_n:
+            raise ContractViolation(f"vertex {v} outside 0..{self.ambient_n - 1}")
+        return bool((self.members >> v) & 1)
 
     def __iter__(self) -> Iterator[int]:
         return _iter_bits(self.members)
@@ -331,9 +342,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    v = _integer(v, "vertex")
-    if not 0 <= v < g.n:
-        raise ContractViolation(f"vertex {v} out of range for n={g.n}")
+    v = g._vertex(v)
     keep = [u for u in range(g.n) if u != v]
     return Graph._from_valid_rows(g.n - 1, _induced_rows(g.adj, keep))
 
@@ -444,7 +453,7 @@ def is_regular(g: Graph) -> bool:
 
 def dominating_vertices(g: Graph) -> list[int]:
     """Vertices adjacent to every other vertex."""
-    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
+    return [v for v in range(g.n) if g.adj[v].bit_count() == g.n - 1]
 
 
 def isolated_vertices(g: Graph) -> list[int]:

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict, first_induced_p3
@@ -42,7 +43,7 @@ from .graphs import (
 )
 from .oracles import check_bipartite_removal_property, check_p3_cut_vertex_property
 from .sdp import decompose_deletions
-from .spectral import STACK_MAX_ENTRIES, decompose_graphs
+from .spectral import STACK_MAX_ENTRIES, decompose_graphs, seed_splits
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +206,14 @@ def evaluate_block(
     """The records of consecutive ``(index, graph)`` pairs, one
     ``evaluate_graph`` list per graph, made lazily once the graphs of each
     vertex count have been decomposed by shared stacked eigensolves, and,
-    when ``removal`` is selected, the vertex deletions of each graph's first
-    induced 3-vertex path as well."""
+    when ``sdp-min`` is selected, split by stacked matmuls, and when
+    ``removal`` is, the vertex deletions of each graph's first induced
+    3-vertex path decomposed as well."""
     stacks = decompose_graphs(g for _, g in block)
-    if "removal" in names:
-        for graphs, mats in stacks:
+    for graphs, mats in stacks:
+        if "sdp-min" in names:
+            seed_splits(graphs, mats)
+        if "removal" in names:
             decompose_deletions(graphs, mats, [first_induced_p3(g) for g in graphs])
     return (evaluate_graph(index, g, names) for index, g in block)
 
@@ -243,12 +247,37 @@ CSV_COLUMNS = (
 )
 
 
+def _sorted_json_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, sort_keys=True)`` as one encoder built once: the
+    json module's C encoder where it has one, made with the arguments that
+    ``json.dumps`` gives it, so that no call builds its own. A failed call
+    can leave containers in its circular-reference record; they are dropped,
+    so that a later call does not take them for a cycle."""
+    generic = json.JSONEncoder(sort_keys=True)
+    if c_make_encoder is None:
+        return generic.encode
+    markers: dict[int, Any] = {}
+    encode = c_make_encoder(
+        markers, generic.default, encode_basestring_ascii, None, generic.key_separator,
+        generic.item_separator, True, False, True,
+    )
+
+    def encoded(value: Any) -> str:
+        try:
+            return "".join(encode(value, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encoded
+
+
 class RecordWriter:
     """Writes records as JSON lines or CSV rows.
 
     CSV columns default to the sorted key set of the first record; pass
     ``columns`` for a fixed layout. Nested values are JSON-encoded in cells.
-    One encoder serves every record, with the output of
+    One encoder, built once, serves every record, with the output of
     ``json.dumps(value, sort_keys=True)``.
     """
 
@@ -259,7 +288,7 @@ class RecordWriter:
         self.fmt = fmt
         self.columns = columns
         self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
-        self._encode = json.JSONEncoder(sort_keys=True).encode
+        self._encode = _sorted_json_encoder()
         self._header_written = False
 
     def write(self, record: dict[str, Any]) -> None:

@@ -202,7 +202,7 @@ def degree_class_partition(g: Graph) -> Partition:
     ranges = degree_class_thresholds(g.m)
     masks = [0] * len(ranges)
     for v in range(g.n):
-        deg = g.degree(v)
+        deg = g.adj[v].bit_count()
         for i, (lower, upper) in enumerate(ranges):
             if lower <= deg < upper:
                 masks[i] |= 1 << v

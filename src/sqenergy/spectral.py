@@ -20,28 +20,37 @@ standard model of floating-point arithmetic. No eigensolve checks a half.
 The graph-level functions ``spectrum``, ``square_energies``,
 ``spectral_split`` and ``graph_inertia`` share one checked decomposition per
 live ``Graph``, a ``graphs.per_graph`` memo entry that also holds the
-default-band ``square_energies`` report: the first call computes it, later
-calls on the same graph reuse it, and it is freed with the graph, so a sweep
-and a library call on the same graph decompose it once.
+default-band ``square_energies`` report and the inertia, counted once with
+it: the first call computes it, later calls on the same graph reuse it, and
+it is freed with the graph, so a sweep and a library call on the same graph
+decompose it once.
 
 One routine, ``eigen_decompose_stack``, makes every checked decomposition,
 and every decomposition is of an adjacency matrix: one solver call for a
-stack of same-size matrices, then the residual, trace and square-sum checks
-and the default-band energies of the whole stack in array operations, so a
-single matrix is a stack of one and a stacked matrix gets bitwise the values,
-vectors, residual and energies it would get alone.
+stack of same-size matrices, then the residual, trace and square-sum checks,
+the default-band energies and the inertia of the whole stack in array
+operations, so a single matrix is a stack of one and a stacked matrix gets
+bitwise the values, vectors, residual and energies it would get alone.
+One routine, ``split_stack``, makes and certifies every split in the same
+way: the stack's matrices of one inertia share one matmul per half and one
+certificate and reconstruction check in array operations, a lone graph's
+split is a stack of one, and a stacked split is bitwise the lone one. The
+halves are the caller's: each ``spectral_split`` call returns new arrays.
 A sweep seeds the memo of a block of small graphs with ``decompose_graphs``,
 one stacked call per vertex count, and slices the vertex-deleted submatrices
-that ``sdp.decompose_deletions`` decomposes from the same stacks;
+that ``sdp.decompose_deletions`` decomposes from the same stacks; with
+``sdp-min`` it also splits each stack by ``seed_splits``, whose split goes
+to the graph's first ``spectral_split`` call and is dropped there.
 ``STACK_MAX_ENTRIES`` caps a stack, so a matrix with more than 64 rows is
-decomposed alone.
+decomposed and split alone.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -117,7 +126,9 @@ def eigen_decompose_stack(
     (k, n, n), matrix i having ms[i] edges, by one solver call.
 
     Item i is matrix i's spectrum (descending), its orthonormal eigenvectors
-    as read-only columns and its default-band ``EnergyReport``, or the error
+    as read-only columns, its default-band ``EnergyReport`` and its
+    ``Inertia``, both from the same counts of eigenvalues above and below the
+    zero band, or the error
     that refuses it: ContractViolation for non-symmetric or non-finite input,
     and NumericError if the solver fails, the residual is not within
     ``1e-10 * max(1, ||mat||_F)``, or the trace is not zero or the square
@@ -168,16 +179,21 @@ def eigen_decompose_stack(
                 else "adjacency spectrum square-sum deviates from 2m"
             )
     vecs.setflags(write=False)
-    s_plus = _band_sums(squares, (vals > tau).sum(axis=1), head=True)
-    s_minus = _band_sums(squares, (vals < -tau).sum(axis=1), head=False)
+    n_plus = (vals > tau).sum(axis=1)
+    n_minus = (vals < -tau).sum(axis=1)
+    s_plus = _band_sums(squares, n_plus, head=True)
+    s_minus = _band_sums(squares, n_minus, head=False)
     energies = np.abs(vals).sum(axis=1)
     outs: list[tuple | SquareEnergyError] = []
-    for i, (values, residual) in enumerate(zip(vals.tolist(), residuals.tolist())):
+    for i, (values, residual, p, q) in enumerate(
+        zip(vals.tolist(), residuals.tolist(), n_plus.tolist(), n_minus.tolist())
+    ):
         if failed[i] is not None:
             outs.append(NumericError(failed[i]))
         else:
             report = EnergyReport(float(s_plus[i]), float(s_minus[i]), float(energies[i]), ms[i])
-            outs.append((Spectrum(tuple(values), residual), vecs[i], report))
+            counts = Inertia(p, n - p - q, q)
+            outs.append((Spectrum(tuple(values), residual), vecs[i], report, counts))
     return outs
 
 
@@ -197,10 +213,11 @@ def _band_sums(squares: np.ndarray, counts: np.ndarray, head: bool) -> np.ndarra
 
 
 @per_graph
-def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
+def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport, Inertia]:
     """The decomposition of g's adjacency matrix, with the solver residual,
     the zero trace and the 2m square sum checked, and its default-band
-    energies, once per live graph. Every caller shares the read-only vectors."""
+    energies and inertia, once per live graph. Every caller shares the
+    read-only vectors."""
     out = eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0]
     if isinstance(out, SquareEnergyError):
         raise out
@@ -210,6 +227,9 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport]:
 # The memo itself, so that seeding reaches it where ``_decomposition`` is
 # wrapped.
 _MEMO = _decomposition.memo
+# Splits that ``seed_splits`` made, each handed to its graph's first
+# ``spectral_split`` call and dropped there.
+_SEEDED_SPLITS: weakref.WeakKeyDictionary[Graph, SpectralSplit] = weakref.WeakKeyDictionary()
 
 
 def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray]]:
@@ -255,7 +275,7 @@ def square_energies(g: Graph, zero_tolerance: float | None = None) -> EnergyRepo
         raise ContractViolation(
             f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}"
         )
-    spec, _, report = _decomposition(g)
+    spec, _, report, _ = _decomposition(g)
     if zero_tolerance is None:
         return report
     return _energies(np.array(spec.values), zero_tolerance, g.m)
@@ -270,32 +290,101 @@ def _energies(values: np.ndarray, zero_tolerance: float, m: int) -> EnergyReport
 def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors,
     each certified PSD within ``numeric_tolerance(n)`` by ``_psd_defect``
-    (no eigensolve), and checked to reconstruct the adjacency matrix."""
-    s, vecs, _ = _decomposition(g)
-    tau = numeric_tolerance(s.n)
-    values = np.array(s.values)
-    a_plus = _certified_half("a_plus", vecs, values, values > tau, tau)
-    a_minus = _certified_half("a_minus", vecs, -values, values < -tau, tau)
+    (no eigensolve), and checked to reconstruct the adjacency matrix: the
+    split that ``seed_splits`` made for g, on the first call after it, and
+    otherwise g's own ``split_stack`` of one. The halves are the caller's:
+    each call returns new arrays."""
+    seeded = _SEEDED_SPLITS.pop(g, None)
+    if seeded is not None:
+        return seeded
     # The shared decomposition keeps no adjacency matrix; the last check
-    # builds one, so it is not alive while the halves are built. It is what
-    # catches wrong eigenvectors: the certificate holds for any vectors.
-    if np.max(np.abs(a_plus - a_minus - g.adjacency_matrix()), initial=0.0) > tau:
-        raise NumericError("split does not reconstruct the adjacency matrix")
-    return SpectralSplit(a_plus, a_minus)
+    # builds one, so it is not alive while the halves are built.
+    [out] = split_stack([_decomposition(g)], lambda rows: g.adjacency_matrix()[None])
+    if isinstance(out, SquareEnergyError):
+        raise out
+    return out
 
 
-def _certified_half(
-    name: str, vecs: np.ndarray, weights: np.ndarray, mask: np.ndarray, tau: float
-) -> np.ndarray:
-    """sym(V W V^T) over the masked columns, refused unless ``_psd_defect``
-    certifies it PSD within tau. Its column copy and unsymmetrized product
-    are freed on return, before the next half is built."""
-    cols = vecs[:, mask]
-    weights = weights[mask]
-    if _psd_defect(cols, weights) > tau:
-        raise NumericError(f"{name} is not PSD within tolerance")
-    half = (cols * weights) @ cols.T
-    return (half + half.T) / 2.0
+def seed_splits(graphs: Sequence[Graph], mats: np.ndarray) -> None:
+    """Seed the splits of a ``decompose_graphs`` stack, mats[i] being the
+    adjacency matrix of graphs[i], from their memoised decompositions by one
+    ``split_stack``. A graph with no decomposition, or whose split fails a
+    check, is left to its own ``spectral_split`` call, which raises the same
+    error."""
+    entries = [_MEMO.get(g) for g in graphs]
+    present = [i for i, entry in enumerate(entries) if entry is not None]
+    outs = split_stack(
+        [entries[i] for i in present], lambda rows: mats[[present[j] for j in rows]]
+    )
+    for i, out in zip(present, outs):
+        if not isinstance(out, SquareEnergyError):
+            _SEEDED_SPLITS[graphs[i]] = out
+
+
+def split_stack(
+    decompositions: Sequence[tuple], adjacency: Callable[[list[int]], np.ndarray]
+) -> list[SpectralSplit | SquareEnergyError]:
+    """The certified splits of same-size adjacency matrices from their
+    checked decompositions (``eigen_decompose_stack`` items).
+    ``adjacency(rows)`` stacks the matrices of those items; it is called
+    once per group below, after the group's halves are built.
+
+    The matrices are grouped by inertia (n+, n-): a group's positive halves
+    come from each matrix's first n+ eigenvector columns and its negative
+    halves from the last n-, so one stacked matmul builds each half of the
+    group. Each matrix's columns are copied to the layout that ``vecs[:,
+    mask]`` gives a matrix alone, so each half is bitwise what that matrix
+    alone gets. Item i is matrix i's split, or the NumericError that refuses
+    it: a half that ``_psd_defect`` does not certify PSD within
+    ``numeric_tolerance(n)`` (a_plus checked first), or halves that do not
+    reconstruct the matrix within it. That last check is what catches wrong
+    eigenvectors: the certificate holds for any vectors.
+    """
+    n = decompositions[0][0].n if decompositions else 0
+    tau = numeric_tolerance(n)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, _, _, counts) in enumerate(decompositions):
+        groups.setdefault((counts.n_plus, counts.n_minus), []).append(i)
+    outs: list = [None] * len(decompositions)
+    for (p, q), rows in groups.items():
+        vecs = [decompositions[i][1] for i in rows]
+        values = np.array([decompositions[i][0].values for i in rows]).reshape(len(rows), n)
+        a_plus, bad_plus = _certified_halves(vecs, values[:, :p], slice(0, p), tau)
+        a_minus, bad_minus = _certified_halves(vecs, -values[:, n - q:], slice(n - q, n), tau)
+        off = a_plus - a_minus
+        off -= adjacency(rows)
+        off = np.max(np.abs(off), axis=(1, 2), initial=0.0) > tau
+        for j, i in enumerate(rows):
+            if bad_plus[j]:
+                outs[i] = NumericError("a_plus is not PSD within tolerance")
+            elif bad_minus[j]:
+                outs[i] = NumericError("a_minus is not PSD within tolerance")
+            elif off[j]:
+                outs[i] = NumericError("split does not reconstruct the adjacency matrix")
+            else:
+                outs[i] = SpectralSplit(a_plus[j], a_minus[j])
+    return outs
+
+
+def _certified_halves(
+    vecs: Sequence[np.ndarray], weights: np.ndarray, cols: slice, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """sym(V W V^T) for each matrix's eigenvectors V, columns ``cols``, and
+    weights W (one row each), with whether ``_psd_defect`` fails to certify
+    it PSD within tau. Each matrix's columns are copied column-major, as
+    boolean column indexing gives them, so each product is the BLAS call
+    that matrix alone gets. The copies and unsymmetrized products are freed
+    on return, before the next halves are built."""
+    n = vecs[0].shape[0]
+    columns = np.stack(
+        [v[:, cols].T for v in vecs], out=np.empty((len(vecs), weights.shape[1], n))
+    ).transpose(0, 2, 1)
+    bad = _psd_defect(columns, weights) > tau
+    half = np.matmul(
+        np.multiply(columns, weights[:, None, :], out=np.empty_like(columns)),
+        columns.transpose(0, 2, 1),
+    )
+    return (half + half.transpose(0, 2, 1)) / 2.0, bad
 
 
 def _gamma(j: int) -> float:
@@ -307,33 +396,41 @@ def _gamma(j: int) -> float:
     return ju / (1.0 - ju)
 
 
-def _psd_defect(cols: np.ndarray, weights: np.ndarray) -> float:
+def _psd_defect(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """An a priori bound on how far below zero the least eigenvalue of the
     split half built from ``cols`` (n x k) and ``weights`` (k, all > 0) can
     lie: 0 for an empty half, which is exactly zero, and otherwise
-    2 gamma_{k+2} sum_l w_l ||v_l||^2 + n (k+2) 2^-1074.
+    2 gamma_{k+2} sum_l w_l ||v_l||^2 + n (k+2) 2^-1074. A stack of column
+    sets, shape (..., n, k), with weights (..., k) gets one bound each.
 
     The exact V W V^T is PSD for any float V. The matmul and the (X + X^T)/2
     step move each entry by at most gamma_{k+2} (|V| W |V|^T)_ij, so by Weyl
     the least eigenvalue is >= -||E||_F >= -gamma_{k+2} sum_l w_l ||v_l||^2.
     The factor 2 covers rounding in evaluating that sum and the last term
     gradual underflow."""
-    n, k = cols.shape
+    n, k = cols.shape[-2:]
     if k == 0:
-        return 0.0
-    mass = float(np.dot(weights, np.square(cols).sum(axis=0)))
+        return np.zeros(cols.shape[:-2])
+    mass = (weights * np.square(cols).sum(axis=-2)).sum(axis=-1)
     return 2.0 * _gamma(k + 2) * mass + n * (k + 2) * SMALLEST_SUBNORMAL
+
+
+def _check_band(s: Spectrum) -> float:
+    """The zero band ``numeric_tolerance(n)``, refused if narrower than the
+    solver residual: the zero count would then mean nothing."""
+    tau = numeric_tolerance(s.n)
+    if tau < s.residual_bound:
+        raise ContractViolation(
+            f"zero band {tau:.3e} below solver residual {s.residual_bound:.3e}"
+        )
+    return tau
 
 
 def inertia(s: Spectrum) -> Inertia:
     """Counts of positive / zero / negative eigenvalues, the zero band being
     ``numeric_tolerance(n)``; the band must not be narrower than the solver
     residual."""
-    tau = numeric_tolerance(s.n)
-    if tau < s.residual_bound:
-        raise ContractViolation(
-            f"zero band {tau:.3e} below solver residual {s.residual_bound:.3e}"
-        )
+    tau = _check_band(s)
     values = np.array(s.values)
     n_plus = int((values > tau).sum())
     n_minus = int((values < -tau).sum())
@@ -341,5 +438,9 @@ def inertia(s: Spectrum) -> Inertia:
 
 
 def graph_inertia(g: Graph) -> Inertia:
-    return inertia(_decomposition(g)[0])
+    """The inertia in g's decomposition entry, counted with its energies;
+    the band must not be narrower than the solver residual."""
+    spec, _, _, counts = _decomposition(g)
+    _check_band(spec)
+    return counts
 

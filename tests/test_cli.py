@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -500,6 +501,55 @@ def test_bad_enumerate_suffix_is_operational_error(source, capsys):
 def test_record_writer_rejects_bad_format():
     with pytest.raises(ContractViolation):
         RecordWriter(io.StringIO(), "xml")
+
+
+def _sweep_writer_lines(records):
+    stream = io.StringIO()
+    writer = RecordWriter(stream, "json", harness.CSV_COLUMNS)
+    for record in records:
+        writer.write(record)
+    return stream.getvalue().splitlines()
+
+
+def test_sweep_records_encode_as_json_dumps_with_sorted_keys():
+    # The writer's one encoder, built once, must write each record as the
+    # json module writes it.
+    graphs = list(enumerate(resolve_source("enumerate:7:connected")))
+    records = [r for rs in harness.evaluate_block(bounds.ALL_BOUND_NAMES, graphs) for r in rs]
+    assert len(records) == 12795
+    assert _sweep_writer_lines(records) == [json.dumps(r, sort_keys=True) for r in records]
+
+
+def test_crafted_records_encode_as_json_dumps_with_sorted_keys():
+    base = {"graph_index": 12345, "graph6": "F?B~w", "n": 7, "m": 9, "name": "efgw",
+            "status": "ok", "applicable": True, "informational": False, "lhs": 1.5, "rhs": 6,
+            "slack": -4.5, "holds": False, "witness": None, "reason": None}
+    crafted = [
+        {**base, "lhs": math.nan, "rhs": math.inf, "slack": -math.inf},
+        {**base, "lhs": -0.0, "rhs": 0.0, "slack": 1e-300, "holds": None},
+        {**base, "status": "skipped", "reason": "séparé — µ \U0001d4e2 %s {0}"},
+        {**base, "status": "error", "reason": "tab\tnew\nline\x00nul\x1f \"quoted\" \\ %(x)s"},
+        {**base, "witness": {"z": [1, [2.5, -0.0, math.nan]], "a": {"b": None, "%": "{}"}, "k": True}},
+        {**base, "witness": [], "name": "é", "applicable": 1, "informational": 0},
+        {**base, "lhs": np.float64(0.1), "rhs": np.float64(3.0), "witness": {"v": 2**70}},
+        {**base, "graph_index": True, "graph6": "A_", "n": 2.0, "m": None},
+        {"name": "x", "extra": [{"b": 1, "a": 2}]},
+    ]
+    assert _sweep_writer_lines(crafted) == [json.dumps(r, sort_keys=True) for r in crafted]
+
+
+def test_a_record_that_fails_to_encode_leaves_the_writer_as_it_was():
+    # The failed record's containers must not be taken for a cycle when the
+    # same objects are written again.
+    witness = {"side": [0, object()]}
+    record = {"name": "x", "witness": witness}
+    stream = io.StringIO()
+    writer = RecordWriter(stream, "json", harness.CSV_COLUMNS)
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        writer.write(record)
+    witness["side"][1] = 1
+    writer.write(record)
+    assert stream.getvalue() == json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_non_ascii_graph6_file_is_clean_error(tmp_path, capsys):

@@ -194,6 +194,27 @@ def test_vertex_set():
         VertexSet(1 << 5, 5)
 
 
+def test_vertex_queries_refuse_a_vertex_that_is_not_one():
+    # A negative index would wrap to another row, a vertex past the end would
+    # read as absent, and a float would raise a bare TypeError.
+    g, s = path(3), VertexSet.of([0, 2], 3)
+    for query in (lambda v: g.has_edge(v, 1), lambda v: g.has_edge(1, v), g.degree):
+        for v in (-1, 3, 5):
+            with pytest.raises(ContractViolation, match=rf"^vertex {v} out of range for n=3$"):
+                query(v)
+        for v, shown in ((1.0, "1.0"), (1.5, "1.5"), ("1", "'1'")):
+            with pytest.raises(ContractViolation, match=f"^vertex must be an integer, got {shown}$"):
+                query(v)
+    for v in (-1, 3):
+        with pytest.raises(ContractViolation, match=rf"^vertex {v} outside 0\.\.2$"):
+            v in s
+    with pytest.raises(ContractViolation, match="^vertex must be an integer, got 1.5$"):
+        1.5 in s
+    # numpy integers are integers.
+    assert g.has_edge(np.int64(0), np.int8(1)) and not g.has_edge(0, np.int64(2))
+    assert g.degree(np.int64(1)) == 2 and np.int64(2) in s and np.int64(1) not in s
+
+
 def test_graph6_known_encodings():
     k3 = complete(3)
     p3 = path(3)

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -35,12 +36,12 @@ def _decompose(mat, m):
 
 
 def test_eigen_examples():
-    spec, _, report = _decompose(complete(4).adjacency_matrix(), 6)
+    spec, _, report, _ = _decompose(complete(4).adjacency_matrix(), 6)
     assert np.allclose(spec.values, [3.0, -1.0, -1.0, -1.0])
     assert (report.s_plus, report.m) == (pytest.approx(9.0), 6)
-    spec, _, _ = _decompose(complete(2).adjacency_matrix(), 1)
+    spec, _, _, _ = _decompose(complete(2).adjacency_matrix(), 1)
     assert np.allclose(spec.values, [1.0, -1.0])
-    spec, _, _ = _decompose(path(3).adjacency_matrix(), 2)
+    spec, _, _, _ = _decompose(path(3).adjacency_matrix(), 2)
     assert np.allclose(spec.values, [math.sqrt(2), 0.0, -math.sqrt(2)])
 
 
@@ -56,7 +57,7 @@ def test_eigen_contracts():
                 _decompose(mat, 1)
     for g in random_graphs(seed=42, count=20, n_max=14):
         mat = g.adjacency_matrix()
-        spec, vecs, _ = _decompose(mat, g.m)
+        spec, vecs, _, _ = _decompose(mat, g.m)
         assert list(spec.values) == sorted(spec.values, reverse=True)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(g.n))) < 1e-10
         assert spec.residual_bound <= 1e-10 * max(1.0, np.linalg.norm(mat))
@@ -135,8 +136,8 @@ def test_wrong_eigenvectors_fail_the_reconstruction_check(monkeypatch, tmp_path,
     from sqenergy.cli import main
 
     g = cycle(5)
-    spec, vecs, energies = spectral._decomposition(g)
-    monkeypatch.setitem(spectral._MEMO, g, (spec, vecs[:, ::-1], energies))
+    spec, vecs, energies, counts = spectral._decomposition(g)
+    monkeypatch.setitem(spectral._MEMO, g, (spec, vecs[:, ::-1], energies, counts))
     with pytest.raises(NumericError, match="^split does not reconstruct the adjacency matrix$"):
         spectral_split(g)
     out = tmp_path / "r.jsonl"
@@ -177,7 +178,7 @@ def test_spectral_split_invariants_random():
 
 def _halves(g):
     """Each split half with the certificate of its columns and weights."""
-    s, vecs, _ = spectral._decomposition(g)
+    s, vecs, _, _ = spectral._decomposition(g)
     values = np.array(s.values)
     tau = numeric_tolerance(g.n)
     split = spectral_split(g)
@@ -311,7 +312,7 @@ def test_equal_graphs_give_equal_results():
 
 def test_shared_eigenvectors_are_read_only():
     g = _fresh_graph()
-    _, vecs, _ = spectral._decomposition(g)
+    _, vecs, _, _ = spectral._decomposition(g)
     assert not vecs.flags.writeable
     with pytest.raises(ValueError):
         vecs[0, 0] = 1.0
@@ -319,17 +320,24 @@ def test_shared_eigenvectors_are_read_only():
     assert split.a_plus.flags.writeable and split.a_minus.flags.writeable
 
 
+def _formula_halves(g):
+    """The split halves of g's matrix decomposed alone, by boolean column
+    masks and sym(V W V^T)."""
+    spec, vecs, _, _ = _decompose(g.adjacency_matrix(), g.m)
+    values = np.array(spec.values)
+    tau = numeric_tolerance(g.n)
+    plus, minus = values > tau, values < -tau
+    a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
+    a_minus = (vecs[:, minus] * -values[minus]) @ vecs[:, minus].T
+    return (a_plus + a_plus.T) / 2, (a_minus + a_minus.T) / 2
+
+
 def test_graph_level_functions_equal_a_fresh_decomposition(connected_corpus):
     graphs = [g for n in range(1, 6) for g in connected_corpus[n]] + [petersen()]
     for g in graphs:
-        spec, vecs, _ = _decompose(g.adjacency_matrix(), g.m)
-        values = np.array(spec.values)
-        tau = numeric_tolerance(g.n)
-        plus, minus = values > tau, values < -tau
-        a_plus = (vecs[:, plus] * values[plus]) @ vecs[:, plus].T
-        a_minus = (vecs[:, minus] * -values[minus]) @ vecs[:, minus].T
-        energies = square_energies(g, zero_tolerance=tau)
-        want = (spec, energies, inertia(spec), (a_plus + a_plus.T) / 2, (a_minus + a_minus.T) / 2)
+        spec, _, _, _ = _decompose(g.adjacency_matrix(), g.m)
+        energies = square_energies(g, zero_tolerance=numeric_tolerance(g.n))
+        want = (spec, energies, inertia(spec), *_formula_halves(g))
         _assert_same_results(_graph_level_results(g), want)
 
 
@@ -337,10 +345,11 @@ def _bits(*arrays):
     return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays)
 
 
-def _decomposition_bits(spec, vecs, report):
+def _decomposition_bits(spec, vecs, report, counts):
     return _bits(
         spec.values, [spec.residual_bound], vecs,
         [report.s_plus, report.s_minus, report.energy, report.m],
+        [counts.n_plus, counts.n_zero, counts.n_minus],
     )
 
 
@@ -411,8 +420,107 @@ def test_whole_stack_energies_equal_those_of_each_matrix_alone():
         mats = np.stack([g.adjacency_matrix() for g in graphs])
         outs = spectral.eigen_decompose_stack(mats, [g.m for g in graphs])
         tau = numeric_tolerance(n)
-        for g, (spec, _, report) in zip(graphs, outs):
+        for g, (spec, _, report, _) in zip(graphs, outs):
             want = spectral._energies(np.array(spec.values), tau, g.m)
             assert (report.s_plus, report.s_minus, report.energy, report.m) == (
                 want.s_plus, want.s_minus, want.energy, want.m
             )
+
+
+def _assert_formula_split(g, split):
+    """Each half bitwise that of ``_formula_halves``, signed zeros included."""
+    for got, want in zip((split.a_plus, split.a_minus), _formula_halves(g)):
+        assert got.shape == want.shape == (g.n, g.n)
+        assert _bits(got) == _bits(want)
+
+
+def _isolated_memos(monkeypatch):
+    """Empty decomposition and split memos, so that a graph some other test
+    keeps alive is seeded here all the same."""
+    monkeypatch.setattr(spectral, "_MEMO", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(spectral, "_SEEDED_SPLITS", weakref.WeakKeyDictionary())
+
+
+def test_seeded_stack_splits_of_every_connected_graph_up_to_7_equal_the_formula(
+    connected_corpus, monkeypatch
+):
+    # Blocks of 64 graphs, decomposed and split as a sweep seeds them.
+    _isolated_memos(monkeypatch)
+    for n, graphs in connected_corpus.items():
+        for start in range(0, len(graphs), 64):
+            block = graphs[start:start + 64]
+            for stack, mats in spectral.decompose_graphs(block):
+                spectral.seed_splits(stack, mats)
+            if len(block) > 1:
+                assert all(g in spectral._SEEDED_SPLITS for g in block)
+            for g in block:
+                _assert_formula_split(g, spectral_split(g))
+            assert not any(g in spectral._SEEDED_SPLITS for g in block)
+
+
+def test_random_stack_splits_up_to_64_vertices_equal_the_formula():
+    # Stacks mixing repeated and distinct inertias, empty halves (the empty
+    # graph, and K_n's one positive eigenvalue) and bipartite graphs.
+    rng = np.random.default_rng(2025)
+    for n in (8, 9, 12, 16, 23, 33, 47, 64):
+        graphs = [Graph(n, (0,) * n), complete(n), star(n), path(n)]
+        graphs += [_random_bipartite(rng, n, 0.5)]
+        graphs += [gnp(rng, n, p) for p in (0.1, 0.3, 0.3, 0.5, 0.5, 0.8)]
+        mats = np.stack([g.adjacency_matrix() for g in graphs])
+        entries = eigen_decompose_stack(mats, [g.m for g in graphs])
+        splits = spectral.split_stack(entries, lambda rows: mats[rows])
+        for g, split in zip(graphs, splits):
+            _assert_formula_split(g, split)
+
+
+def test_a_split_too_large_to_stack_equals_the_formula():
+    rng = np.random.default_rng(2026)
+    for n in (65, 100, 200):
+        assert spectral.stack_size(n) == 1
+        for p in (0.1, 0.5):
+            g = gnp(rng, n, p)
+            _assert_formula_split(g, spectral_split(g))
+
+
+def test_a_seeded_stack_split_goes_to_the_first_call_and_each_call_returns_new_halves(
+    monkeypatch,
+):
+    _isolated_memos(monkeypatch)
+    rng = np.random.default_rng(47)
+    graphs = [gnp(rng, 9, 0.5) for _ in range(5)]
+    [(stack, mats)] = spectral.decompose_graphs(graphs)
+    spectral.seed_splits(stack, mats)
+    g = graphs[2]
+    first = spectral._SEEDED_SPLITS[g]
+    assert spectral_split(g) is first and g not in spectral._SEEDED_SPLITS
+    second = spectral_split(g)
+    for a, b in ((first.a_plus, second.a_plus), (first.a_minus, second.a_minus)):
+        assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
+        assert _bits(a) == _bits(b)
+        a[0, 0] += 1.0
+        assert _bits(a) != _bits(b)
+
+
+def test_a_failing_split_is_not_seeded_and_fails_its_own_call(monkeypatch):
+    # C5 with wrong eigenvectors in its entry: the other graphs of its stack
+    # are seeded, and C5's own call raises the lone call's error.
+    _isolated_memos(monkeypatch)
+    graphs = [cycle(5), path(5), star(5)]
+    [(stack, mats)] = spectral.decompose_graphs(graphs)
+    spec, vecs, energies, counts = spectral._MEMO[graphs[0]]
+    spectral._MEMO[graphs[0]] = (spec, vecs[:, ::-1], energies, counts)
+    spectral.seed_splits(stack, mats)
+    assert [g in spectral._SEEDED_SPLITS for g in graphs] == [False, True, True]
+    monkeypatch.setitem(spectral._decomposition.memo, graphs[0], spectral._MEMO[graphs[0]])
+    with pytest.raises(NumericError, match="^split does not reconstruct the adjacency matrix$"):
+        spectral_split(graphs[0])
+
+
+def test_memo_inertia_equals_the_counted_inertia_and_refuses_a_narrow_band(monkeypatch):
+    g = _fresh_graph(59)
+    spec, vecs, energies, counts = spectral._decomposition(g)
+    assert graph_inertia(g) is counts and counts == inertia(spec)
+    wide = Spectrum(spec.values, residual_bound=1.0)
+    monkeypatch.setitem(spectral._MEMO, g, (wide, vecs, energies, counts))
+    with pytest.raises(ContractViolation, match="below solver residual"):
+        graph_inertia(g)
