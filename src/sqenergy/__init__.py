@@ -1,7 +1,6 @@
 """Square-energy toolkit: graph spectra, positive/negative square energies,
-the exact P3 certificate and removal witnesses, constructive partitions,
-exact combinatorial oracles, bound certificates, named graph families, and a
-sweep harness with a CLI.
+P3 removal witnesses, constructive partitions, exact combinatorial oracles,
+bound certificates, named graph families, and a sweep harness with a CLI.
 """
 
 from .bounds import (
@@ -47,13 +46,10 @@ from .graphs import (
     canonical_form,
     canonical_key,
     complement,
-    connected_components,
-    delete_vertex,
     disjoint_union,
     dominating_vertices,
     enumerate_graphs,
     induced_subgraph,
-    is_bipartite,
     is_clique,
     is_connected,
     is_regular,
@@ -61,7 +57,6 @@ from .graphs import (
     is_tree,
     join,
     parse_graph6,
-    relabel,
     write_graph6,
 )
 from .harness import (
@@ -94,9 +89,7 @@ from .partitions import (
     star_clique_partition,
 )
 from .sdp import (
-    P3PsdCertificate,
     P3RemovalWitness,
-    certify_p3_psd_inequality,
     p3_removal_witness,
 )
 from .spectral import (
@@ -105,7 +98,6 @@ from .spectral import (
     SpectralSplit,
     Spectrum,
     graph_inertia,
-    inertia,
     numeric_tolerance,
     spectral_split,
     spectrum,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, ContractViolation, NumericError
-from .graphs import Graph, complement, is_connected, is_regular, is_tree, join
+from .graphs import Graph, _integer, complement, is_connected, is_regular, is_tree, join
 
 GQ_MAX_Q = 3
 
@@ -75,8 +75,7 @@ def unicyclic_glue(tree: Graph, cycle_graph: Graph, attach_vertex: int) -> Graph
     k = cycle_graph.n
     if k < 3 or not is_connected(cycle_graph) or set(cycle_graph.degrees()) != {2}:
         raise ContractViolation("second argument must be a cycle")
-    if not 0 <= attach_vertex < tree.n:
-        raise ContractViolation(f"attach vertex {attach_vertex} out of range")
+    attach_vertex = tree._vertex(attach_vertex)
     mapping = {attach_vertex: 0}
     nxt = k
     for v in range(tree.n):
@@ -145,6 +144,7 @@ class GqSpectrumParams:
 def gq_predicted_spectrum(q: int) -> GqSpectrumParams:
     """Spectrum parameters k = q(q^2+1), r = q-1, a = -q^2-1 with
     multiplicities f = q^2(q^2+1), g = q(q^2-q+1) on (q+1)(q^3+1) vertices."""
+    q = _integer(q, "q")
     if not _is_prime(q):
         raise ContractViolation(f"q must be prime, got {q}")
     k = q * (q * q + 1)

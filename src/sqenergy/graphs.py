@@ -181,6 +181,8 @@ class VertexSet:
     ambient_n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "members", _integer(self.members, "members"))
+        object.__setattr__(self, "ambient_n", _integer(self.ambient_n, "ambient_n"))
         if self.ambient_n < 0:
             raise ContractViolation("ambient_n must be >= 0")
         if self.members < 0 or self.members >> self.ambient_n:
@@ -341,12 +343,6 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     return Graph._from_valid_rows(len(verts), _induced_rows(g.adj, verts))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    v = g._vertex(v)
-    keep = [u for u in range(g.n) if u != v]
-    return Graph._from_valid_rows(g.n - 1, _induced_rows(g.adj, keep))
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((~g.adj[i]) & full & ~(1 << i) for i in range(g.n))
@@ -365,17 +361,6 @@ def join(g: Graph, h: Graph) -> Graph:
     rows = [row | high for row in g.adj]
     rows += [(row << g.n) | low for row in h.adj]
     return Graph._from_valid_rows(g.n + h.n, tuple(rows))
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Graph with vertex ``i`` renamed to ``perm[i]``."""
-    perm = [_integer(p, "vertex") for p in perm]
-    if sorted(perm) != list(range(g.n)):
-        raise ContractViolation("perm must be a permutation of 0..n-1")
-    old = [0] * g.n
-    for i, p in enumerate(perm):
-        old[p] = i
-    return Graph._from_valid_rows(g.n, _induced_rows(g.adj, old))
 
 
 def _layers(adj: Sequence[int], domain: int) -> Iterator[tuple[int, int]]:
@@ -400,14 +385,6 @@ def _least_component(adj: Sequence[int], domain: int) -> int:
     return sum(layer for layer, _ in _layers(adj, domain))
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    comps, rest = [], (1 << g.n) - 1
-    while rest:
-        comps.append(VertexSet(_least_component(g.adj, rest), g.n))
-        rest &= ~comps[-1].members
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return _least_component(g.adj, full) == full
@@ -426,10 +403,6 @@ def _bipartition_mask(adj: Sequence[int], domain: int) -> int | None:
                 color0 |= layer
             rest &= ~layer
     return color0
-
-
-def is_bipartite(g: Graph) -> bool:
-    return _bipartition_mask(g.adj, (1 << g.n) - 1) is not None
 
 
 def is_clique(g: Graph) -> bool:
@@ -716,6 +689,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     Deterministic order: ascending canonical key. The size is checked on the
     call, before any graph is asked for.
     """
+    n = _integer(n, "vertex count")
     if n < 1:
         raise ContractViolation(f"enumeration needs n >= 1, got {n}")
     if n > CANONICAL_MAX_N:

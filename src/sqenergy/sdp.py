@@ -4,10 +4,11 @@ The positive square energy is the minimum of ||A + M||_F^2 over PSD M
 (attained at M = A-), and symmetrically s- minimizes ||A - M||_F^2 at
 M = A+; the ``sdp-min`` bound checks that the spectral split attains both.
 The dual view writes s+/s- as a Rayleigh-style maximum of
-max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. This module proves the
-quartic inequality behind the 3x3 PSD row-sum bound by an exact Sturm count,
-and finds the vertex of an induced 3-vertex path whose removal drops each
-square energy most; whether those drops are large enough is the removal
+max(+-<A, M>, 0)^2 / <M, M> over nonzero PSD M. The quartic inequality
+behind the 3x3 PSD row-sum bound is one fixed lemma, proved in exact
+arithmetic by the test suite (a sympy root count in ``tests/test_sdp.py``).
+This module finds the vertex of an induced 3-vertex path whose removal drops
+each square energy most; whether those drops are large enough is the removal
 bound's verdict in ``bounds``.
 The removal witness builds no vertex-deleted graphs: the energies of G - u
 come from the principal submatrix of the adjacency matrix without u,
@@ -22,9 +23,6 @@ decomposes only the vertices still missing, a block of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import dropwhile, zip_longest
-from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,72 +31,6 @@ from .errors import ContractViolation, SquareEnergyError
 from .graphs import Graph, per_graph
 from .oracles import induces_p3
 from .spectral import EnergyReport, eigen_decompose_stack, square_energies, stack_size
-
-
-def p3_psd_margin(x: np.ndarray | Rational) -> np.ndarray | Rational:
-    """The quartic margin 16x^4 - 6(1 - 4(1-x)^2)(1 - 2(1-x)^2), exact on a
-    ``Fraction`` and elementwise on a float array."""
-    d = 1 - x
-    return 16 * x**4 - 6 * (1 - 4 * d**2) * (1 - 2 * d**2)
-
-
-# 2 (p3_psd_margin(x) - 1/2), highest degree first.
-P3_PSD_QUARTIC = (-64, 384, -504, 240, -37)
-
-
-def _evaluate(coeffs: Sequence[Rational], x: Rational) -> Rational:
-    return reduce(lambda value, c: value * x + c, coeffs, 0)
-
-
-def sturm_root_count(coeffs: Sequence[Rational], a: Rational, b: Rational) -> int:
-    """The number of distinct real roots strictly between a < b of the
-    polynomial with these coefficients (highest degree first), counted
-    exactly by Sturm's theorem; a root at a or b is refused."""
-    from fractions import Fraction  # imported late: it loads `decimal`, which sweeps never need
-    p = [Fraction(c) for c in dropwhile(lambda c: c == 0, coeffs)]
-    if _evaluate(p, a) == 0 or _evaluate(p, b) == 0:
-        raise ContractViolation(f"the polynomial vanishes at {a} or {b}")
-    # p, p', then each remainder of the last two with its sign flipped.
-    chain = [p, [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]]
-    while len(chain[-1]) > 1:
-        num, den = chain[-2], chain[-1]
-        while len(num) >= len(den):
-            q = num[0] / den[0]
-            num = [r - q * c for r, c in zip_longest(num[1:], den[1:], fillvalue=0)]
-        chain.append([-r for r in dropwhile(lambda r: r == 0, num)])
-
-    def sign_changes(x: Rational) -> int:
-        signs = [v > 0 for v in (_evaluate(f, x) for f in chain) if v != 0]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    return sign_changes(a) - sign_changes(b)
-
-
-@dataclass(frozen=True)
-class P3PsdCertificate:
-    """``P3_PSD_QUARTIC``, its values at 1/2 and 1, and its roots between."""
-
-    coefficients: tuple[int, ...]
-    value_at_half: Rational
-    value_at_one: Rational
-    roots: int
-    ok: bool
-
-
-def certify_p3_psd_inequality() -> P3PsdCertificate:
-    """Prove the numeric core behind the 3x3 PSD row-sum bound in exact
-    rationals: p3_psd_margin(x) > 1/2 on [1/2, 1], since ``P3_PSD_QUARTIC``,
-    2 (margin - 1/2), is positive at both ends and has no real root between
-    them. The coefficients are first checked against ``p3_psd_margin`` at
-    five points, which pin a quartic; a mismatch raises ContractViolation."""
-    from fractions import Fraction
-    points = [Fraction(k, 8) for k in range(4, 9)]
-    margins = [2 * p3_psd_margin(x) - 1 for x in points]
-    if len(P3_PSD_QUARTIC) != 5 or [_evaluate(P3_PSD_QUARTIC, x) for x in points] != margins:
-        raise ContractViolation(f"{P3_PSD_QUARTIC} is not 2 (p3_psd_margin - 1/2)")
-    lo, hi = margins[0], margins[-1]
-    roots = sturm_root_count(P3_PSD_QUARTIC, points[0], points[-1])
-    return P3PsdCertificate(P3_PSD_QUARTIC, lo, hi, roots, lo > 0 and hi > 0 and roots == 0)
 
 
 @dataclass(frozen=True)

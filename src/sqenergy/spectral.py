@@ -415,32 +415,14 @@ def _psd_defect(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 2.0 * _gamma(k + 2) * mass + n * (k + 2) * SMALLEST_SUBNORMAL
 
 
-def _check_band(s: Spectrum) -> float:
-    """The zero band ``numeric_tolerance(n)``, refused if narrower than the
-    solver residual: the zero count would then mean nothing."""
-    tau = numeric_tolerance(s.n)
-    if tau < s.residual_bound:
-        raise ContractViolation(
-            f"zero band {tau:.3e} below solver residual {s.residual_bound:.3e}"
-        )
-    return tau
-
-
-def inertia(s: Spectrum) -> Inertia:
-    """Counts of positive / zero / negative eigenvalues, the zero band being
-    ``numeric_tolerance(n)``; the band must not be narrower than the solver
-    residual."""
-    tau = _check_band(s)
-    values = np.array(s.values)
-    n_plus = int((values > tau).sum())
-    n_minus = int((values < -tau).sum())
-    return Inertia(n_plus, s.n - n_plus - n_minus, n_minus)
-
-
 def graph_inertia(g: Graph) -> Inertia:
-    """The inertia in g's decomposition entry, counted with its energies;
-    the band must not be narrower than the solver residual."""
+    """The inertia in g's decomposition entry, counted with its energies.
+    The zero band ``numeric_tolerance(n)`` is refused if narrower than the
+    solver residual: the zero count would then mean nothing."""
     spec, _, _, counts = _decomposition(g)
-    _check_band(spec)
+    tau = numeric_tolerance(spec.n)
+    if tau < spec.residual_bound:
+        raise ContractViolation(
+            f"zero band {tau:.3e} below solver residual {spec.residual_bound:.3e}"
+        )
     return counts
-

@@ -7,10 +7,9 @@ from itertools import combinations
 
 import numpy as np
 
-from sqenergy.graphs import Graph, canonical_key, is_connected
+from sqenergy.graphs import Graph, VertexSet, _least_component, canonical_key, is_connected
 from sqenergy.oracles import find_induced_p3
 from sqenergy.partitions import Partition
-from sqenergy.graphs import VertexSet
 
 
 def gnp(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -92,6 +91,21 @@ def add_leaf(tree: Graph, v: int) -> Graph:
     return Graph.from_edges(tree.n + 1, tree.edges() + [(v, tree.n)])
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex i renamed perm[i], rebuilt from its renamed edges."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def components(g: Graph) -> list[VertexSet]:
+    """The components of g in order of least vertex, peeled off one by one by
+    the package's layer walk."""
+    comps, rest = [], (1 << g.n) - 1
+    while rest:
+        comps.append(VertexSet(_least_component(g.adj, rest), g.n))
+        rest &= ~comps[-1].members
+    return comps
+
+
 def all_trees(max_n: int) -> dict[int, list[Graph]]:
     """All trees up to isomorphism on 1..max_n vertices, by leaf augmentation."""
     levels: dict[int, dict[int, Graph]] = {1: {canonical_key(Graph(1, (0,))): Graph(1, (0,))}}
@@ -130,6 +144,15 @@ def brute_independence_number(g: Graph) -> int:
             if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
                 return k
     return best
+
+
+def is_bipartite(g: Graph) -> bool:
+    """networkx's verdict, independent of the package's layer walk."""
+    import networkx as nx
+
+    ref = nx.empty_graph(g.n)
+    ref.add_edges_from(g.edges())
+    return nx.is_bipartite(ref)
 
 
 def brute_triangle_count(g: Graph) -> int:

@@ -11,10 +11,12 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from _gen import (
     all_trees,
     gnp,
+    is_bipartite,
     no_isolated_random_graphs,
     projected_gradient_min,
     random_connected_with_p3,
@@ -42,10 +44,10 @@ from sqenergy.families import (
     path,
     unicyclic_glue,
 )
-from sqenergy.graphs import is_bipartite, is_regular
+from sqenergy.graphs import is_regular
 from sqenergy.oracles import find_induced_p3
 from sqenergy.partitions import certify_superadditivity
-from sqenergy.sdp import certify_p3_psd_inequality, p3_psd_margin, p3_removal_witness
+from sqenergy.sdp import p3_removal_witness
 from sqenergy.spectral import numeric_tolerance, spectral_split, spectrum, square_energies
 
 
@@ -122,9 +124,18 @@ def test_criterion_04_removal_witnesses():
 
 
 def test_criterion_05_p3_psd_core():
-    cert = certify_p3_psd_inequality()
+    def margin(x):
+        d = 1 - x
+        return 16 * x**4 - 6 * (1 - 4 * d**2) * (1 - 2 * d**2)
+
+    # Exact proof that margin(x) > 1/2 on [1/2, 1]: the quartic
+    # 2 (margin - 1/2) is positive at both ends and has no root between.
+    x, half = sympy.Symbol("x"), sympy.Rational(1, 2)
+    quartic = sympy.Poly(2 * (margin(x) - half), x)
+    ends = (quartic.eval(half), quartic.eval(1))
+    roots = quartic.count_roots(half, 1)
     # The margin comes within 1/10 of its bound 1/2 inside [1/2, 1].
-    near_min = p3_psd_margin(Fraction(16, 25))
+    near_min = margin(Fraction(16, 25))
     a = path(3).adjacency_matrix()
     rng = np.random.default_rng(737373)
     violations = 0
@@ -132,14 +143,14 @@ def test_criterion_05_p3_psd_core():
         m = random_psd(rng, 3)
         for mat in (a - m, a + m):
             violations += not max(row_col_square_sum(mat, i) for i in range(3)) > 1.0
-    ok = cert.ok and near_min <= Fraction(3, 5) and not violations
+    ok = ends == (1, 19) and roots == 0 and near_min <= Fraction(3, 5) and not violations
     _report(
         "5 3x3 PSD core",
         ok,
-        f"{cert.roots} roots of {cert.coefficients} in (1/2, 1), margin "
+        f"{roots} roots of {tuple(quartic.all_coeffs())} in [1/2, 1], margin "
         f"{float(near_min):.6f} at x=0.64, 10000 trials, {violations} violations",
     )
-    assert cert.ok
+    assert ends == (1, 19) and roots == 0
     assert near_min <= Fraction(3, 5)
     assert not violations
 

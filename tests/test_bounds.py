@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from _gen import all_trees, no_isolated_random_graphs
+from _gen import all_trees, is_bipartite, no_isolated_random_graphs
 from sqenergy.bounds import (
     bound_alon_boppana,
     bound_dominating_vertex,
@@ -34,7 +34,6 @@ from sqenergy.families import (
 from sqenergy.graphs import (
     Graph,
     disjoint_union,
-    is_bipartite,
     is_clique,
     is_star,
     join,

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _gen import brute_triangle_count
+from _gen import brute_triangle_count, is_bipartite
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import (
     complete,
@@ -21,7 +21,7 @@ from sqenergy.families import (
     star_plus_edge,
     unicyclic_glue,
 )
-from sqenergy.graphs import VertexSet, disjoint_union, is_bipartite, is_connected, is_regular
+from sqenergy.graphs import VertexSet, disjoint_union, is_connected, is_regular
 from sqenergy.partitions import Partition, certify_superadditivity
 from sqenergy.spectral import numeric_tolerance, spectrum, square_energies
 
@@ -80,8 +80,12 @@ def test_unicyclic_glue():
         unicyclic_glue(cycle(3), cycle(5), 0)  # not a tree
     with pytest.raises(ContractViolation):
         unicyclic_glue(path(3), path(4), 0)  # not a cycle
-    with pytest.raises(ContractViolation):
-        unicyclic_glue(path(3), cycle(5), 3)
+    # The attach vertex is a vertex of the tree, refused by name otherwise.
+    for attach, shown in ((3, "vertex 3 out of range for n=3"),
+                          (1.5, "vertex must be an integer, got 1.5"),
+                          ("1", "vertex must be an integer, got '1'")):
+        with pytest.raises(ContractViolation, match=f"^{shown}$"):
+            unicyclic_glue(path(3), cycle(5), attach)
 
 
 def test_join_complement():
@@ -114,10 +118,12 @@ def test_gq_predicted_spectrum_values():
     p3 = gq_predicted_spectrum(3)
     assert (p3.k, p3.r, p3.a, p3.f, p3.g) == (30, 2, -10, 90, 21)
     assert p3.n_pred == 112
-    with pytest.raises(ContractViolation):
-        gq_predicted_spectrum(4)
-    with pytest.raises(ContractViolation):
-        gq_predicted_spectrum(1)
+    for q in (4, 1):
+        with pytest.raises(ContractViolation, match=f"^q must be prime, got {q}$"):
+            gq_predicted_spectrum(q)
+    # A float q is refused, not carried into float parameters.
+    with pytest.raises(ContractViolation, match="^q must be an integer, got 2.0$"):
+        gq_predicted_spectrum(2.0)
 
 
 def test_gq_predicted_identities_many_primes():
@@ -148,5 +154,8 @@ def test_gq_graph_q3_structure():
 def test_gq_graph_guards():
     with pytest.raises(ContractViolation):
         gq_collinearity_graph(4)
+    # 2.5 passes a trial-division primality test; it is refused as a non-integer.
+    with pytest.raises(ContractViolation, match="^q must be an integer, got 2.5$"):
+        gq_collinearity_graph(2.5)
     with pytest.raises(BudgetExceeded):
         gq_collinearity_graph(5)

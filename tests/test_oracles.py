@@ -7,6 +7,8 @@ from _gen import (
     brute_domination_number,
     brute_independence_number,
     brute_max_cut,
+    components,
+    is_bipartite,
     random_graphs,
 )
 from sqenergy.errors import BudgetExceeded, ContractViolation
@@ -17,7 +19,6 @@ from sqenergy.graphs import (
     disjoint_union,
     enumerate_graphs,
     induced_subgraph,
-    is_bipartite,
     is_connected,
 )
 from sqenergy import oracles
@@ -115,27 +116,12 @@ def test_find_induced_p3():
         for g in enumerate_graphs(n):
             triple = find_induced_p3(g)
             comps_are_cliques = all(
-                induced.m == len(comp) * (len(comp) - 1) // 2
-                for comp, induced in (
-                    (c, _induced(g, c)) for c in _components(g)
-                )
+                induced_subgraph(g, c).m == len(c) * (len(c) - 1) // 2 for c in components(g)
             )
             assert (triple is None) == comps_are_cliques
             if triple is not None:
                 u, v, w = triple
                 assert g.has_edge(u, v) and g.has_edge(v, w) and not g.has_edge(u, w)
-
-
-def _components(g):
-    from sqenergy.graphs import connected_components
-
-    return connected_components(g)
-
-
-def _induced(g, comp):
-    from sqenergy.graphs import induced_subgraph
-
-    return induced_subgraph(g, comp)
 
 
 def test_cut_vertices():

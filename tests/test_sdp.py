@@ -1,9 +1,8 @@
 """Semidefinite characterizations against the numpy reference forms, the
-exact certificate of the 3x3 PSD quartic and its Sturm count, and removal
+exact proof of the 3x3 PSD quartic by a sympy root count, and removal
 witnesses."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,18 +16,12 @@ from _gen import (
     rayleigh_value,
     row_col_square_sum,
 )
-import sqenergy.sdp as sdp
 from sqenergy.bounds import BOUNDS
 from sqenergy.errors import ContractViolation
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
-from sqenergy.graphs import delete_vertex, enumerate_graphs
+from sqenergy.graphs import VertexSet, enumerate_graphs, induced_subgraph
 from sqenergy.oracles import find_induced_p3
-from sqenergy.sdp import (
-    certify_p3_psd_inequality,
-    p3_psd_margin,
-    p3_removal_witness,
-    sturm_root_count,
-)
+from sqenergy.sdp import p3_removal_witness
 from sqenergy.spectral import spectral_split, square_energies
 
 
@@ -118,22 +111,10 @@ def test_rayleigh_never_exceeds():
             assert rayleigh_value(a, m, "minus") <= report.s_minus + 1e-8
 
 
-def test_p3_psd_margin_values():
-    assert p3_psd_margin(np.array(1.0)) == pytest.approx(10.0)
-    assert p3_psd_margin(np.array(0.5)) == pytest.approx(1.0)
-    assert p3_psd_margin(Fraction(1)) == 10 and p3_psd_margin(Fraction(1, 2)) == 1
-    assert p3_psd_margin(Fraction(16, 25)) == Fraction(212398, 390625)
-    # Integer literals leave the float evaluation bitwise as with float ones.
-    x = np.linspace(0.5, 1.0, 5001)
-    d = 1.0 - x
-    want = 16.0 * x**4 - 6.0 * (1.0 - 4.0 * d**2) * (1.0 - 2.0 * d**2)
-    assert np.array_equal(p3_psd_margin(x), want)
-
-
 def test_p3_psd_scan():
     # Some row/column square sum of A - M and of A + M exceeds 1 for PSD M,
-    # A the 3-path adjacency matrix: the lemma whose quartic core is proved.
-    assert certify_p3_psd_inequality().ok
+    # A the 3-path adjacency matrix: the lemma whose quartic core the next
+    # test proves.
     a = path(3).adjacency_matrix()
     rng = np.random.default_rng(3)
     for _ in range(500):
@@ -145,52 +126,15 @@ def test_p3_psd_scan():
 
 
 def test_p3_psd_certificate_agrees_with_sympy():
-    cert = certify_p3_psd_inequality()
-    assert cert.ok and cert.roots == 0
-    assert (cert.value_at_half, cert.value_at_one) == (1, 19)
-    x = sympy.Symbol("x")
+    # The exact proof of the quartic core: margin(x) > 1/2 on [1/2, 1], since
+    # 2 (margin - 1/2) is positive at both ends and has no real root between.
+    x, half = sympy.Symbol("x"), sympy.Rational(1, 2)
     d = 1 - x
     margin = 16 * x**4 - 6 * (1 - 4 * d**2) * (1 - 2 * d**2)
-    quartic = sympy.Poly(2 * (margin - sympy.Rational(1, 2)), x)
-    assert tuple(quartic.all_coeffs()) == cert.coefficients
-    assert quartic.count_roots(sympy.Rational(1, 2), 1) == 0
-
-
-def test_sturm_count_finds_the_roots_between_the_ends():
-    half, one = Fraction(1, 2), Fraction(1)
-    # 100x^2 - 130x + 42 = (10x - 6)(10x - 7)
-    assert sturm_root_count((100, -130, 42), half, one) == 2
-    assert sturm_root_count((100, -130, 42), Fraction(13, 20), one) == 1
-    assert sturm_root_count((100, -130, 42), Fraction(3, 4), one) == 0
-    # (5x - 3)^2 (10x - 7): a double root counts once
-    assert sturm_root_count((250, -475, 300, -63), half, one) == 2
-    # The quartic lowered by 1/5, times 5: 4 at 1/2 and 94 at 1, negative
-    # between its two roots there.
-    lowered = (-320, 1920, -2520, 1200, -186)
-    assert sturm_root_count(lowered, half, one) == 2
-    # Lowered by 1, the quartic vanishes at 1/2, which no count may include.
-    with pytest.raises(ContractViolation, match="vanishes"):
-        sturm_root_count((-64, 384, -504, 240, -38), half, one)
-
-
-def test_a_quartic_dipping_below_zero_fails_the_certificate(monkeypatch):
-    margin = sdp.p3_psd_margin
-    monkeypatch.setattr(sdp, "p3_psd_margin", lambda x: margin(x) - Fraction(1, 10))
-    monkeypatch.setattr(sdp, "P3_PSD_QUARTIC", (-64, 384, -504, 240, Fraction(-186, 5)))
-    cert = certify_p3_psd_inequality()
-    assert (cert.value_at_half, cert.value_at_one, cert.roots) == (Fraction(4, 5), Fraction(94, 5), 2)
-    assert not cert.ok
-
-
-@pytest.mark.parametrize("coeffs", [
-    (-64, 384, -504, 240, -38),
-    (-64, 384, -505, 240, -37),
-    (0, -64, 384, -504, 240, -37),  # equal at every point, but not a quartic
-])
-def test_coefficients_that_are_not_the_margin_are_refused(coeffs, monkeypatch):
-    monkeypatch.setattr(sdp, "P3_PSD_QUARTIC", coeffs)
-    with pytest.raises(ContractViolation, match="is not 2"):
-        certify_p3_psd_inequality()
+    quartic = sympy.Poly(2 * (margin - half), x)
+    assert quartic.all_coeffs() == [-64, 384, -504, 240, -37]
+    assert (quartic.eval(half), quartic.eval(1)) == (1, 19)
+    assert quartic.count_roots(half, 1) == 0
 
 
 def test_p3_removal_witness_on_path():
@@ -239,7 +183,8 @@ def test_removal_drops_equal_those_of_the_vertex_deleted_graphs(connected_corpus
         witness = p3_removal_witness(g, triple)
         drops = {}
         for u in triple:
-            rest = square_energies(delete_vertex(g, u))
+            others = VertexSet.of([v for v in range(g.n) if v != u], g.n)
+            rest = square_energies(induced_subgraph(g, others))
             drops[u] = (whole.s_minus - rest.s_minus, whole.s_plus - rest.s_plus)
         assert witness.drop_minus == drops[witness.vertex_minus][0]
         assert witness.drop_plus == drops[witness.vertex_plus][1]

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 import sympy
 
-from _gen import brute_triangle_count, gnp, random_bipartite_graphs, random_graphs
+from _gen import brute_triangle_count, gnp, is_bipartite, random_bipartite_graphs, random_graphs
 import sqenergy.spectral as spectral
 from sqenergy.errors import ContractViolation, NumericError
 from sqenergy.families import complete, cycle, path, petersen, star, star_plus_edge
-from sqenergy.graphs import Graph, enumerate_graphs, is_bipartite
+from sqenergy.graphs import Graph, enumerate_graphs
 from sqenergy.spectral import (
+    Inertia,
     Spectrum,
     graph_inertia,
-    inertia,
     numeric_tolerance,
     spectral_split,
     eigen_decompose_stack,
@@ -223,10 +223,6 @@ def test_inertia_examples():
     assert (i.n_plus, i.n_zero, i.n_minus) == (1, 0, 3)
     i = graph_inertia(cycle(4))
     assert (i.n_plus, i.n_zero, i.n_minus) == (1, 2, 1)
-    # A residual wider than the zero band makes the zero count meaningless.
-    spec = spectrum(petersen())
-    with pytest.raises(ContractViolation, match="below solver residual"):
-        inertia(Spectrum(spec.values, residual_bound=1.0))
 
 
 def test_triangle_count_spectral():
@@ -320,6 +316,13 @@ def test_shared_eigenvectors_are_read_only():
     assert split.a_plus.flags.writeable and split.a_minus.flags.writeable
 
 
+def _counted_inertia(spec):
+    """The eigenvalues of spec above, within and below the zero band."""
+    values, tau = np.array(spec.values), numeric_tolerance(spec.n)
+    n_plus, n_minus = int((values > tau).sum()), int((values < -tau).sum())
+    return Inertia(n_plus, spec.n - n_plus - n_minus, n_minus)
+
+
 def _formula_halves(g):
     """The split halves of g's matrix decomposed alone, by boolean column
     masks and sym(V W V^T)."""
@@ -337,7 +340,7 @@ def test_graph_level_functions_equal_a_fresh_decomposition(connected_corpus):
     for g in graphs:
         spec, _, _, _ = _decompose(g.adjacency_matrix(), g.m)
         energies = square_energies(g, zero_tolerance=numeric_tolerance(g.n))
-        want = (spec, energies, inertia(spec), *_formula_halves(g))
+        want = (spec, energies, _counted_inertia(spec), *_formula_halves(g))
         _assert_same_results(_graph_level_results(g), want)
 
 
@@ -519,7 +522,7 @@ def test_a_failing_split_is_not_seeded_and_fails_its_own_call(monkeypatch):
 def test_memo_inertia_equals_the_counted_inertia_and_refuses_a_narrow_band(monkeypatch):
     g = _fresh_graph(59)
     spec, vecs, energies, counts = spectral._decomposition(g)
-    assert graph_inertia(g) is counts and counts == inertia(spec)
+    assert graph_inertia(g) is counts and counts == _counted_inertia(spec)
     wide = Spectrum(spec.values, residual_bound=1.0)
     monkeypatch.setitem(spectral._MEMO, g, (wide, vecs, energies, counts))
     with pytest.raises(ContractViolation, match="below solver residual"):
