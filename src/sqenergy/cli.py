@@ -13,6 +13,7 @@ violation, and 1 on operational errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, Iterable
 
@@ -42,7 +43,10 @@ from .spectral import spectrum, square_energies
 
 # Shared options; each subcommand declares only the ones it reads.
 _OPTIONS = {
-    "--jobs": {"type": int, "default": 1, "help": "worker processes"},
+    "--jobs": {
+        "type": int,
+        "help": "worker processes (default: the CPUs this process may use)",
+    },
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--out": {"default": "-", "help": "output path, '-' for stdout"},
 }
@@ -102,7 +106,18 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return _per_graph(args, resolve_source(args.source), fields)
 
 
-def _sweep(args: argparse.Namespace, config: RunConfig) -> int:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
+    jobs = _usable_cpus() if args.jobs is None else args.jobs
+    config = RunConfig(source, bounds, jobs)
     config.source = resolve_source(config.source)  # after the config's checks, before open_out
     with open_out(args.out) as stream:
         summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
@@ -113,12 +128,11 @@ def _sweep(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    bounds = tuple(args.set.split(","))
-    return _sweep(args, RunConfig(args.source, bounds, args.jobs))
+    return _sweep(args, args.source, tuple(args.set.split(",")))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return _sweep(args, RunConfig(f"enumerate:{args.n}:connected", ("efgw",), args.jobs))
+    return _sweep(args, f"enumerate:{args.n}:connected", ("efgw",))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ GQ_MAX_Q = 3
 
 
 def complete(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 1:
         raise ContractViolation("complete(n) needs n >= 1")
     return Graph.from_edges(n, combinations(range(n), 2))
@@ -22,18 +23,21 @@ def complete(n: int) -> Graph:
 
 def star(n: int) -> Graph:
     """K_{1,n-1} with center 0."""
+    n = _integer(n, "n")
     if n < 1:
         raise ContractViolation("star(n) needs n >= 1")
     return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def path(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 1:
         raise ContractViolation("path(n) needs n >= 1")
     return Graph.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 3:
         raise ContractViolation("cycle(n) needs n >= 3")
     return Graph.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
@@ -44,6 +48,7 @@ def star_plus_edge(n: int) -> Graph:
 
     Its least eigenvalue is at most -sqrt(n-2), with equality only at n = 3.
     """
+    n = _integer(n, "n")
     if n < 3:
         raise ContractViolation("star_plus_edge(n) needs n >= 3")
     edges = [(0, v) for v in range(1, n)]
@@ -54,6 +59,7 @@ def star_plus_edge(n: int) -> Graph:
 def cycle_with_triangles(k: int) -> Graph:
     """A k-cycle with a disjoint triangle glued onto each cycle vertex:
     3k vertices and 4k edges."""
+    k = _integer(k, "k")
     if k < 3:
         raise ContractViolation("cycle_with_triangles(k) needs k >= 3")
     edges = [(v, (v + 1) % k) for v in range(k)]

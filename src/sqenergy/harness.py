@@ -4,19 +4,34 @@ summaries, and the minimal-counterexample candidate filter.
 Records are emitted one JSON object (or CSV row) per (graph, bound) in input
 order, so a fixed configuration reproduces byte-identical output; wall time
 lives only in the summary, never in the record sink.
+
+A sweep reads its source in blocks of consecutive graphs. One block function,
+``_sweep_block``, evaluates a block and returns its finished record text (JSON
+lines, or CSV rows without the header) with a tally of the block: counts,
+each bound's first least slack and the violating records. The serial path
+and every pool worker call it alike, and the parent only writes the text and
+merges the tallies in block order. Blocks run in-process until they have
+taken as long as a pool would take to start, so a short sweep never starts
+one. The pool gets no more workers than the blocks left for it, and at most
+two blocks per worker are read ahead of the one being written, so a sweep of
+stdin still streams.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
+import math
+import multiprocessing
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -36,6 +51,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _integer,
     enumerate_graphs,
     is_connected,
     parse_graph6,
@@ -218,13 +234,6 @@ def evaluate_block(
     return (evaluate_graph(index, g, names) for index, g in block)
 
 
-def _block_records(
-    names: tuple[str, ...], block: list[tuple[int, Graph]]
-) -> list[list[dict[str, Any]]]:
-    """``evaluate_block`` read to the end, for a worker to send back."""
-    return list(evaluate_block(names, block))
-
-
 # ---------------------------------------------------------------------------
 # Record sinks
 # ---------------------------------------------------------------------------
@@ -272,13 +281,39 @@ def _sorted_json_encoder() -> Callable[[Any], str]:
     return encoded
 
 
+# One encoder per process, shared by its writers and the blocks it evaluates.
+_encode = _sorted_json_encoder()
+
+
+def _csv_row(record: dict[str, Any], columns: tuple[str, ...]) -> list[Any]:
+    """A record's CSV cells; nested values are JSON-encoded."""
+    row = []
+    for col in columns:
+        value = record.get(col)
+        if isinstance(value, (dict, list)):
+            value = _encode(value)
+        row.append("" if value is None else value)
+    return row
+
+
+def _records_text(
+    records: Iterable[dict[str, Any]], fmt: str, columns: tuple[str, ...] | None = None
+) -> str:
+    """Records as JSON lines, or as CSV rows of ``columns`` without the
+    header."""
+    if fmt == "json":
+        return "".join([_encode(record) + "\n" for record in records])
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([_csv_row(r, columns) for r in records])
+    return buffer.getvalue()
+
+
 class RecordWriter:
     """Writes records as JSON lines or CSV rows.
 
     CSV columns default to the sorted key set of the first record; pass
-    ``columns`` for a fixed layout. Nested values are JSON-encoded in cells.
-    One encoder, built once, serves every record, with the output of
-    ``json.dumps(value, sort_keys=True)``.
+    ``columns`` for a fixed layout. Each record is written as
+    ``json.dumps(value, sort_keys=True)`` writes it.
     """
 
     def __init__(self, stream: TextIO, fmt: str = "json", columns: tuple[str, ...] | None = None):
@@ -287,26 +322,36 @@ class RecordWriter:
         self.stream = stream
         self.fmt = fmt
         self.columns = columns
-        self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
-        self._encode = _sorted_json_encoder()
+        self._csv = csv.writer(stream, lineterminator="\n")
         self._header_written = False
+
+    def fix_columns(self, keys: Iterable[str]) -> tuple[str, ...] | None:
+        """The CSV columns: those given on construction, else the sorted
+        ``keys`` of the first call. None for JSON."""
+        if self.fmt == "csv" and self.columns is None:
+            self.columns = tuple(sorted(keys))
+        return self.columns
 
     def write(self, record: dict[str, Any]) -> None:
         if self.fmt == "json":
-            self.stream.write(self._encode(record) + "\n")
+            self.stream.write(_encode(record) + "\n")
             return
+        row = _csv_row(record, self.fix_columns(record))
+        self._write_header()
+        self._csv.writerow(row)
+
+    def write_text(self, text: str) -> None:
+        """Write records already in this writer's format and columns (JSON
+        lines, or CSV rows without the header), after the CSV header if it
+        is not written yet."""
+        if text and self.fmt == "csv":
+            self._write_header()
+        self.stream.write(text)
+
+    def _write_header(self) -> None:
         if not self._header_written:
-            if self.columns is None:
-                self.columns = tuple(sorted(record))
             self._csv.writerow(self.columns)
             self._header_written = True
-        row = []
-        for col in self.columns:
-            value = record.get(col)
-            if isinstance(value, (dict, list)):
-                value = self._encode(value)
-            row.append("" if value is None else value)
-        self._csv.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +371,7 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        self.jobs = _integer(self.jobs, "jobs")
         if self.jobs < 1:
             raise ContractViolation(f"jobs must be >= 1, got {self.jobs}")
         if "all" in self.bounds and self.bounds != ("all",):
@@ -353,6 +399,111 @@ class RunSummary:
     minima: dict[str, dict[str, Any]] = field(default_factory=dict)
     wall_time: float = 0.0
 
+    def count(self, record: dict[str, Any]) -> None:
+        """Tally one record that follows every record counted so far."""
+        self.records_written += 1
+        if record["status"] == "skipped":
+            self.skipped += 1
+        elif record["status"] == "error":
+            self.errors += 1
+        elif not record["informational"] and record["applicable"]:
+            self._least(record["name"], {
+                "slack": record["slack"],
+                "graph6": record["graph6"],
+                "graph_index": record["graph_index"],
+            })
+            if not record["holds"]:
+                self.violations.append(record)
+
+    def merge(self, later: RunSummary) -> None:
+        """Add the tally of records that follow every record counted so far."""
+        self.graphs_processed += later.graphs_processed
+        self.records_written += later.records_written
+        self.skipped += later.skipped
+        self.errors += later.errors
+        self.violations += later.violations
+        for name, entry in later.minima.items():
+            self._least(name, entry)
+
+    def _least(self, name: str, entry: dict[str, Any]) -> None:
+        # Strictly less: the first of equal slacks stays.
+        least = self.minima.get(name)
+        if least is None or entry["slack"] < least["slack"]:
+            self.minima[name] = entry
+
+
+def _sweep_block(
+    names: tuple[str, ...],
+    fmt: str | None,
+    columns: tuple[str, ...] | None,
+    block: list[tuple[int, Graph]],
+) -> tuple[str, RunSummary]:
+    """The record text of one block in ``fmt`` (empty for None) and its
+    tally. The serial path and each pool worker call this alike. Each
+    graph's records are encoded as they are made, so that only one graph's
+    records are held at a time."""
+    tally = RunSummary()
+    texts: list[str] = []
+    for graph_records in evaluate_block(names, block):
+        tally.graphs_processed += 1
+        for record in graph_records:
+            tally.count(record)
+        if fmt:
+            texts.append(_records_text(graph_records, fmt, columns))
+    return "".join(texts), tally
+
+
+def _pool_start_s(workers: int) -> float:
+    """About how long a pool of ``workers`` takes to start and return a
+    first result: measured at 9 ms a worker with fork, and 0.2-0.35 s for
+    one or two workers with forkserver or spawn, whose workers import
+    numpy afresh (Python 3.11, 2 CPUs)."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    if method is None:
+        method = multiprocessing.get_all_start_methods()[0]  # the platform's default
+    return workers * (0.01 if method == "fork" else 0.15)
+
+
+def _block_outputs(
+    work: Callable[[list[tuple[int, Graph]]], tuple[str, RunSummary]],
+    blocks: Iterator[list[tuple[int, Graph]]],
+    jobs: int,
+) -> Iterator[tuple[str, RunSummary]]:
+    """``work`` of each block, in block order. Blocks run in-process until
+    they have taken as long as a pool of ``jobs`` workers takes to start,
+    so a sweep too short to repay a pool never starts one, and one that
+    does pays at most twice the start-up. The next blocks, up to ``jobs``,
+    then go to a pool of one worker for each, if there are two or more; at
+    most two blocks per worker are in flight, so the source is read no
+    further ahead of the output than that. The pool is shut down and joined
+    when the outputs end, fail or are closed."""
+    start_s = _pool_start_s(jobs) if jobs > 1 else math.inf
+    in_process_s = 0.0
+    for block in blocks:
+        if in_process_s >= start_s:
+            break
+        began = time.perf_counter()
+        output = work(block)
+        in_process_s += time.perf_counter() - began
+        yield output
+    else:
+        return
+    ahead = [block, *islice(blocks, jobs - 1)]
+    if len(ahead) == 1:
+        yield work(block)
+        return
+    pool = ProcessPoolExecutor(max_workers=len(ahead))
+    try:
+        pending = deque()
+        for block in chain(ahead, blocks):
+            pending.append(pool.submit(work, block))
+            if len(pending) == 2 * len(ahead):
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
 
 def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     """Evaluate the configured bounds on every graph of the source, write one
@@ -364,13 +515,11 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     names = config.bound_names()
     source = config.source
     graphs = resolve_source(source) if isinstance(source, str) else source
-    summary = RunSummary()
     # Graphs are evaluated in blocks of consecutive graphs whose adjacency
     # matrices, each counted as at least 8 x 8, hold at most
-    # STACK_MAX_ENTRIES entries (so at most 64 graphs), one block per call
-    # and per pool task. A worker pool reads every block before it yields a
-    # result, so an error raised by the source there would write no record;
-    # it ends the blocks instead and is raised after them.
+    # STACK_MAX_ENTRIES entries (so at most 64 graphs). An error raised by
+    # the source ends the blocks and is raised after the blocks already read
+    # are written, as a pool may have read it ahead of their records.
     source_error: list[Graph6Error] = []
 
     def blocks() -> Iterator[list[tuple[int, Graph]]]:
@@ -389,37 +538,16 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
         if block:
             yield block
 
-    def consume(record_lists: Iterable[list[dict[str, Any]]]) -> None:
-        for records in record_lists:
-            summary.graphs_processed += 1
-            for record in records:
-                if sink is not None:
-                    sink.write(record)
-                summary.records_written += 1
-                if record["status"] == "skipped":
-                    summary.skipped += 1
-                    continue
-                if record["status"] == "error":
-                    summary.errors += 1
-                    continue
-                name = record["name"]
-                if not record["informational"] and record["applicable"]:
-                    slack = record["slack"]
-                    entry = summary.minima.get(name)
-                    if entry is None or slack < entry["slack"]:
-                        summary.minima[name] = {
-                            "slack": slack,
-                            "graph6": record["graph6"],
-                            "graph_index": record["graph_index"],
-                        }
-                    if not record["holds"]:
-                        summary.violations.append(record)
-
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            consume(chain.from_iterable(pool.map(partial(_block_records, names), blocks())))
-    else:
-        consume(chain.from_iterable(map(partial(evaluate_block, names), blocks())))
+    fmt = columns = None
+    if sink is not None:
+        fmt, columns = sink.fmt, sink.fix_columns(CSV_COLUMNS)  # every sweep record's keys
+    summary = RunSummary()
+    work = partial(_sweep_block, names, fmt, columns)
+    with contextlib.closing(_block_outputs(work, blocks(), config.jobs)) as outputs:
+        for text, tally in outputs:
+            if sink is not None:
+                sink.write_text(text)
+            summary.merge(tally)
     if source_error:
         raise source_error[0]
     summary.wall_time = time.monotonic() - start

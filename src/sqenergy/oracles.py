@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     VertexSet,
     _bipartition_mask,
+    _integer,
     _iter_bits,
     _least_component,
     is_connected,
@@ -42,7 +43,7 @@ class DominationCertificate:
 
 
 def _check_budget(g: Graph, budget_n: int) -> None:
-    if g.n > budget_n:
+    if g.n > _integer(budget_n, "budget n"):
         raise BudgetExceeded(f"exact search budget n <= {budget_n}, got n={g.n}")
 
 

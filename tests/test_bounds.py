@@ -3,6 +3,7 @@ pipeline, and the informational checks."""
 
 import math
 
+import numpy as np
 import pytest
 
 from _gen import all_trees, is_bipartite, no_isolated_random_graphs
@@ -20,7 +21,7 @@ from sqenergy.bounds import (
     conjecture_checks,
     energy_wall_check,
 )
-from sqenergy.errors import ContractViolation
+from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import (
     complete,
     cycle,
@@ -155,6 +156,16 @@ def test_surplus_examples():
     assert c5.holds and c5.rhs == pytest.approx(2.25 / 5)
     c6 = bound_surplus(cycle(6))
     assert c6.holds and c6.lhs == pytest.approx(6.0) and c6.rhs == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("check", [bound_domination, bound_surplus, conjecture_checks])
+def test_exact_search_budgets_must_be_integers(check):
+    for bad in (2.5, 9.0, "9", None):
+        with pytest.raises(ContractViolation, match=f"^budget n must be an integer, got {bad!r}$"):
+            check(cycle(5), bad)
+    with pytest.raises(BudgetExceeded, match=r"^exact search budget n <= 4, got n=5$"):
+        check(cycle(5), 4)
+    assert check(cycle(5), np.int64(5)) == check(cycle(5))
 
 
 def test_pipeline_cases():

@@ -7,12 +7,15 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,6 +328,173 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_default_jobs_write_the_serial_records(fmt, tmp_path):
+    base = ["bounds", "enumerate:7:connected", "--set", "all", "--format", fmt]
+    serial, default = tmp_path / "serial", tmp_path / "default"
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert main(base + ["--out", str(default)]) == 0
+    assert serial.read_bytes() == default.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "default"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_empty_source_writes_nothing(fmt, jobs, tmp_path):
+    empty, out = tmp_path / "empty.g6", tmp_path / "out"
+    empty.write_bytes(b"")
+    argv = ["bounds", str(empty), "--set", "efgw", "--format", fmt, *_jobs_flag(jobs)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    """A sweep with more than one job hands its blocks to a pool from the
+    first, however short the sweep."""
+    monkeypatch.setattr(harness, "_pool_start_s", lambda workers: 0.0)
+
+
+@pytest.mark.parametrize("jobs", ["2", "default"])
+def test_a_one_block_source_runs_in_process(jobs, tmp_path, monkeypatch, pool_at_once):
+    base = ["bounds", "family:petersen", "--set", "all"]
+    serial, got = tmp_path / "serial", tmp_path / "got"
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    assert main(base + [*_jobs_flag(jobs), "--out", str(got)]) == 0
+    assert serial.read_bytes() == got.read_bytes()
+
+
+def test_the_default_worker_count_is_the_usable_cpus(tmp_path, monkeypatch, pool_at_once):
+    base = ["bounds", "enumerate:7:connected", "--set", "efgw"]
+    serial, got = tmp_path / "serial", tmp_path / "got"
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(AssertionError, match="^a worker pool was started$"):
+        main(base + ["--out", str(got)])
+    # On one usable CPU the default runs in-process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(base + ["--out", str(got)]) == 0
+    assert serial.read_bytes() == got.read_bytes()
+    # Where the platform cannot say which CPUs are usable, the CPU count
+    # decides, and an unknown count means one.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(base + ["--out", str(got)]) == 0
+    assert serial.read_bytes() == got.read_bytes()
+
+
+def test_a_pool_reads_at_most_two_blocks_per_worker_ahead_of_the_output(pool_at_once):
+    graphs = list(resolve_source("enumerate:7:connected"))
+    handed_out = 0
+
+    def source():
+        nonlocal handed_out
+        for g in graphs:
+            handed_out += 1
+            yield g
+
+    class FirstWriteCounts(io.StringIO):
+        read_before_first_write = None
+
+        def write(self, text):
+            if self.read_before_first_write is None:
+                self.read_before_first_write = handed_out
+            return super().write(text)
+
+    jobs = 2
+    stream, serial = FirstWriteCounts(), io.StringIO()
+    run(RunConfig(source(), ("efgw",), jobs), RecordWriter(stream))
+    run(RunConfig(graphs, ("efgw",), 1), RecordWriter(serial))
+    assert handed_out == len(graphs) == 853
+    assert stream.read_before_first_write <= (2 * jobs + 1) * 64
+    assert stream.getvalue() == serial.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_worker_exception_ends_the_sweep_after_the_blocks_before_it(jobs, pool_at_once):
+    # The object in the second block is no graph, so evaluating it raises.
+    graphs = list(resolve_source("enumerate:7:connected"))[:100]
+    want = io.StringIO()
+    run(RunConfig(graphs[:64], ("efgw",), 1), RecordWriter(want))
+    got = io.StringIO()
+    source = graphs[:64] + [SimpleNamespace(n=7)] + graphs[64:]
+    with pytest.raises(AttributeError):
+        run(RunConfig(iter(source), ("efgw",), jobs), RecordWriter(got))
+    assert got.getvalue() == want.getvalue()
+    assert multiprocessing.active_children() == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each block on submission and
+    records the worker count and the blocks it was given."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.blocks = []
+        self.started.append((max_workers, self.blocks))
+
+    def submit(self, work, block):
+        self.blocks.append(block)
+        future = Future()
+        future.set_result(work(block))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_blocks_run_in_process_until_they_have_taken_the_pool_start_up(monkeypatch):
+    # Each block takes 1/256 s on a stopped clock, and a pool 1/128 s a
+    # worker to start: two workers repay their start-up after four blocks.
+    clock = 0.0
+
+    def work(block):
+        nonlocal clock
+        clock += 1 / 256
+        return block
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock))
+    monkeypatch.setattr(harness, "_pool_start_s", lambda workers: workers / 128)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    started = _InlinePool.started = []
+
+    def outputs(count, jobs):
+        started.clear()
+        assert list(harness._block_outputs(work, iter(range(count)), jobs)) == list(range(count))
+        return started
+
+    assert outputs(10, 2) == [(2, [4, 5, 6, 7, 8, 9])]
+    # A sweep that ends within the start-up, or one block after it, runs
+    # in-process, and one job never starts a pool.
+    assert outputs(4, 2) == []
+    assert outputs(5, 2) == []
+    assert outputs(100, 1) == []
+    # A pool has no more workers than the blocks left for it.
+    assert outputs(19, 8) == [(3, [16, 17, 18])]
+    assert outputs(30, 8) == [(8, list(range(16, 30)))]
+
+
+def test_the_pool_start_up_follows_the_start_method(monkeypatch):
+    for method, per_worker in [("fork", 0.01), ("forkserver", 0.15), ("spawn", 0.15)]:
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: method)
+        assert harness._pool_start_s(4) == pytest.approx(4 * per_worker)
+
+
+def test_run_config_refuses_a_non_integer_worker_count():
+    for bad in (2.5, "2", None):
+        with pytest.raises(ContractViolation, match=f"^jobs must be an integer, got {bad!r}$"):
+            RunConfig("family:petersen", ("efgw",), bad)
+    assert RunConfig("family:petersen", ("efgw",), True).jobs == 1
+    assert RunConfig("family:petersen", ("efgw",), np.int64(2)).jobs == 2
+
+
 def test_sdp_min_fails_when_the_split_misses_the_tolerance(monkeypatch, tmp_path):
     # No equality gap meets a negative tolerance: the record fails and the
     # sweep exits 2.
@@ -449,19 +619,26 @@ def test_a_numeric_failure_in_a_seeded_deletion_fails_only_that_removal_record(t
     assert error["reason"].startswith("NumericError: residual ")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_malformed_line_after_several_blocks_keeps_every_record_before_it(jobs, tmp_path, capsys):
+def _jobs_flag(jobs):
+    return [] if jobs == "default" else ["--jobs", jobs]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "default"])
+def test_malformed_line_after_several_blocks_keeps_every_record_before_it(
+    jobs, tmp_path, capsys, pool_at_once
+):
     # 150 connected 7-vertex graphs fill two blocks of 64 and part of a third.
     lines = [write_graph6(g) for g in resolve_source("enumerate:7:connected")]
     good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
     good.write_text("\n".join(lines[:150]) + "\n")
     bad.write_text("\n".join(lines[:150] + ["F??"] + lines[150:160]) + "\n")
     base = ["bounds", "--set", "efgw,removal"]
-    assert main(base + [str(good), "--out", str(tmp_path / "want")]) == 0
+    assert main(base + [str(good), "--jobs", "1", "--out", str(tmp_path / "want")]) == 0
     capsys.readouterr()
-    assert main(base + [str(bad), "--jobs", jobs, "--out", str(tmp_path / "got")]) == 1
+    assert main(base + [str(bad), *_jobs_flag(jobs), "--out", str(tmp_path / "got")]) == 1
     assert capsys.readouterr().err.startswith("error: line 151: truncated body")
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
@@ -573,15 +750,17 @@ def test_graph6_errors_name_their_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 3: truncated body")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_malformed_line_ends_the_sweep_after_the_graphs_before_it(jobs, tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2", "default"])
+def test_malformed_line_ends_the_sweep_after_the_graphs_before_it(
+    jobs, tmp_path, capsys, pool_at_once
+):
     good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
     good.write_text("Bw\nCr\n")
     bad.write_text("Bw\nCr\nC\nDQc\n")
     base = ["bounds", "--set", "efgw"]
-    assert main(base + [str(good), "--out", str(tmp_path / "want")]) == 0
+    assert main(base + [str(good), "--jobs", "1", "--out", str(tmp_path / "want")]) == 0
     capsys.readouterr()
-    assert main(base + [str(bad), "--jobs", jobs, "--out", str(tmp_path / "got")]) == 1
+    assert main(base + [str(bad), *_jobs_flag(jobs), "--out", str(tmp_path / "got")]) == 1
     assert capsys.readouterr().err.startswith("error: line 3: truncated body")
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 

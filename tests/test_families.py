@@ -41,6 +41,19 @@ def test_basic_families():
         star_plus_edge(2)
 
 
+@pytest.mark.parametrize(
+    "builder, param",
+    [(complete, "n"), (star, "n"), (path, "n"), (cycle, "n"),
+     (star_plus_edge, "n"), (cycle_with_triangles, "k")],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_family_sizes_must_be_integers(builder, param):
+    for bad in (2.5, 5.0, "5", None):
+        with pytest.raises(ContractViolation, match=f"^{param} must be an integer, got {bad!r}$"):
+            builder(bad)
+    assert builder(np.int64(5)) == builder(5)
+
+
 def test_star_plus_edge_is_paw_at_4():
     paw = star_plus_edge(4)
     assert paw.n == 4 and paw.m == 4
