@@ -19,7 +19,7 @@ function of the graph alone; the exact searches take their default budget.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -318,7 +318,7 @@ def _removal(g: Graph) -> list[BoundVerdict]:
         return [BoundVerdict("removal", 0.0, 0.0, 0.0, True, note, applicable=False)]
     witness = p3_removal_witness(g, triple)
     lhs = min(witness.drop_minus, witness.drop_plus)
-    fields = {"triple": list(triple), **asdict(witness)}
+    fields = {"triple": list(triple), **vars(witness)}
     holds = lhs >= 1.0 + REMOVAL_STRICTNESS
     return [BoundVerdict("removal", lhs, 1.0, lhs - 1.0, holds, fields)]
 

@@ -8,38 +8,28 @@ exact minimal-counterexample filter. Graph sources are
 path, or ``-`` for graph6 lines on stdin. Exit codes: 0 clean, 2 when a
 sweep found violations, 1 when it wrote error records but found no
 violation, and 1 on operational errors.
+
+At module level this imports only what argument parsing needs; each
+subcommand imports its own modules when it runs. ``enumerate`` loads
+``sqenergy.graphs`` alone and never numpy, and a sweep loads
+``multiprocessing`` and ``concurrent.futures`` only on its way to a worker
+pool, so ``--jobs 1`` and a one-block source load neither (see
+``harness._block_outputs``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TextIO
 
-from .bounds import ALL_BOUND_NAMES, bound_efgw
 from .errors import SquareEnergyError
-from .families import gq_collinearity_graph, gq_predicted_spectrum
-from .graphs import Graph, enumerate_graphs, write_graph6
-from .harness import (
-    CSV_COLUMNS,
-    RecordWriter,
-    RunConfig,
-    RunSummary,
-    filter_minimal_counterexample_candidates,
-    graph_fields,
-    open_out,
-    resolve_source,
-    run,
-)
-from .oracles import domination_number
-from .partitions import (
-    certify_superadditivity,
-    degree_class_partition,
-    domination_partition,
-    star_clique_partition,
-)
-from .spectral import spectrum, square_energies
+
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .harness import RunSummary
 
 # Shared options; each subcommand declares only the ones it reads.
 _OPTIONS = {
@@ -73,12 +63,25 @@ def _print_summary(summary: RunSummary) -> None:
         )
 
 
+@contextlib.contextmanager
+def open_out(path: str | None) -> Iterator[TextIO]:
+    """The record stream for an output path: stdout for None or '-'."""
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            yield handle
+
+
 def _per_graph(
     args: argparse.Namespace, graphs: Iterable[Graph], fields: Callable[[Graph], dict]
 ) -> int:
     """Write one record per graph: its common fields plus ``fields(g)``. An
     error in ``fields`` stops the run, its message prefixed with the graph's
     index and graph6."""
+    from .graphs import write_graph6
+    from .harness import RecordWriter, graph_fields
+
     with open_out(args.out) as out:
         writer = RecordWriter(out, args.format)
         for index, g in enumerate(graphs):
@@ -91,6 +94,9 @@ def _per_graph(
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .harness import resolve_source
+    from .spectral import spectrum
+
     def fields(g: Graph) -> dict[str, Any]:
         spec = spectrum(g)
         return {"eigenvalues": list(spec.values), "residual_bound": spec.residual_bound}
@@ -99,6 +105,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
+    from .harness import resolve_source
+    from .spectral import square_energies
+
     def fields(g: Graph) -> dict[str, Any]:
         report = square_energies(g)
         return {"s_plus": report.s_plus, "s_minus": report.s_minus, "energy": report.energy}
@@ -116,6 +125,8 @@ def _usable_cpus() -> int:
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
+    from .harness import CSV_COLUMNS, RecordWriter, RunConfig, resolve_source, run
+
     jobs = _usable_cpus() if args.jobs is None else args.jobs
     config = RunConfig(source, bounds, jobs)
     config.source = resolve_source(config.source)  # after the config's checks, before open_out
@@ -136,6 +147,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .graphs import enumerate_graphs, write_graph6
+
     graphs = enumerate_graphs(args.n, connected_only=args.connected)
     with open_out(args.out) as out:
         for g in graphs:
@@ -144,6 +157,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .harness import resolve_source
+    from .oracles import domination_number
+    from .partitions import (
+        certify_superadditivity,
+        degree_class_partition,
+        domination_partition,
+        star_clique_partition,
+    )
+
     def fields(g: Graph) -> dict[str, Any]:
         if args.method == "star-clique":
             partition = star_clique_partition(g)
@@ -167,6 +189,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_gq(args: argparse.Namespace) -> int:
+    from .families import gq_collinearity_graph, gq_predicted_spectrum
+    from .graphs import write_graph6
+    from .harness import RecordWriter
+    from .spectral import spectrum, square_energies
+
     params = gq_predicted_spectrum(args.q)
     g = gq_collinearity_graph(args.q)
     spec = spectrum(g)
@@ -195,6 +222,10 @@ def cmd_gq(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
+    from .bounds import bound_efgw
+    from .graphs import enumerate_graphs
+    from .harness import filter_minimal_counterexample_candidates
+
     graphs = enumerate_graphs(args.n, connected_only=True)
     outcome = filter_minimal_counterexample_candidates(graphs)
     verdicts = []
@@ -232,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument(
         "--set", default="all",
-        help=f"comma-separated bound names or 'all' ({', '.join(ALL_BOUND_NAMES)})",
+        help="comma-separated bound names or 'all'; README's 'Bound names for --set' "
+        "lists them, as does the error for an unknown name",
     )
     _add_options(p, "--jobs", "--format", "--out")
     p.set_defaults(func=cmd_bounds)

@@ -25,11 +25,12 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BudgetExceeded, ContractViolation, Graph6Error
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Orderly generation runs the canonical search, so this one cap bounds both.
 CANONICAL_MAX_N = 8
@@ -166,7 +167,11 @@ class Graph:
         return out
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix, unpacked from the row bitsets."""
+        """Dense 0/1 adjacency matrix, unpacked from the row bitsets. numpy is
+        imported here, its only use in this module, so that enumeration and
+        graph6 work never load it."""
+        import numpy as np
+
         width = (self.n + 7) // 8
         packed = b"".join(row.to_bytes(width, "little") for row in self.adj)
         rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)

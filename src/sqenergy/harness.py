@@ -14,7 +14,9 @@ merges the tallies in block order. Blocks run in-process until they have
 taken as long as a pool would take to start, so a short sweep never starts
 one. The pool gets no more workers than the blocks left for it, and at most
 two blocks per worker are read ahead of the one being written, so a sweep of
-stdin still streams.
+stdin still streams. ``multiprocessing`` and ``concurrent.futures`` are
+imported only on the way to a pool, so ``--jobs 1`` and one-block sweeps
+never load them.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -458,6 +458,8 @@ def _pool_start_s(workers: int) -> float:
     first result: measured at 9 ms a worker with fork, and 0.2-0.35 s for
     one or two workers with forkserver or spawn, whose workers import
     numpy afresh (Python 3.11, 2 CPUs)."""
+    import multiprocessing
+
     method = multiprocessing.get_start_method(allow_none=True)
     if method is None:
         method = multiprocessing.get_all_start_methods()[0]  # the platform's default
@@ -476,8 +478,18 @@ def _block_outputs(
     then go to a pool of one worker for each, if there are two or more; at
     most two blocks per worker are in flight, so the source is read no
     further ahead of the output than that. The pool is shut down and joined
-    when the outputs end, fail or are closed."""
-    start_s = _pool_start_s(jobs) if jobs > 1 else math.inf
+    when the outputs end, fail or are closed.
+
+    A lone block never gets a pool, so with more than one job the first two
+    blocks are read before the first runs, and only a sweep that has a
+    second block imports ``multiprocessing`` to read its start method;
+    ``concurrent.futures`` is imported when the pool starts."""
+    start_s = math.inf
+    if jobs > 1:
+        first = list(islice(blocks, 2))
+        blocks = chain(first, blocks)
+        if len(first) == 2:
+            start_s = _pool_start_s(jobs)
     in_process_s = 0.0
     for block in blocks:
         if in_process_s >= start_s:
@@ -492,6 +504,8 @@ def _block_outputs(
     if len(ahead) == 1:
         yield work(block)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=len(ahead))
     try:
         pending = deque()
@@ -552,16 +566,6 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
         raise source_error[0]
     summary.wall_time = time.monotonic() - start
     return summary
-
-
-@contextlib.contextmanager
-def open_out(path: str | None) -> Iterator[TextIO]:
-    """The record stream for an output path: stdout for None or '-'."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            yield handle
 
 
 # ---------------------------------------------------------------------------

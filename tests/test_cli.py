@@ -364,7 +364,7 @@ def test_a_one_block_source_runs_in_process(jobs, tmp_path, monkeypatch, pool_at
     base = ["bounds", "family:petersen", "--set", "all"]
     serial, got = tmp_path / "serial", tmp_path / "got"
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     assert main(base + [*_jobs_flag(jobs), "--out", str(got)]) == 0
     assert serial.read_bytes() == got.read_bytes()
 
@@ -373,7 +373,7 @@ def test_the_default_worker_count_is_the_usable_cpus(tmp_path, monkeypatch, pool
     base = ["bounds", "enumerate:7:connected", "--set", "efgw"]
     serial, got = tmp_path / "serial", tmp_path / "got"
     assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(AssertionError, match="^a worker pool was started$"):
         main(base + ["--out", str(got)])
@@ -462,7 +462,7 @@ def test_blocks_run_in_process_until_they_have_taken_the_pool_start_up(monkeypat
 
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock))
     monkeypatch.setattr(harness, "_pool_start_s", lambda workers: workers / 128)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     started = _InlinePool.started = []
 
     def outputs(count, jobs):
