@@ -125,13 +125,13 @@ def _usable_cpus() -> int:
 
 
 def _sweep(args: argparse.Namespace, source: str, bounds: tuple[str, ...]) -> int:
-    from .harness import CSV_COLUMNS, RecordWriter, RunConfig, resolve_source, run
+    from .harness import RecordWriter, RunConfig, resolve_source, run
 
     jobs = _usable_cpus() if args.jobs is None else args.jobs
     config = RunConfig(source, bounds, jobs)
     config.source = resolve_source(config.source)  # after the config's checks, before open_out
     with open_out(args.out) as stream:
-        summary = run(config, RecordWriter(stream, args.format, CSV_COLUMNS))
+        summary = run(config, RecordWriter(stream, args.format))
     _print_summary(summary)
     if summary.violations:
         return 2

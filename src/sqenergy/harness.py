@@ -3,7 +3,9 @@ summaries, and the minimal-counterexample candidate filter.
 
 Records are emitted one JSON object (or CSV row) per (graph, bound) in input
 order, so a fixed configuration reproduces byte-identical output; wall time
-lives only in the summary, never in the record sink.
+lives only in the summary, never in the record sink. ``RecordWriter(stream,
+fmt)`` encodes each record, alone or in a block, with ``_records_text``; its
+CSV columns are a sweep's ``CSV_COLUMNS``, else its first record's sorted keys.
 
 A sweep reads its source in blocks of consecutive graphs. One block function,
 ``_sweep_block``, evaluates a block and returns its finished record text (JSON
@@ -15,8 +17,8 @@ taken as long as a pool would take to start, so a short sweep never starts
 one. The pool gets no more workers than the blocks left for it, and at most
 two blocks per worker are read ahead of the one being written, so a sweep of
 stdin still streams. ``multiprocessing`` and ``concurrent.futures`` are
-imported only on the way to a pool, so ``--jobs 1`` and one-block sweeps
-never load them.
+imported only on the way to a pool, so ``--jobs 1`` and sweeps of one or
+two blocks never load them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .bounds import ALL_BOUND_NAMES, BOUNDS, BoundVerdict, first_induced_p3
+import sqenergy  # the bound modules, via the package: each loads on first use
+
 from .errors import BudgetExceeded, ContractViolation, Graph6Error, NumericError
 from .families import (
     complete,
@@ -57,8 +60,6 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .oracles import check_bipartite_removal_property, check_p3_cut_vertex_property
-from .sdp import decompose_deletions
 from .spectral import STACK_MAX_ENTRIES, decompose_graphs, seed_splits
 
 
@@ -187,9 +188,10 @@ _NULL_FIELDS = {"applicable": False, "informational": False,
                 "lhs": None, "rhs": None, "slack": None, "holds": None, "witness": None}
 
 
-def evaluate_bound(name: str, g: Graph) -> list[BoundVerdict]:
-    """The verdicts of one registered bound on one graph."""
-    return BOUNDS[name](g)
+def evaluate_bound(name: str, g: Graph) -> list[sqenergy.bounds.BoundVerdict]:
+    """The verdicts of one registered bound on one graph. Not inlined:
+    ``bench/tracer.py`` wraps it for the per-bound ``bounds.<name>`` spans."""
+    return sqenergy.bounds.BOUNDS[name](g)
 
 
 def evaluate_graph(index: int, g: Graph, names: tuple[str, ...]) -> list[dict[str, Any]]:
@@ -230,7 +232,8 @@ def evaluate_block(
         if "sdp-min" in names:
             seed_splits(graphs, mats)
         if "removal" in names:
-            decompose_deletions(graphs, mats, [first_induced_p3(g) for g in graphs])
+            first_p3s = [sqenergy.bounds.first_induced_p3(g) for g in graphs]
+            sqenergy.sdp.decompose_deletions(graphs, mats, first_p3s)
     return (evaluate_graph(index, g, names) for index, g in block)
 
 
@@ -296,6 +299,13 @@ def _csv_row(record: dict[str, Any], columns: tuple[str, ...]) -> list[Any]:
     return row
 
 
+def _csv_text(rows: Iterable[Iterable[Any]]) -> str:
+    """Rows as CSV lines, header or records: the one CSV dialect."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _records_text(
     records: Iterable[dict[str, Any]], fmt: str, columns: tuple[str, ...] | None = None
 ) -> str:
@@ -303,55 +313,41 @@ def _records_text(
     header."""
     if fmt == "json":
         return "".join([_encode(record) + "\n" for record in records])
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([_csv_row(r, columns) for r in records])
-    return buffer.getvalue()
+    return _csv_text([_csv_row(r, columns) for r in records])
 
 
 class RecordWriter:
-    """Writes records as JSON lines or CSV rows.
+    """Writes records to ``stream`` as JSON lines (``fmt`` "json"), each as
+    ``json.dumps(value, sort_keys=True)`` writes it, or as CSV rows under one
+    header ("csv"). One rule sets the CSV columns: the first keys given to
+    ``fix_columns``, in their order, which ``run`` gives ``CSV_COLUMNS`` and
+    ``write`` its record's sorted keys."""
 
-    CSV columns default to the sorted key set of the first record; pass
-    ``columns`` for a fixed layout. Each record is written as
-    ``json.dumps(value, sort_keys=True)`` writes it.
-    """
-
-    def __init__(self, stream: TextIO, fmt: str = "json", columns: tuple[str, ...] | None = None):
+    def __init__(self, stream: TextIO, fmt: str = "json"):
         if fmt not in ("json", "csv"):
             raise ContractViolation(f"format must be 'json' or 'csv', got {fmt!r}")
         self.stream = stream
         self.fmt = fmt
-        self.columns = columns
-        self._csv = csv.writer(stream, lineterminator="\n")
+        self.columns: tuple[str, ...] | None = None
         self._header_written = False
 
     def fix_columns(self, keys: Iterable[str]) -> tuple[str, ...] | None:
-        """The CSV columns: those given on construction, else the sorted
-        ``keys`` of the first call. None for JSON."""
+        """The CSV columns: the first call's ``keys``, in order; None for JSON."""
         if self.fmt == "csv" and self.columns is None:
-            self.columns = tuple(sorted(keys))
+            self.columns = tuple(keys)
         return self.columns
 
     def write(self, record: dict[str, Any]) -> None:
-        if self.fmt == "json":
-            self.stream.write(_encode(record) + "\n")
-            return
-        row = _csv_row(record, self.fix_columns(record))
-        self._write_header()
-        self._csv.writerow(row)
+        self.write_text(_records_text([record], self.fmt, self.fix_columns(sorted(record))))
 
     def write_text(self, text: str) -> None:
         """Write records already in this writer's format and columns (JSON
         lines, or CSV rows without the header), after the CSV header if it
         is not written yet."""
-        if text and self.fmt == "csv":
-            self._write_header()
-        self.stream.write(text)
-
-    def _write_header(self) -> None:
-        if not self._header_written:
-            self._csv.writerow(self.columns)
+        if text and self.fmt == "csv" and not self._header_written:
+            self.stream.write(_csv_text([self.columns]))
             self._header_written = True
+        self.stream.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +373,16 @@ class RunConfig:
         if "all" in self.bounds and self.bounds != ("all",):
             raise ContractViolation("bound 'all' must be given alone")
         names = self.bound_names()
+        known = sqenergy.bounds.ALL_BOUND_NAMES
         for i, name in enumerate(names):
-            if name not in ALL_BOUND_NAMES:
-                raise ContractViolation(f"unknown bound {name!r}; known: {sorted(ALL_BOUND_NAMES)}")
+            if name not in known:
+                raise ContractViolation(f"unknown bound {name!r}; known: {sorted(known)}")
             if name in names[:i]:
                 raise ContractViolation(f"bound {name!r} given twice")
 
     def bound_names(self) -> tuple[str, ...]:
         if self.bounds == ("all",):
-            return ALL_BOUND_NAMES
+            return sqenergy.bounds.ALL_BOUND_NAMES
         return self.bounds
 
 
@@ -480,15 +477,15 @@ def _block_outputs(
     further ahead of the output than that. The pool is shut down and joined
     when the outputs end, fail or are closed.
 
-    A lone block never gets a pool, so with more than one job the first two
-    blocks are read before the first runs, and only a sweep that has a
-    second block imports ``multiprocessing`` to read its start method;
-    ``concurrent.futures`` is imported when the pool starts."""
+    The first block and a lone block after it run in-process, as the start-up
+    is never 0, so with more than one job the first three blocks are read
+    before the first runs, and only a sweep with a third imports
+    ``multiprocessing``; ``concurrent.futures`` when the pool starts."""
     start_s = math.inf
     if jobs > 1:
-        first = list(islice(blocks, 2))
+        first = list(islice(blocks, 3))
         blocks = chain(first, blocks)
-        if len(first) == 2:
+        if len(first) == 3:
             start_s = _pool_start_s(jobs)
     in_process_s = 0.0
     for block in blocks:
@@ -590,10 +587,10 @@ def filter_minimal_counterexample_candidates(graphs: Iterable[Graph]) -> FilterO
         if not is_connected(g):
             counts["disconnected"] += 1
             continue
-        if not check_p3_cut_vertex_property(g):
+        if not sqenergy.oracles.check_p3_cut_vertex_property(g):
             counts["p3-cut-vertex"] += 1
             continue
-        if not check_bipartite_removal_property(g):
+        if not sqenergy.oracles.check_bipartite_removal_property(g):
             counts["bipartite-removal"] += 1
             continue
         survivors.append(g)

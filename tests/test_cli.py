@@ -303,6 +303,19 @@ def test_per_graph_csv_takes_its_columns_from_the_first_record(capsys):
     assert json.loads(row["eigenvalues"]) == pytest.approx([2.0, -1.0, -1.0])
 
 
+def test_a_library_csv_sweep_writes_the_clis_columns(tmp_path):
+    # A writer takes no columns: a sweep's are CSV_COLUMNS, whoever runs it.
+    stream = io.StringIO()
+    run(RunConfig("family:petersen", ("efgw",)), RecordWriter(stream, "csv"))
+    out = tmp_path / "cli.csv"
+    assert main(["bounds", "family:petersen", "--set", "efgw", "--format", "csv", "--out", str(out)]) == 0
+    assert stream.getvalue().splitlines()[0] == (
+        "graph_index,graph6,n,m,name,status,applicable,informational,lhs,rhs,slack,holds,"
+        "witness,reason"
+    )
+    assert stream.getvalue().encode() == out.read_bytes()
+
+
 def test_csv_parallel_matches_serial(tmp_path):
     base = ["bounds", "enumerate:5:connected", "--set", "all", "--format", "csv"]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
@@ -418,8 +431,9 @@ def test_a_pool_reads_at_most_two_blocks_per_worker_ahead_of_the_output(pool_at_
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_worker_exception_ends_the_sweep_after_the_blocks_before_it(jobs, pool_at_once):
-    # The object in the second block is no graph, so evaluating it raises.
-    graphs = list(resolve_source("enumerate:7:connected"))[:100]
+    # The object in the second block is no graph, so evaluating it raises;
+    # a third block follows, as a pool takes at least three.
+    graphs = list(resolve_source("enumerate:7:connected"))[:160]
     want = io.StringIO()
     run(RunConfig(graphs[:64], ("efgw",), 1), RecordWriter(want))
     got = io.StringIO()
@@ -514,7 +528,7 @@ def test_run_reports_violations(monkeypatch):
         "holds": False, "witness": None, "reason": None,
     }
     monkeypatch.setattr(harness, "evaluate_graph", lambda index, g, names: [fake_record])
-    monkeypatch.setattr(harness, "ALL_BOUND_NAMES", ("fake",))
+    monkeypatch.setattr(bounds, "ALL_BOUND_NAMES", ("fake",))
     config = RunConfig(source=iter([cycle(3)]), bounds=("fake",))
     summary = harness.run(config)
     assert summary.violations and summary.minima["fake"]["slack"] == -1.0
@@ -682,7 +696,7 @@ def test_record_writer_rejects_bad_format():
 
 def _sweep_writer_lines(records):
     stream = io.StringIO()
-    writer = RecordWriter(stream, "json", harness.CSV_COLUMNS)
+    writer = RecordWriter(stream, "json")
     for record in records:
         writer.write(record)
     return stream.getvalue().splitlines()
@@ -721,7 +735,7 @@ def test_a_record_that_fails_to_encode_leaves_the_writer_as_it_was():
     witness = {"side": [0, object()]}
     record = {"name": "x", "witness": witness}
     stream = io.StringIO()
-    writer = RecordWriter(stream, "json", harness.CSV_COLUMNS)
+    writer = RecordWriter(stream, "json")
     with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
         writer.write(record)
     witness["side"][1] = 1

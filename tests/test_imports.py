@@ -98,10 +98,10 @@ def test_enumerate_runs_without_numpy():
 
 @pytest.mark.parametrize(
     "source, jobs",
-    # One job never starts a pool, nor does a lone block (21 graphs) however
-    # many jobs; 112 graphs make two blocks.
+    # One job never starts a pool, nor do one block (21 graphs) or two (112
+    # graphs) however many jobs: a pool takes at least three.
     [("enumerate:5:connected", "1"), ("enumerate:6:connected", "1"),
-     ("enumerate:5:connected", "2")],
+     ("enumerate:5:connected", "2"), ("enumerate:6:connected", "2")],
 )
 def test_a_sweep_that_starts_no_pool_loads_no_pool_module(source, jobs):
     loaded = _loaded_after(
@@ -113,6 +113,17 @@ def test_a_sweep_that_starts_no_pool_loads_no_pool_module(source, jobs):
     )
     assert "numpy" in loaded and "sqenergy.harness" in loaded
     assert not loaded & POOL_MODULES
+
+
+def test_a_per_graph_subcommand_loads_no_bound_module():
+    loaded = _loaded_after(
+        "import os\n"
+        "from sqenergy.cli import main\n"
+        "assert main(['spectrum', 'family:petersen', '--out', os.devnull]) == 0\n"
+    )
+    assert "sqenergy.harness" in loaded
+    bound_modules = {"sqenergy.bounds", "sqenergy.sdp", "sqenergy.partitions", "sqenergy.oracles"}
+    assert not loaded & bound_modules
 
 
 def test_each_public_name_is_its_submodules_object():
