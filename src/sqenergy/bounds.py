@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import oracles
-from .errors import ContractViolation
+from .errors import ContractViolation, SquareEnergyError
 from .graphs import (
     Graph,
     dominating_vertices,
@@ -38,12 +38,16 @@ from .graphs import (
 )
 from .oracles import SEARCH_BUDGET_N, _edges_between
 from .partitions import degree_class_partition, domination_partition
-from .sdp import p3_removal_witness
+from .sdp import decompose_deletions, p3_removal_witness
 from .spectral import (
+    EnergyReport,
+    SpectralSplit,
+    decompose_graphs,
     graph_inertia,
     numeric_tolerance,
     spectral_split,
     spectrum,
+    split_stack,
     square_energies,
 )
 
@@ -295,15 +299,23 @@ def conjecture_checks(g: Graph, budget_n: int = SEARCH_BUDGET_N) -> list[BoundVe
     ]
 
 
+def _equality_gap(a: np.ndarray, split: SpectralSplit, e: EnergyReport) -> float:
+    """The larger of | ||A + A-||^2 - s+ | and | ||A - A+||^2 - s- |."""
+    return max(abs(float(np.square(a + split.a_minus).sum()) - e.s_plus),
+               abs(float(np.square(a - split.a_plus).sum()) - e.s_minus))
+
+
+# The `sdp-min` equality gap of a live graph; ``seed_block`` seeds it.
+_sdp_gap = per_graph(
+    lambda g: _equality_gap(g.adjacency_matrix(), spectral_split(g), square_energies(g))
+)
+
+
 def _sdp_min(g: Graph) -> list[BoundVerdict]:
     """The split halves attain the PSD minimization form of s+ and s-:
     ||A + A-||^2 = s+ and ||A - A+||^2 = s- within the global tolerance. That
     no PSD M does better is the theorem, not a property of the graph."""
-    a = g.adjacency_matrix()
-    e = square_energies(g)
-    split = spectral_split(g)
-    gap = max(abs(float(np.square(a + split.a_minus).sum()) - e.s_plus),
-              abs(float(np.square(a - split.a_plus).sum()) - e.s_minus))
+    gap = _sdp_gap(g)
     holds = gap <= numeric_tolerance(g.n)
     return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, holds, {"equality_gap": gap})]
 
@@ -342,3 +354,21 @@ BOUNDS: dict[str, Callable[[Graph], list[BoundVerdict]]] = {
     "removal": _removal,
 }
 ALL_BOUND_NAMES = tuple(BOUNDS)
+
+
+def seed_block(names: Sequence[str], graphs: Iterable[Graph]) -> None:
+    """Seed what the bounds ``names`` read of a sweep's block of graphs from
+    the stacks of one ``spectral.decompose_graphs`` call: the ``sdp-min``
+    gaps by one ``split_stack`` a stack, and the ``removal`` deletions. A
+    graph left unseeded gets the same bits, or error, from its own call.
+    ROADMAP item 1's exact certificates for ``efgw``, ``domination`` and
+    ``dominating-vertex`` are to be seeded here too."""
+    for stack, mats, entries in decompose_graphs(graphs):
+        if "sdp-min" in names:
+            ok = [i for i, entry in enumerate(entries) if not isinstance(entry, SquareEnergyError)]
+            splits = split_stack([entries[i] for i in ok], lambda rows: mats[[ok[j] for j in rows]])
+            for i, split in zip(ok, splits):
+                if not isinstance(split, SquareEnergyError):
+                    _sdp_gap.memo[stack[i]] = _equality_gap(mats[i], split, entries[i][2])
+        if "removal" in names:
+            decompose_deletions(stack, mats, [first_induced_p3(g) for g in stack])

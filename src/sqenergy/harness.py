@@ -12,13 +12,10 @@ A sweep reads its source in blocks of consecutive graphs. One block function,
 lines, or CSV rows without the header) with a tally of the block: counts,
 each bound's first least slack and the violating records. The serial path
 and every pool worker call it alike, and the parent only writes the text and
-merges the tallies in block order. Blocks run in-process until they have
-taken as long as a pool would take to start, so a short sweep never starts
-one. The pool gets no more workers than the blocks left for it, and at most
-two blocks per worker are read ahead of the one being written, so a sweep of
-stdin still streams. ``multiprocessing`` and ``concurrent.futures`` are
-imported only on the way to a pool, so ``--jobs 1`` and sweeps of one or
-two blocks never load them.
+merges the tallies in block order; ``_block_outputs`` decides which blocks
+go to a pool. What the selected bounds read of a block is seeded by
+``bounds.seed_block``: this module reaches the bounds through their
+registry alone and names none of them.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .spectral import STACK_MAX_ENTRIES, decompose_graphs, seed_splits
+from .spectral import STACK_MAX_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +219,9 @@ def evaluate_block(
     names: tuple[str, ...], block: list[tuple[int, Graph]]
 ) -> Iterator[list[dict[str, Any]]]:
     """The records of consecutive ``(index, graph)`` pairs, one
-    ``evaluate_graph`` list per graph, made lazily once the graphs of each
-    vertex count have been decomposed by shared stacked eigensolves, and,
-    when ``sdp-min`` is selected, split by stacked matmuls, and when
-    ``removal`` is, the vertex deletions of each graph's first induced
-    3-vertex path decomposed as well."""
-    stacks = decompose_graphs(g for _, g in block)
-    for graphs, mats in stacks:
-        if "sdp-min" in names:
-            seed_splits(graphs, mats)
-        if "removal" in names:
-            first_p3s = [sqenergy.bounds.first_induced_p3(g) for g in graphs]
-            sqenergy.sdp.decompose_deletions(graphs, mats, first_p3s)
+    ``evaluate_graph`` list per graph, made lazily once ``bounds.seed_block``
+    has seeded what the selected bounds read of the block's graphs."""
+    sqenergy.bounds.seed_block(names, [g for _, g in block])
     return (evaluate_graph(index, g, names) for index, g in block)
 
 
@@ -300,17 +288,23 @@ def _csv_row(record: dict[str, Any], columns: tuple[str, ...]) -> list[Any]:
 
 
 def _csv_text(rows: Iterable[Iterable[Any]]) -> str:
-    """Rows as CSV lines, header or records: the one CSV dialect."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    """Rows as CSV lines, header or records: the one CSV dialect, written by
+    one ``csv.writer`` into one buffer, emptied at the start of each call so
+    that a row that fails to encode leaves nothing behind."""
+    _csv_buffer.seek(0)
+    _csv_buffer.truncate()
+    _csv_writer.writerows(rows)
+    return _csv_buffer.getvalue()
+
+
+_csv_buffer = io.StringIO()
+_csv_writer = csv.writer(_csv_buffer, lineterminator="\n")
 
 
 def _records_text(
     records: Iterable[dict[str, Any]], fmt: str, columns: tuple[str, ...] | None = None
 ) -> str:
-    """Records as JSON lines, or as CSV rows of ``columns`` without the
-    header."""
+    """Records as JSON lines, or as CSV rows of ``columns`` without a header."""
     if fmt == "json":
         return "".join([_encode(record) + "\n" for record in records])
     return _csv_text([_csv_row(r, columns) for r in records])
@@ -328,17 +322,18 @@ class RecordWriter:
             raise ContractViolation(f"format must be 'json' or 'csv', got {fmt!r}")
         self.stream = stream
         self.fmt = fmt
-        self.columns: tuple[str, ...] | None = None
+        self.columns: tuple[str, ...] | None = None if fmt == "csv" else ()
         self._header_written = False
 
-    def fix_columns(self, keys: Iterable[str]) -> tuple[str, ...] | None:
-        """The CSV columns: the first call's ``keys``, in order; None for JSON."""
-        if self.fmt == "csv" and self.columns is None:
+    def fix_columns(self, keys: Iterable[str]) -> tuple[str, ...]:
+        """The CSV columns: the first call's ``keys``, in order; () for JSON."""
+        if self.columns is None:
             self.columns = tuple(keys)
         return self.columns
 
     def write(self, record: dict[str, Any]) -> None:
-        self.write_text(_records_text([record], self.fmt, self.fix_columns(sorted(record))))
+        columns = self.fix_columns(sorted(record)) if self.columns is None else self.columns
+        self.write_text(_records_text([record], self.fmt, columns))
 
     def write_text(self, text: str) -> None:
         """Write records already in this writer's format and columns (JSON

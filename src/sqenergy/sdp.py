@@ -15,9 +15,9 @@ come from the principal submatrix of the adjacency matrix without u,
 decomposed by stacked, checked eigensolves within
 ``spectral.STACK_MAX_ENTRIES``, and a
 ``graphs.per_graph`` memo keeps them per graph and vertex.
-``decompose_deletions`` seeds that memo for a stack of graphs at once, as a
-sweep does for each block when ``removal`` is selected; the witness
-decomposes only the vertices still missing, a block of one.
+``decompose_deletions`` seeds that memo for a stack of graphs at once, as
+``bounds.seed_block`` does for a sweep's block when ``removal`` is selected;
+the witness decomposes only the vertices still missing, a block of one.
 """
 
 from __future__ import annotations

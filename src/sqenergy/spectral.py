@@ -33,22 +33,19 @@ operations, so a single matrix is a stack of one and a stacked matrix gets
 bitwise the values, vectors, residual and energies it would get alone.
 One routine, ``split_stack``, makes and certifies every split in the same
 way: the stack's matrices of one inertia share one matmul per half and one
-certificate and reconstruction check in array operations, a lone graph's
-split is a stack of one, and a stacked split is bitwise the lone one. The
-halves are the caller's: each ``spectral_split`` call returns new arrays.
+certificate and reconstruction check in array operations, and a stacked
+split is bitwise the lone one. ``spectral_split`` has one path, its graph's
+own stack of one, and each call returns new arrays for the caller to keep.
 A sweep seeds the memo of a block of small graphs with ``decompose_graphs``,
-one stacked call per vertex count, and slices the vertex-deleted submatrices
-that ``sdp.decompose_deletions`` decomposes from the same stacks; with
-``sdp-min`` it also splits each stack by ``seed_splits``, whose split goes
-to the graph's first ``spectral_split`` call and is dropped there.
-``STACK_MAX_ENTRIES`` caps a stack, so a matrix with more than 64 rows is
-decomposed and split alone.
+one stacked call per vertex count; it returns each stack's graphs, matrices
+and entries, from which ``bounds.seed_block`` seeds what the selected bounds
+read, so no other module reads the memo. ``STACK_MAX_ENTRIES`` caps a stack,
+so a matrix with more than 64 rows is decomposed and split alone.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -224,21 +221,17 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport, Inerti
     return out
 
 
-# The memo itself, so that seeding reaches it where ``_decomposition`` is
-# wrapped.
+# The memo itself, which ``decompose_graphs`` seeds.
 _MEMO = _decomposition.memo
-# Splits that ``seed_splits`` made, each handed to its graph's first
-# ``spectral_split`` call and dropped there.
-_SEEDED_SPLITS: weakref.WeakKeyDictionary[Graph, SpectralSplit] = weakref.WeakKeyDictionary()
 
 
-def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray]]:
+def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray, list]]:
     """Seed the decomposition memo of the graphs not yet in it: graphs of one
     vertex count share stacked eigensolves. A graph that a stack would hold
     alone, or that fails a check, is left to its own first call, which
     decomposes it as before or raises the same error. Returns each stack's
-    graphs with their adjacency matrices, shape (k, n, n), for the caller to
-    slice."""
+    graphs, their adjacency matrices, shape (k, n, n), and their
+    ``eigen_decompose_stack`` items, for the caller to seed from."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
@@ -251,10 +244,11 @@ def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndar
             if len(stack) < 2:
                 continue
             mats = np.stack([g.adjacency_matrix() for g in stack])
-            for g, out in zip(stack, eigen_decompose_stack(mats, [g.m for g in stack])):
+            entries = eigen_decompose_stack(mats, [g.m for g in stack])
+            for g, out in zip(stack, entries):
                 if not isinstance(out, SquareEnergyError):
                     _MEMO[g] = out
-            stacks.append((stack, mats))
+            stacks.append((stack, mats, entries))
     return stacks
 
 
@@ -290,35 +284,15 @@ def _energies(values: np.ndarray, zero_tolerance: float, m: int) -> EnergyReport
 def spectral_split(g: Graph) -> SpectralSplit:
     """PSD matrices built from the positive / negative spectral projectors,
     each certified PSD within ``numeric_tolerance(n)`` by ``_psd_defect``
-    (no eigensolve), and checked to reconstruct the adjacency matrix: the
-    split that ``seed_splits`` made for g, on the first call after it, and
-    otherwise g's own ``split_stack`` of one. The halves are the caller's:
-    each call returns new arrays."""
-    seeded = _SEEDED_SPLITS.pop(g, None)
-    if seeded is not None:
-        return seeded
+    (no eigensolve), and checked to reconstruct the adjacency matrix, by
+    g's own ``split_stack`` of one. The halves are the caller's: each call
+    returns new arrays."""
     # The shared decomposition keeps no adjacency matrix; the last check
     # builds one, so it is not alive while the halves are built.
     [out] = split_stack([_decomposition(g)], lambda rows: g.adjacency_matrix()[None])
     if isinstance(out, SquareEnergyError):
         raise out
     return out
-
-
-def seed_splits(graphs: Sequence[Graph], mats: np.ndarray) -> None:
-    """Seed the splits of a ``decompose_graphs`` stack, mats[i] being the
-    adjacency matrix of graphs[i], from their memoised decompositions by one
-    ``split_stack``. A graph with no decomposition, or whose split fails a
-    check, is left to its own ``spectral_split`` call, which raises the same
-    error."""
-    entries = [_MEMO.get(g) for g in graphs]
-    present = [i for i, entry in enumerate(entries) if entry is not None]
-    outs = split_stack(
-        [entries[i] for i in present], lambda rows: mats[[present[j] for j in rows]]
-    )
-    for i, out in zip(present, outs):
-        if not isinstance(out, SquareEnergyError):
-            _SEEDED_SPLITS[graphs[i]] = out
 
 
 def split_stack(

@@ -33,8 +33,8 @@ from sqenergy.bounds import (
 )
 from sqenergy.errors import BudgetExceeded, ContractViolation
 from sqenergy.families import cycle, petersen, star
-from sqenergy.graphs import Graph, is_connected, parse_graph6, write_graph6
-from sqenergy.harness import evaluate_block, evaluate_graph
+from sqenergy.graphs import Graph, is_connected, parse_graph6, per_graph, write_graph6
+from sqenergy.harness import RunConfig, evaluate_block, evaluate_graph, run
 
 # The public bound functions, each called with the default budget; `sdp-min`
 # and `removal` are registry entries only.
@@ -191,7 +191,7 @@ def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
 def test_energies_and_cut_are_freed_with_their_graph():
     memos = (
         spectral._decomposition.memo, bounds._shared_cut.memo,
-        bounds.first_induced_p3.memo, sdp._deletion_energies.memo,
+        bounds.first_induced_p3.memo, sdp._deletion_energies.memo, bounds._sdp_gap.memo,
     )
     gc.disable()
     try:
@@ -223,6 +223,7 @@ def _fresh_block(lines):
     assert not any(g in spectral._decomposition.memo for _, g in block)
     assert not any(g in sdp._deletion_energies.memo for _, g in block)
     assert not any(g in bounds.first_induced_p3.memo for _, g in block)
+    assert not any(g in bounds._sdp_gap.memo for _, g in block)
     return block
 
 
@@ -281,3 +282,99 @@ def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
         assert set(triple) <= set(sdp._deletion_energies.memo[g])
         assert sdp.p3_removal_witness(g, triple) == want
     assert len(list(records)) == len(block)
+
+
+def _fresh_memos(monkeypatch):
+    """Empty decomposition and `sdp-min` gap memos, so that graphs another
+    test keeps alive (or equal to them) are decomposed and seeded here."""
+    decomposition = per_graph(spectral._decomposition.__wrapped__)
+    monkeypatch.setattr(spectral, "_decomposition", decomposition)
+    monkeypatch.setattr(spectral, "_MEMO", decomposition.memo)
+    monkeypatch.setattr(bounds, "_sdp_gap", per_graph(bounds._sdp_gap.__wrapped__))
+
+
+def _gap(g):
+    [verdict] = BOUNDS["sdp-min"](g)
+    return verdict.witness["equality_gap"].hex()
+
+
+def test_seeded_sdp_min_gaps_of_every_connected_graph_up_to_7_equal_the_lone_gaps(
+    connected_corpus, monkeypatch
+):
+    _fresh_memos(monkeypatch)
+    alone = {g: _gap(g) for graphs in connected_corpus.values() for g in graphs}
+    _fresh_memos(monkeypatch)
+    for graphs in connected_corpus.values():
+        for start in range(0, len(graphs), 64):
+            block = graphs[start:start + 64]
+            bounds.seed_block(("sdp-min",), block)
+            if len(block) > 1:
+                assert all(g in bounds._sdp_gap.memo for g in block)
+            for g in block:
+                assert _gap(g) == alone[g]
+
+
+def _reversed_vectors(entry):
+    spec, vecs, energies, counts = entry
+    return spec, vecs[:, ::-1], energies, counts
+
+
+def test_a_corrupted_stack_entry_seeds_the_others_and_gets_the_lone_error_record(monkeypatch):
+    # C5 with its eigenvector columns reversed: each half is still certified
+    # PSD, so only the split's reconstruction check refuses it.
+    graphs = [cycle(5), star(5), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])]
+    _fresh_memos(monkeypatch)
+    corrupted = _reversed_vectors(spectral._decomposition(graphs[0]))
+    monkeypatch.setitem(spectral._MEMO, graphs[0], corrupted)
+    alone = [evaluate_graph(i, g, ("sdp-min",)) for i, g in enumerate(graphs)]
+    assert (alone[0][0]["status"], alone[0][0]["reason"]) == (
+        "error", "NumericError: split does not reconstruct the adjacency matrix"
+    )
+    assert [rs[0]["status"] for rs in alone[1:]] == ["ok", "ok"]
+
+    _fresh_memos(monkeypatch)
+    decompose = spectral.eigen_decompose_stack
+
+    def corrupting(mats, ms):
+        outs = decompose(mats, ms)
+        return [_reversed_vectors(outs[0]), *outs[1:]]
+
+    monkeypatch.setattr(spectral, "eigen_decompose_stack", corrupting)
+    records = evaluate_block(("sdp-min",), list(enumerate(graphs)))
+    assert [g in bounds._sdp_gap.memo for g in graphs] == [False, True, True]
+    assert list(records) == alone
+
+
+def test_only_a_selected_sdp_min_splits_a_block(monkeypatch):
+    calls = []
+
+    def counting(entries, adjacency):
+        calls.append(len(entries))
+        return split_stack(entries, adjacency)
+
+    split_stack = spectral.split_stack
+    monkeypatch.setattr(spectral, "split_stack", counting)
+    monkeypatch.setattr(bounds, "split_stack", counting)
+    for seed, names, want in ((83, ("efgw",), []), (89, ("sdp-min",), [64])):
+        block = _fresh_block(_fresh_connected_lines(seed, 7, 64))
+        records = [r for rs in evaluate_block(names, block) for r in rs]
+        assert len(records) == 64 and all(r["status"] == "ok" for r in records)
+        assert calls == want
+
+
+def test_a_sweep_builds_each_adjacency_matrix_once(monkeypatch):
+    # With every bound selected, the block's stacked decomposition is the
+    # only build: the `sdp-min` gaps and the `removal` deletions are seeded
+    # from its matrices.
+    _fresh_memos(monkeypatch)
+    built = []
+    adjacency_matrix = Graph.adjacency_matrix
+
+    def counting(g):
+        built.append(g)
+        return adjacency_matrix(g)
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", counting)
+    summary = run(RunConfig("enumerate:7:connected", ("all",)))
+    assert (summary.graphs_processed, summary.errors) == (853, 0)
+    assert len(built) == 853

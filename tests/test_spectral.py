@@ -437,28 +437,24 @@ def _assert_formula_split(g, split):
         assert _bits(got) == _bits(want)
 
 
-def _isolated_memos(monkeypatch):
-    """Empty decomposition and split memos, so that a graph some other test
-    keeps alive is seeded here all the same."""
-    monkeypatch.setattr(spectral, "_MEMO", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(spectral, "_SEEDED_SPLITS", weakref.WeakKeyDictionary())
-
-
-def test_seeded_stack_splits_of_every_connected_graph_up_to_7_equal_the_formula(
+def test_stacked_splits_of_every_connected_graph_up_to_7_equal_the_formula(
     connected_corpus, monkeypatch
 ):
-    # Blocks of 64 graphs, decomposed and split as a sweep seeds them.
-    _isolated_memos(monkeypatch)
+    # Blocks of 64 graphs, decomposed as a sweep decomposes them and split by
+    # one split_stack per stack; a graph that no stack takes is split alone.
+    # An empty memo, so that graphs another test keeps alive are stacked too.
+    monkeypatch.setattr(spectral, "_MEMO", weakref.WeakKeyDictionary())
     for n, graphs in connected_corpus.items():
         for start in range(0, len(graphs), 64):
             block = graphs[start:start + 64]
-            for stack, mats in spectral.decompose_graphs(block):
-                spectral.seed_splits(stack, mats)
+            stacked = {}
+            for stack, mats, entries in spectral.decompose_graphs(block):
+                splits = spectral.split_stack(entries, lambda rows: mats[rows])
+                stacked.update(zip(stack, splits))
             if len(block) > 1:
-                assert all(g in spectral._SEEDED_SPLITS for g in block)
+                assert len(stacked) == len(block)
             for g in block:
-                _assert_formula_split(g, spectral_split(g))
-            assert not any(g in spectral._SEEDED_SPLITS for g in block)
+                _assert_formula_split(g, stacked.get(g) or spectral_split(g))
 
 
 def test_random_stack_splits_up_to_64_vertices_equal_the_formula():
@@ -485,38 +481,14 @@ def test_a_split_too_large_to_stack_equals_the_formula():
             _assert_formula_split(g, spectral_split(g))
 
 
-def test_a_seeded_stack_split_goes_to_the_first_call_and_each_call_returns_new_halves(
-    monkeypatch,
-):
-    _isolated_memos(monkeypatch)
-    rng = np.random.default_rng(47)
-    graphs = [gnp(rng, 9, 0.5) for _ in range(5)]
-    [(stack, mats)] = spectral.decompose_graphs(graphs)
-    spectral.seed_splits(stack, mats)
-    g = graphs[2]
-    first = spectral._SEEDED_SPLITS[g]
-    assert spectral_split(g) is first and g not in spectral._SEEDED_SPLITS
-    second = spectral_split(g)
+def test_each_split_call_returns_new_writable_halves():
+    g = gnp(np.random.default_rng(47), 9, 0.5)
+    first, second = spectral_split(g), spectral_split(g)
     for a, b in ((first.a_plus, second.a_plus), (first.a_minus, second.a_minus)):
         assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
         assert _bits(a) == _bits(b)
         a[0, 0] += 1.0
         assert _bits(a) != _bits(b)
-
-
-def test_a_failing_split_is_not_seeded_and_fails_its_own_call(monkeypatch):
-    # C5 with wrong eigenvectors in its entry: the other graphs of its stack
-    # are seeded, and C5's own call raises the lone call's error.
-    _isolated_memos(monkeypatch)
-    graphs = [cycle(5), path(5), star(5)]
-    [(stack, mats)] = spectral.decompose_graphs(graphs)
-    spec, vecs, energies, counts = spectral._MEMO[graphs[0]]
-    spectral._MEMO[graphs[0]] = (spec, vecs[:, ::-1], energies, counts)
-    spectral.seed_splits(stack, mats)
-    assert [g in spectral._SEEDED_SPLITS for g in graphs] == [False, True, True]
-    monkeypatch.setitem(spectral._decomposition.memo, graphs[0], spectral._MEMO[graphs[0]])
-    with pytest.raises(NumericError, match="^split does not reconstruct the adjacency matrix$"):
-        spectral_split(graphs[0])
 
 
 def test_memo_inertia_equals_the_counted_inertia_and_refuses_a_narrow_band(monkeypatch):
