@@ -357,12 +357,12 @@ ALL_BOUND_NAMES = tuple(BOUNDS)
 
 
 def seed_block(names: Sequence[str], graphs: Iterable[Graph]) -> None:
-    """Seed what the bounds ``names`` read of a sweep's block of graphs from
-    the stacks of one ``spectral.decompose_graphs`` call: the ``sdp-min``
-    gaps by one ``split_stack`` a stack, and the ``removal`` deletions. A
-    graph left unseeded gets the same bits, or error, from its own call.
-    ROADMAP item 1's exact certificates for ``efgw``, ``domination`` and
-    ``dominating-vertex`` are to be seeded here too."""
+    """Seed what the bounds ``names`` read of a sweep's block from the stacks
+    of one ``spectral.decompose_graphs`` call, which builds each graph's
+    adjacency matrix once, whatever its size or source: the ``sdp-min`` gaps
+    by one ``split_stack`` a stack, and the ``removal`` deletions. A graph
+    that fails a check gets the same error from its own call. ROADMAP items
+    1 and 2 seed their exact certificates here, for every graph, n > 64 too."""
     for stack, mats, entries in decompose_graphs(graphs):
         if "sdp-min" in names:
             ok = [i for i, entry in enumerate(entries) if not isinstance(entry, SquareEnergyError)]

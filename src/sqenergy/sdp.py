@@ -16,8 +16,8 @@ decomposed by stacked, checked eigensolves within
 ``spectral.STACK_MAX_ENTRIES``, and a
 ``graphs.per_graph`` memo keeps them per graph and vertex.
 ``decompose_deletions`` seeds that memo for a stack of graphs at once, as
-``bounds.seed_block`` does for a sweep's block when ``removal`` is selected;
-the witness decomposes only the vertices still missing, a block of one.
+``bounds.seed_block`` does for each sweep block that selects ``removal``; the
+witness's own block of one, of the vertices still missing, is library-only.
 """
 
 from __future__ import annotations

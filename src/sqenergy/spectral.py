@@ -36,11 +36,11 @@ way: the stack's matrices of one inertia share one matmul per half and one
 certificate and reconstruction check in array operations, and a stacked
 split is bitwise the lone one. ``spectral_split`` has one path, its graph's
 own stack of one, and each call returns new arrays for the caller to keep.
-A sweep seeds the memo of a block of small graphs with ``decompose_graphs``,
-one stacked call per vertex count; it returns each stack's graphs, matrices
-and entries, from which ``bounds.seed_block`` seeds what the selected bounds
-read, so no other module reads the memo. ``STACK_MAX_ENTRIES`` caps a stack,
-so a matrix with more than 64 rows is decomposed and split alone.
+A sweep seeds the memo of every graph of a block with ``decompose_graphs``,
+one stacked call per vertex count within ``STACK_MAX_ENTRIES``, so a graph on
+more than 64 vertices, or alone at its size, is a stack of one; the stacks'
+graphs, matrices and entries go to ``bounds.seed_block``, which seeds what the
+selected bounds read, so no other module reads the memo.
 """
 
 from __future__ import annotations
@@ -227,11 +227,11 @@ _MEMO = _decomposition.memo
 
 def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray, list]]:
     """Seed the decomposition memo of the graphs not yet in it: graphs of one
-    vertex count share stacked eigensolves. A graph that a stack would hold
-    alone, or that fails a check, is left to its own first call, which
-    decomposes it as before or raises the same error. Returns each stack's
-    graphs, their adjacency matrices, shape (k, n, n), and their
-    ``eigen_decompose_stack`` items, for the caller to seed from."""
+    vertex count share stacked eigensolves, and a graph alone at its size is
+    a stack of one. A graph that fails a check is left to its own first
+    call, which raises the same error. Returns each stack's graphs, their
+    adjacency matrices, shape (k, n, n), and their ``eigen_decompose_stack``
+    items, for the caller to seed from."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
@@ -241,8 +241,6 @@ def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndar
         size = stack_size(n)
         for start in range(0, len(same), size):
             stack = same[start:start + size]
-            if len(stack) < 2:
-                continue
             mats = np.stack([g.adjacency_matrix() for g in stack])
             entries = eigen_decompose_stack(mats, [g.m for g in stack])
             for g, out in zip(stack, entries):

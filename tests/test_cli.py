@@ -655,6 +655,46 @@ def test_malformed_line_after_several_blocks_keeps_every_record_before_it(
     assert multiprocessing.active_children() == []
 
 
+def test_a_pool_writes_the_serial_output_under_forkserver_and_spawn(tmp_path, capsys):
+    # Each start method runs in a fresh interpreter, launched with -c (a
+    # launcher read from stdin breaks the pool), whose sweep hands its blocks
+    # to a pool from the first, as the pool_at_once fixture does; it prints
+    # its live children and whether the pool module was loaded. The second
+    # source's line 501 is malformed.
+    lines = [write_graph6(g) for g in resolve_source("enumerate:7:connected")]
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines[:500] + ["F??"] + lines[501:]) + "\n")
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for source, want_code in ((good, 0), (bad, 1)):
+        argv = ["bounds", str(source), "--set", "all"]
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        assert main(argv + ["--jobs", "1", "--out", str(serial)]) == want_code
+        want_err = re.sub(r"wall: \S+", "wall:", capsys.readouterr().err)
+        for method in ("forkserver", "spawn"):
+            code = (
+                "import multiprocessing, sys\n"
+                f"multiprocessing.set_start_method({method!r})\n"
+                "from sqenergy import cli, harness\n"
+                "harness._pool_start_s = lambda workers: 0.0\n"
+                f"code = cli.main({argv + ['--jobs', '2', '--out', str(pool)]!r})\n"
+                "print(len(multiprocessing.active_children()),"
+                " 'concurrent.futures.process' in sys.modules)\n"
+                "sys.exit(code)\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert (done.returncode, done.stdout) == (want_code, "0 True\n"), (method, done.stderr)
+            assert re.sub(r"wall: \S+", "wall:", done.stderr) == want_err
+            assert pool.read_bytes() == serial.read_bytes()
+        graphs = {r["graph_index"] for r in _read_jsonl(serial)}
+        assert graphs == set(range(853 if source == good else 500))
+    assert want_err.startswith("error: line 501: truncated body")
+
+
 def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
     # Deleting nothing drops no square energy, so the removal lemma fails.
     whole, decompose = cycle(5), sdp.eigen_decompose_stack

@@ -344,6 +344,12 @@ def test_a_corrupted_stack_entry_seeds_the_others_and_gets_the_lone_error_record
     assert [g in bounds._sdp_gap.memo for g in graphs] == [False, True, True]
     assert list(records) == alone
 
+    # C5 alone in its block is a stack of one and gets the same record.
+    _fresh_memos(monkeypatch)
+    records = evaluate_block(("sdp-min",), [(0, graphs[0])])
+    assert graphs[0] not in bounds._sdp_gap.memo
+    assert list(records) == alone[:1]
+
 
 def test_only_a_selected_sdp_min_splits_a_block(monkeypatch):
     calls = []
@@ -365,8 +371,8 @@ def test_only_a_selected_sdp_min_splits_a_block(monkeypatch):
 def test_a_sweep_builds_each_adjacency_matrix_once(monkeypatch):
     # With every bound selected, the block's stacked decomposition is the
     # only build: the `sdp-min` gaps and the `removal` deletions are seeded
-    # from its matrices.
-    _fresh_memos(monkeypatch)
+    # from its matrices. A graph alone in its block, as a family's is, is a
+    # stack of one, and n = 112 takes one matrix a stack.
     built = []
     adjacency_matrix = Graph.adjacency_matrix
 
@@ -375,6 +381,10 @@ def test_a_sweep_builds_each_adjacency_matrix_once(monkeypatch):
         return adjacency_matrix(g)
 
     monkeypatch.setattr(Graph, "adjacency_matrix", counting)
-    summary = run(RunConfig("enumerate:7:connected", ("all",)))
-    assert (summary.graphs_processed, summary.errors) == (853, 0)
-    assert len(built) == 853
+    for source, graphs in (("enumerate:7:connected", 853), ("family:gq:q=3", 1),
+                           ("family:petersen", 1)):
+        _fresh_memos(monkeypatch)
+        built.clear()
+        summary = run(RunConfig(source, ("all",)))
+        assert (summary.graphs_processed, summary.errors) == (graphs, 0)
+        assert len(built) == graphs

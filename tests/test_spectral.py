@@ -383,10 +383,12 @@ def test_seeded_decompositions_equal_a_graph_decomposed_alone():
     for g in graphs:
         want = spectral.eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0]
         assert _decomposition_bits(*memo[g]) == _decomposition_bits(*want)
-    # A graph that a stack would hold alone is left to its own first call.
+    # A graph alone at its size is a stack of one, seeded with the bits of
+    # its own call.
     lone = gnp(rng, 65, 0.5)
     spectral.decompose_graphs([lone, gnp(rng, 11, 0.5)])
-    assert lone not in memo
+    want = spectral.eigen_decompose_stack(lone.adjacency_matrix()[None], [lone.m])[0]
+    assert _decomposition_bits(*memo[lone]) == _decomposition_bits(*want)
 
 
 def test_a_failing_matrix_in_a_stack_gets_its_own_error():
