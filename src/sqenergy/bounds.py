@@ -358,12 +358,13 @@ ALL_BOUND_NAMES = tuple(BOUNDS)
 
 def seed_block(names: Sequence[str], graphs: Iterable[Graph]) -> None:
     """Seed what the bounds ``names`` read of a sweep's block from the stacks
-    of one ``spectral.decompose_graphs`` call, which builds each graph's
-    adjacency matrix once, whatever its size or source: the ``sdp-min`` gaps
-    by one ``split_stack`` a stack, and the ``removal`` deletions. A graph
-    that fails a check gets the same error from its own call. ROADMAP items
-    1 and 2 seed their exact certificates here, for every graph, n > 64 too."""
-    for stack, mats, entries in decompose_graphs(graphs):
+    of one ``spectral.decompose_graphs`` call, one adjacency matrix a graph:
+    the ``sdp-min`` gaps by one ``split_stack`` a stack, and the ``removal``
+    deletions. A graph alone at its size shares no eigensolve, so it is
+    seeded only if a seeded bound reads its matrix; one that fails a check
+    gets its error from its own call. ROADMAP items 1 and 2 seed here too."""
+    lone = lambda g: "sdp-min" in names or "removal" in names and bool(first_induced_p3(g))
+    for stack, mats, entries in decompose_graphs(graphs, lone):
         if "sdp-min" in names:
             ok = [i for i, entry in enumerate(entries) if not isinstance(entry, SquareEnergyError)]
             splits = split_stack([entries[i] for i in ok], lambda rows: mats[[ok[j] for j in rows]])

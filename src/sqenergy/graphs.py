@@ -114,8 +114,7 @@ class Graph:
         input order; then a self-loop is refused at its least vertex, then a
         negative n (which refuses any edge first, as out of range)."""
         n = _integer(n, "vertex count")
-        # Rows are b"0"/b"1" cells, read back whole as parse_graph6 reads a column.
-        cells = [bytearray(b"0" * n) for _ in range(n)]
+        rows = [0] * n
         for edge in edges:
             try:
                 u, v = edge
@@ -127,13 +126,14 @@ class Graph:
                 raise ContractViolation(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from exc
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractViolation(f"edge ({u}, {v}) out of range for n={n}")
-            cells[u][v] = cells[v][u] = 49  # ord("1")
-        for i, row in enumerate(cells):
-            if row[i] == 49:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        for i, row in enumerate(rows):
+            if row >> i & 1:
                 raise ContractViolation(f"self-loop at vertex {i}")
         if n < 0:
             raise ContractViolation(f"vertex count must be >= 0, got {n}")
-        return cls._from_valid_rows(n, tuple(int(row[::-1], 2) for row in cells))
+        return cls._from_valid_rows(n, tuple(rows))
 
     @cached_property
     def m(self) -> int:

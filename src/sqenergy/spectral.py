@@ -36,11 +36,10 @@ way: the stack's matrices of one inertia share one matmul per half and one
 certificate and reconstruction check in array operations, and a stacked
 split is bitwise the lone one. ``spectral_split`` has one path, its graph's
 own stack of one, and each call returns new arrays for the caller to keep.
-A sweep seeds the memo of every graph of a block with ``decompose_graphs``,
-one stacked call per vertex count within ``STACK_MAX_ENTRIES``, so a graph on
-more than 64 vertices, or alone at its size, is a stack of one; the stacks'
-graphs, matrices and entries go to ``bounds.seed_block``, which seeds what the
-selected bounds read, so no other module reads the memo.
+A sweep seeds the memo with ``decompose_graphs``, one stacked call per vertex
+count within ``STACK_MAX_ENTRIES`` (a lone graph is a stack of one if its
+caller asks), and ``bounds.seed_block`` seeds what the selected bounds read
+from the stacks, so no other module reads the memo.
 """
 
 from __future__ import annotations
@@ -225,13 +224,13 @@ def _decomposition(g: Graph) -> tuple[Spectrum, np.ndarray, EnergyReport, Inerti
 _MEMO = _decomposition.memo
 
 
-def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndarray, list]]:
-    """Seed the decomposition memo of the graphs not yet in it: graphs of one
-    vertex count share stacked eigensolves, and a graph alone at its size is
-    a stack of one. A graph that fails a check is left to its own first
-    call, which raises the same error. Returns each stack's graphs, their
-    adjacency matrices, shape (k, n, n), and their ``eigen_decompose_stack``
-    items, for the caller to seed from."""
+def decompose_graphs(
+    graphs: Iterable[Graph], lone: Callable[[Graph], bool]
+) -> list[tuple[list[Graph], np.ndarray, list]]:
+    """Seed the decomposition memo of the graphs not yet in it by stacked
+    eigensolves per vertex count; a graph g alone at its size is a stack of
+    one if ``lone(g)``. A graph left out, or failing a check, is left to its
+    own first call. Returns each stack's graphs, matrices and entries."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
@@ -241,6 +240,8 @@ def decompose_graphs(graphs: Iterable[Graph]) -> list[tuple[list[Graph], np.ndar
         size = stack_size(n)
         for start in range(0, len(same), size):
             stack = same[start:start + size]
+            if len(stack) < 2 and not lone(stack[0]):
+                continue
             mats = np.stack([g.adjacency_matrix() for g in stack])
             entries = eigen_decompose_stack(mats, [g.m for g in stack])
             for g, out in zip(stack, entries):

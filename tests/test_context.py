@@ -388,3 +388,36 @@ def test_a_sweep_builds_each_adjacency_matrix_once(monkeypatch):
         summary = run(RunConfig(source, ("all",)))
         assert (summary.graphs_processed, summary.errors) == (graphs, 0)
         assert len(built) == graphs
+
+
+def test_a_lone_graph_is_decomposed_only_when_a_seeded_bound_reads_its_matrix(monkeypatch):
+    # A graph alone in its block shares no eigensolve, so seeding decomposes
+    # it only for `sdp-min`, or `removal` given an induced 3-vertex path.
+    # Past the n <= 24 search budget `domination` skips before reading the
+    # spectrum, C200 has no dominating vertex and a perfect matching no
+    # induced 3-vertex path: their records come without an eigensolve.
+    solves = []
+    decompose = spectral.eigen_decompose_stack
+
+    def counting(mats, ms):
+        solves.append(mats.shape)
+        return decompose(mats, ms)
+
+    monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
+    matching = Graph.from_edges(200, [(2 * i, 2 * i + 1) for i in range(100)])
+    for names, g, status, want in (
+        (("domination",), cycle(200), "skipped", []),
+        (("dominating-vertex",), cycle(200), "skipped", []),
+        (("removal",), matching, "ok", []),
+        (("sdp-min",), cycle(200), "ok", [(1, 200, 200)]),
+        (("removal",), cycle(200), "ok", [(1, 200, 200)]),
+    ):
+        _fresh_memos(monkeypatch)
+        solves.clear()
+        [records] = evaluate_block(names, [(0, g)])
+        assert [r["status"] for r in records] == [status]
+        assert solves == want
+    _fresh_memos(monkeypatch)
+    solves.clear()
+    summary = run(RunConfig("family:cycle:n=200", ("domination",)))
+    assert (summary.graphs_processed, summary.skipped, solves) == (1, 1, [])

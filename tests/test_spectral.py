@@ -378,15 +378,18 @@ def test_seeded_decompositions_equal_a_graph_decomposed_alone():
     graphs = [gnp(rng, 12, 0.5) for _ in range(40)]
     memo = spectral._decomposition.memo
     assert not any(g in memo for g in graphs)
-    spectral.decompose_graphs(graphs)
+    spectral.decompose_graphs(graphs, lambda g: True)
     assert all(g in memo for g in graphs)
     for g in graphs:
         want = spectral.eigen_decompose_stack(g.adjacency_matrix()[None], [g.m])[0]
         assert _decomposition_bits(*memo[g]) == _decomposition_bits(*want)
-    # A graph alone at its size is a stack of one, seeded with the bits of
-    # its own call.
-    lone = gnp(rng, 65, 0.5)
-    spectral.decompose_graphs([lone, gnp(rng, 11, 0.5)])
+    # A graph alone at its size is left to its own call unless the caller
+    # asks for it, and is then a stack of one, with the bits of that call.
+    lone, other = gnp(rng, 65, 0.5), gnp(rng, 11, 0.5)
+    assert spectral.decompose_graphs([lone, other], lambda g: False) == []
+    assert lone not in memo and other not in memo
+    spectral.decompose_graphs([lone, other], lambda g: g is lone)
+    assert other not in memo
     want = spectral.eigen_decompose_stack(lone.adjacency_matrix()[None], [lone.m])[0]
     assert _decomposition_bits(*memo[lone]) == _decomposition_bits(*want)
 
@@ -450,7 +453,7 @@ def test_stacked_splits_of_every_connected_graph_up_to_7_equal_the_formula(
         for start in range(0, len(graphs), 64):
             block = graphs[start:start + 64]
             stacked = {}
-            for stack, mats, entries in spectral.decompose_graphs(block):
+            for stack, mats, entries in spectral.decompose_graphs(block, lambda g: True):
                 splits = spectral.split_stack(entries, lambda rows: mats[rows])
                 stacked.update(zip(stack, splits))
             if len(block) > 1:
