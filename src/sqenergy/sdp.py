@@ -11,10 +11,10 @@ This module finds the vertex of an induced 3-vertex path whose removal drops
 each square energy most; whether those drops are large enough is the removal
 bound's verdict in ``bounds``.
 The removal witness builds no vertex-deleted graphs: the energies of G - u
-come from the principal submatrix of the adjacency matrix without u,
-decomposed by stacked, checked eigensolves within
-``spectral.STACK_MAX_ENTRIES``, and a
-``graphs.per_graph`` memo keeps them per graph and vertex.
+come from the principal submatrix of the adjacency matrix without u, and a
+``graphs.per_graph`` memo keeps them per graph and vertex. All of a stack's
+submatrices go to one ``spectral.eigen_decompose_stack`` call, which sizes
+the solver calls.
 ``decompose_deletions`` seeds that memo for a stack of graphs at once, as
 ``bounds.seed_block`` does for each sweep block that selects ``removal``; the
 witness's own block of one, of the vertices still missing, is library-only.
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ContractViolation, SquareEnergyError
 from .graphs import Graph, per_graph
 from .oracles import induces_p3
-from .spectral import EnergyReport, eigen_decompose_stack, square_energies, stack_size
+from .spectral import EnergyReport, eigen_decompose_stack, square_energies
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,26 @@ def decompose_deletions(
     """Seed the energies of graphs[i] - u for each vertex u in vertices[i]
     not yet seeded, where mats[i] is the adjacency matrix of graphs[i]. No
     vertex-deleted graph is built: deleting u leaves the principal submatrix
-    without u's row and column, with m - deg(u) edges, sliced from ``mats``,
-    and the submatrices share stacked eigensolves within
-    ``spectral.STACK_MAX_ENTRIES``. A deletion that fails a check is not
-    kept; its error is returned, in input order."""
+    without u's row and column, with m - deg(u) edges, sliced from ``mats``
+    all at once and decomposed by one ``eigen_decompose_stack`` call. A
+    deletion that fails a check is not kept; its error is returned, in input
+    order."""
     energies = [_deletion_energies(g) for g in graphs]
     wanted = [
         (i, u) for i, us in enumerate(vertices) for u in us if u not in energies[i]
     ]
-    n = mats.shape[1] - 1
-    cols = np.arange(n)
-    size = stack_size(n)
+    rows, us = np.array(wanted, dtype=np.intp).reshape(-1, 2).T
+    # Row j of keep lists the vertices other than us[j], in order.
+    cols = np.arange(mats.shape[1] - 1)
+    keep = cols + (cols >= us[:, None])
+    subs = mats[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+    ms = [graphs[i].m - graphs[i].degree(u) for i, u in wanted]
     errors = []
-    for start in range(0, len(wanted), size):
-        chunk = wanted[start:start + size]
-        rows, us = np.array(chunk).T
-        # Row j of keep lists the vertices other than us[j], in order.
-        keep = cols + (cols >= us[:, None])
-        subs = mats[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
-        ms = [graphs[i].m - graphs[i].degree(u) for i, u in chunk]
-        for (i, u), out in zip(chunk, eigen_decompose_stack(subs, ms)):
-            if isinstance(out, SquareEnergyError):
-                errors.append(out)
-            else:
-                energies[i][u] = out[2]
+    for (i, u), out in zip(wanted, eigen_decompose_stack(subs, ms)):
+        if isinstance(out, SquareEnergyError):
+            errors.append(out)
+        else:
+            energies[i][u] = out[2]
     return errors
 
 

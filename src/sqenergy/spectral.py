@@ -25,21 +25,21 @@ it: the first call computes it, later calls on the same graph reuse it, and
 it is freed with the graph, so a sweep and a library call on the same graph
 decompose it once.
 
-One routine, ``eigen_decompose_stack``, makes every checked decomposition,
-and every decomposition is of an adjacency matrix: one solver call for a
-stack of same-size matrices, then the residual, trace and square-sum checks,
-the default-band energies and the inertia of the whole stack in array
-operations, so a single matrix is a stack of one and a stacked matrix gets
+One routine, ``eigen_decompose_stack``, makes every checked decomposition of
+an adjacency matrix and alone sizes solver calls: one call per sub-stack of
+same-size matrices within ``STACK_MAX_ENTRIES`` entries, then the residual,
+trace and square-sum checks, the default-band energies and the inertia in
+array operations. A single matrix is a stack of one, and a stacked one gets
 bitwise the values, vectors, residual and energies it would get alone.
 One routine, ``split_stack``, makes and certifies every split in the same
 way: the stack's matrices of one inertia share one matmul per half and one
 certificate and reconstruction check in array operations, and a stacked
 split is bitwise the lone one. ``spectral_split`` has one path, its graph's
 own stack of one, and each call returns new arrays for the caller to keep.
-A sweep seeds the memo with ``decompose_graphs``, one stacked call per vertex
-count within ``STACK_MAX_ENTRIES`` (a lone graph is a stack of one if its
-caller asks), and ``bounds.seed_block`` seeds what the selected bounds read
-from the stacks, so no other module reads the memo.
+A sweep seeds the memo with ``decompose_graphs``, one stack per vertex count
+(a lone graph is a stack of one if its caller asks), and
+``bounds.seed_block`` seeds what the selected bounds read from the stacks, so
+no other module reads the memo.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ from .graphs import Graph, per_graph
 
 SYMMETRY_TOL = 1e-12
 RESIDUAL_SCALE = 1e-10
-# Matrix entries, summed over the stack, that one stacked eigensolve takes:
-# small matrices share a call, and one with more than 64 rows is decomposed
-# alone.
+# Matrix entries, summed over a sub-stack, that one solver call takes: small
+# matrices share a call, and one with more than 64 rows is solved alone.
 STACK_MAX_ENTRIES = 64 * 64
 # IEEE float64 unit roundoff and smallest subnormal, for the split's a priori
 # PSD certificate.
@@ -109,48 +108,53 @@ class Inertia:
     n_minus: int
 
 
-def stack_size(n: int) -> int:
-    """How many n x n matrices one stacked eigensolve takes: as many as fit in
-    ``STACK_MAX_ENTRIES`` entries, and at least one."""
-    return max(1, STACK_MAX_ENTRIES // max(1, n * n))
-
-
 def eigen_decompose_stack(
     mats: np.ndarray, ms: Sequence[int]
 ) -> list[tuple | SquareEnergyError]:
     """Checked eigendecompositions of a stack of adjacency matrices, shape
-    (k, n, n), matrix i having ms[i] edges, by one solver call.
+    (k, n, n), matrix i having ms[i] edges. The one place that sizes solver
+    calls: consecutive sub-stacks of ``max(1, STACK_MAX_ENTRIES // n^2)``
+    matrices share a call, and a sub-stack that fails before its residual
+    check is solved one matrix a call, so each failing matrix is named.
 
     Item i is matrix i's spectrum (descending), its orthonormal eigenvectors
     as read-only columns, its default-band ``EnergyReport`` and its
     ``Inertia``, both from the same counts of eigenvalues above and below the
-    zero band, or the error
-    that refuses it: ContractViolation for non-symmetric or non-finite input,
-    and NumericError if the solver fails, the residual is not within
-    ``1e-10 * max(1, ||mat||_F)``, or the trace is not zero or the square
-    sum not 2 ms[i] within ``numeric_tolerance(n)``.
+    zero band, or the error that refuses it: ContractViolation for
+    non-symmetric or non-finite input, and NumericError if the solver fails,
+    the residual is not within ``1e-10 * max(1, ||mat||_F)``, or the trace is
+    not zero or the square sum not 2 ms[i] within ``numeric_tolerance(n)``.
     """
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ContractViolation(f"expected a stack of square matrices, got shape {mats.shape}")
     k, n = mats.shape[:2]
-    try:
-        if not np.isfinite(mats).all():
-            raise ContractViolation("matrix has non-finite entries")
-        if np.max(np.abs(mats - mats.transpose(0, 2, 1)), initial=0.0) > SYMMETRY_TOL:
-            raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
+    size = max(1, STACK_MAX_ENTRIES // max(1, n * n))
+    todo = [(start, min(start + size, k)) for start in reversed(range(0, k, size))]
+    outs: list[tuple | SquareEnergyError] = []
+    while todo:
+        start, stop = todo.pop()
         try:
-            vals, vecs = np.linalg.eigh(mats)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed for {n}x{n} matrix") from exc
-    except SquareEnergyError as exc:
-        if k == 1:
-            return [exc]
-        # Some matrix fails before the residual check: each alone names it.
-        return [
-            out for i in range(k)
-            for out in eigen_decompose_stack(mats[i:i + 1], ms[i:i + 1])
-        ]
+            outs += _decompose_checked(mats[start:stop], ms[start:stop])
+        except SquareEnergyError as exc:
+            if stop - start == 1:
+                outs.append(exc)
+            else:
+                todo += [(i, i + 1) for i in reversed(range(start, stop))]
+    return outs
+
+
+def _decompose_checked(mats: np.ndarray, ms: Sequence[int]) -> list[tuple | SquareEnergyError]:
+    """One sub-stack by one solver call; raises if it fails before its residual check."""
+    n = mats.shape[1]
+    if not np.isfinite(mats).all():
+        raise ContractViolation("matrix has non-finite entries")
+    if np.max(np.abs(mats - mats.transpose(0, 2, 1)), initial=0.0) > SYMMETRY_TOL:
+        raise ContractViolation(f"matrix is not symmetric within {SYMMETRY_TOL:g}")
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed for {n}x{n} matrix") from exc
     # A contiguous copy of the values, so that each row sum below is bitwise
     # the sum of that row alone.
     vals = np.ascontiguousarray(vals[:, ::-1])
@@ -227,27 +231,25 @@ _MEMO = _decomposition.memo
 def decompose_graphs(
     graphs: Iterable[Graph], lone: Callable[[Graph], bool]
 ) -> list[tuple[list[Graph], np.ndarray, list]]:
-    """Seed the decomposition memo of the graphs not yet in it by stacked
-    eigensolves per vertex count; a graph g alone at its size is a stack of
-    one if ``lone(g)``. A graph left out, or failing a check, is left to its
-    own first call. Returns each stack's graphs, matrices and entries."""
+    """Seed the decomposition memo of the graphs not yet in it by one
+    ``eigen_decompose_stack`` call per vertex count; a graph g alone at its
+    size is a stack of one if ``lone(g)``. A graph left out, or failing a
+    check, is left to its own first call. Returns each stack's graphs,
+    matrices and entries."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
             by_n.setdefault(g.n, []).append(g)
     stacks = []
-    for n, same in by_n.items():
-        size = stack_size(n)
-        for start in range(0, len(same), size):
-            stack = same[start:start + size]
-            if len(stack) < 2 and not lone(stack[0]):
-                continue
-            mats = np.stack([g.adjacency_matrix() for g in stack])
-            entries = eigen_decompose_stack(mats, [g.m for g in stack])
-            for g, out in zip(stack, entries):
-                if not isinstance(out, SquareEnergyError):
-                    _MEMO[g] = out
-            stacks.append((stack, mats, entries))
+    for stack in by_n.values():
+        if len(stack) < 2 and not lone(stack[0]):
+            continue
+        mats = np.stack([g.adjacency_matrix() for g in stack])
+        entries = eigen_decompose_stack(mats, [g.m for g in stack])
+        for g, out in zip(stack, entries):
+            if not isinstance(out, SquareEnergyError):
+                _MEMO[g] = out
+        stacks.append((stack, mats, entries))
     return stacks
 
 

@@ -409,6 +409,45 @@ def test_a_failing_matrix_in_a_stack_gets_its_own_error():
     assert outs[0][2] == square_energies(complete(3))
 
 
+def test_a_stack_beyond_the_entry_cap_is_solved_in_sub_stacks(monkeypatch):
+    # 100 random 7-vertex graphs passed whole: 4096 // 49 = 83 matrices share
+    # one solver call and the other 17 the next, and each entry is bitwise
+    # that of its own stack of one.
+    rng = np.random.default_rng(97)
+    graphs = [gnp(rng, 7, 0.5) for _ in range(100)]
+    mats = np.stack([g.adjacency_matrix() for g in graphs])
+    ms = [g.m for g in graphs]
+    alone = [eigen_decompose_stack(mat[None], [m])[0] for mat, m in zip(mats, ms)]
+    shapes, calls = [], []
+    eigh, decompose = np.linalg.eigh, spectral.eigen_decompose_stack
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return eigh(stack)
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return decompose(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
+    stacked = spectral.eigen_decompose_stack(mats, ms)
+    assert shapes == [(83, 7, 7), (17, 7, 7)]
+    for got, want in zip(stacked, alone):
+        assert _decomposition_bits(*got) == _decomposition_bits(*want)
+    # A sub-stack that fails before its residual check is solved one matrix
+    # a call by the same loop, which a wrapper of the routine sees once.
+    mats[90, 0, 1] = 0.5
+    shapes.clear(), calls.clear()
+    outs = spectral.eigen_decompose_stack(mats, ms)
+    assert calls == [100]
+    assert shapes == [(83, 7, 7)] + [(1, 7, 7)] * 16
+    assert isinstance(outs[90], ContractViolation)
+    for i, (got, want) in enumerate(zip(outs, alone)):
+        if i != 90:
+            assert _decomposition_bits(*got) == _decomposition_bits(*want)
+
+
 def _random_bipartite(rng, n, p):
     half = n // 2
     edges = [(i, j) for i in range(half) for j in range(half, n) if rng.random() < p]
@@ -480,7 +519,7 @@ def test_random_stack_splits_up_to_64_vertices_equal_the_formula():
 def test_a_split_too_large_to_stack_equals_the_formula():
     rng = np.random.default_rng(2026)
     for n in (65, 100, 200):
-        assert spectral.stack_size(n) == 1
+        assert 2 * n * n > spectral.STACK_MAX_ENTRIES  # one matrix a solver call
         for p in (0.1, 0.5):
             g = gnp(rng, n, p)
             _assert_formula_split(g, spectral_split(g))
