@@ -20,7 +20,8 @@ class ContractViolation(SquareEnergyError, ValueError):
 
 
 class BudgetExceeded(SquareEnergyError, ValueError):
-    """Input too large for an exact exponential-time search budget."""
+    """Input too large for an exact exponential-time search budget, or for
+    a dense n x n matrix (``graphs.DENSE_MAX_N``)."""
 
 
 class NumericError(SquareEnergyError, RuntimeError):

@@ -34,6 +34,10 @@ if TYPE_CHECKING:
 
 # Orderly generation runs the canonical search, so this one cap bounds both.
 CANONICAL_MAX_N = 8
+# The most vertices a dense adjacency matrix is built for. A decomposition
+# peaks near 48 n^2 bytes (the matrix, its vectors and products, and LAPACK
+# workspace), about 3.2 GB at this cap.
+DENSE_MAX_N = 8192
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -167,9 +171,13 @@ class Graph:
         return out
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix, unpacked from the row bitsets. numpy is
-        imported here, its only use in this module, so that enumeration and
-        graph6 work never load it."""
+        """Dense 0/1 adjacency matrix, unpacked from the row bitsets; the one
+        place any n x n matrix is made, so BudgetExceeded above
+        ``DENSE_MAX_N`` vertices refuses all dense work before it starts.
+        numpy is imported here, its only use in this module, so that
+        enumeration and graph6 work never load it."""
+        if self.n > DENSE_MAX_N:
+            raise BudgetExceeded(f"dense matrix supported for n <= {DENSE_MAX_N}, got n={self.n}")
         import numpy as np
 
         width = (self.n + 7) // 8

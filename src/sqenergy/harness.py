@@ -523,9 +523,10 @@ def run(config: RunConfig, sink: RecordWriter | None = None) -> RunSummary:
     graphs = resolve_source(source) if isinstance(source, str) else source
     # Graphs are evaluated in blocks of consecutive graphs whose adjacency
     # matrices, each counted as at least 8 x 8, hold at most
-    # STACK_MAX_ENTRIES entries (so at most 64 graphs). An error raised by
-    # the source ends the blocks and is raised after the blocks already read
-    # are written, as a pool may have read it ahead of their records.
+    # STACK_MAX_ENTRIES entries (so at most 64 graphs), so the graphs of one
+    # vertex count in a block share one solver call. An error raised by the
+    # source ends the blocks and is raised after the blocks already read are
+    # written, as a pool may have read it ahead of their records.
     source_error: list[Graph6Error] = []
 
     def blocks() -> Iterator[list[tuple[int, Graph]]]:

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError, SquareEnergyError
+from .errors import BudgetExceeded, ContractViolation, NumericError, SquareEnergyError
 from .graphs import Graph, per_graph
 
 SYMMETRY_TOL = 1e-12
@@ -233,9 +233,9 @@ def decompose_graphs(
 ) -> list[tuple[list[Graph], np.ndarray, list]]:
     """Seed the decomposition memo of the graphs not yet in it by one
     ``eigen_decompose_stack`` call per vertex count; a graph g alone at its
-    size is a stack of one if ``lone(g)``. A graph left out, or failing a
-    check, is left to its own first call. Returns each stack's graphs,
-    matrices and entries."""
+    size is a stack of one if ``lone(g)``. A graph left out, too large for a
+    dense matrix, or failing a check, is left to its own first call. Returns
+    each stack's graphs, matrices and entries."""
     by_n: dict[int, list[Graph]] = {}
     for g in graphs:
         if g not in _MEMO:
@@ -244,7 +244,10 @@ def decompose_graphs(
     for stack in by_n.values():
         if len(stack) < 2 and not lone(stack[0]):
             continue
-        mats = np.stack([g.adjacency_matrix() for g in stack])
+        try:
+            mats = np.stack([g.adjacency_matrix() for g in stack])
+        except BudgetExceeded:
+            continue
         entries = eigen_decompose_stack(mats, [g.m for g in stack])
         for g, out in zip(stack, entries):
             if not isinstance(out, SquareEnergyError):

@@ -138,6 +138,28 @@ def test_refused_enumeration_size_keeps_the_out_file(argv, err, tmp_path, monkey
     assert out.read_bytes() == b"keep\n"
 
 
+def test_a_graph_above_the_dense_cap_is_refused_before_its_matrix(tmp_path, monkeypatch, capsys):
+    # With the cap at 10 vertices, C11's sweep writes a `skipped` record for
+    # every bound (C11 has no dominating vertex) and makes no eigensolve;
+    # a per-graph subcommand stops with its graph's error line.
+    monkeypatch.setattr("sqenergy.graphs.DENSE_MAX_N", 10)
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mats: solves.append(mats.shape) or eigh(mats))
+    out = tmp_path / "records.jsonl"
+    argv = ["bounds", "family:cycle:n=11", "--set", "all", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    records = _read_jsonl(out)
+    assert [r["name"] for r in records] == list(bounds.ALL_BOUND_NAMES)
+    assert {r["status"] for r in records} == {"skipped"}
+    refused = "dense matrix supported for n <= 10, got n=11"
+    assert {r["reason"] for r in records} == {refused, "no dominating vertex"}
+    assert solves == []
+    capsys.readouterr()
+    assert main(["spectrum", "family:cycle:n=11"]) == 1
+    assert capsys.readouterr().err == f"error: graph 0 ({write_graph6(cycle(11))}): {refused}\n"
+
+
 def test_spectrum_and_energy_commands(capsys):
     assert main(["spectrum", "family:complete:n=4"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -438,7 +438,8 @@ def test_a_stack_beyond_the_entry_cap_is_solved_in_sub_stacks(monkeypatch):
     # A sub-stack that fails before its residual check is solved one matrix
     # a call by the same loop, which a wrapper of the routine sees once.
     mats[90, 0, 1] = 0.5
-    shapes.clear(), calls.clear()
+    shapes.clear()
+    calls.clear()
     outs = spectral.eigen_decompose_stack(mats, ms)
     assert calls == [100]
     assert shapes == [(83, 7, 7)] + [(1, 7, 7)] * 16
