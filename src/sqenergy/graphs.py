@@ -21,6 +21,7 @@ at the first order that beats it.
 
 from __future__ import annotations
 
+import binascii
 import operator
 import weakref
 from dataclasses import dataclass
@@ -271,18 +272,27 @@ def _graph6_header(n: int) -> str:
     return "~" * (groups // 3) + "".join(digits)
 
 
-# Each body byte's 6-bit group, most significant bit first, and back. Column j
-# lists vertices 0..j-1 in order, the low j bits of row j reversed, so it is
-# written as format(row, f"0{j}b")[::-1] and read back by int(column[::-1], 2).
+# Each body byte's 6-bit group, most significant bit first, for the parser.
+# Column j lists vertices 0..j-1 in order, the low j bits of row j reversed,
+# so it is written as format(row, f"0{j}b")[::-1] and read back by
+# int(column[::-1], 2). The writer packs the groups as base64 does: the bits,
+# padded to whole 24-bit words, go through binascii, whose alphabet, in value
+# order, maps onto bytes 63..126.
 _GROUP_BITS = {63 + v: format(v, "06b") for v in range(64)}
-_GROUP_CHARS = {bits: chr(byte) for byte, bits in _GROUP_BITS.items()}
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def write_graph6(g: Graph) -> str:
     bits = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
-    bits += "0" * (-len(bits) % 6)
-    body = [_GROUP_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)]
-    return _graph6_header(g.n) + "".join(body)
+    if not bits:  # n <= 1 has no body
+        return _graph6_header(g.n)
+    nchars = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)
+    packed = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)
+    return _graph6_header(g.n) + body[:nchars].decode("ascii")
 
 
 def parse_graph6(line: str) -> Graph:

@@ -271,7 +271,7 @@ def test_graph6_matches_networkx_atlas():
         assert parse_graph6(text) == g
 
 
-@pytest.mark.parametrize("n", [62, 63, 64, 100, 800, 1500])
+@pytest.mark.parametrize("n", [8, 9, 11, 20, 23, 62, 63, 64, 100, 800, 1500])
 def test_graph6_matches_networkx(n):
     nx = pytest.importorskip("networkx")
     # Sparse at n = 1500, where networkx's edge handling dominates the test.
