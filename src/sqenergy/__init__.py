@@ -12,10 +12,11 @@ from importlib import import_module
 # Each submodule with the public names it defines.
 _NAMES = {
     "bounds": (
-        "BOUNDS", "BoundVerdict", "bound_alon_boppana", "bound_dominating_vertex",
-        "bound_domination", "bound_efgw", "bound_inertia", "bound_ratio",
-        "bound_regular", "bound_surplus", "bound_triangle", "certify_s_plus_pipeline",
-        "conjecture_checks", "energy_wall_check",
+        "BOUNDS", "BoundVerdict", "P3RemovalWitness", "bound_alon_boppana",
+        "bound_dominating_vertex", "bound_domination", "bound_efgw", "bound_inertia",
+        "bound_ratio", "bound_regular", "bound_surplus", "bound_triangle",
+        "certify_s_plus_pipeline", "conjecture_checks", "energy_wall_check",
+        "p3_removal_witness",
     ),
     "errors": (
         "BudgetExceeded", "ContractViolation", "Graph6Error", "NumericError",
@@ -46,7 +47,6 @@ _NAMES = {
         "Partition", "SuperadditivityReport", "certify_superadditivity",
         "degree_class_partition", "domination_partition", "star_clique_partition",
     ),
-    "sdp": ("P3RemovalWitness", "p3_removal_witness"),
     "spectral": (
         "EnergyReport", "Inertia", "SpectralSplit", "Spectrum", "graph_inertia",
         "numeric_tolerance", "spectral_split", "spectrum", "square_energies",

@@ -8,12 +8,19 @@ as violations; hypothesis-guarded bounds report ``applicable=False`` instead
 of failing when their hypothesis is not met.
 
 Each bound reads the graph's spectral quantities and oracle results through
-the library functions. Those that several bounds read (the decomposition,
-the default-band square energies and the max cut) are kept per live graph,
-so a sweep computes them once per graph for all bounds. ``sdp-min`` reads
-the split halves and the energies and reports how far the halves miss the
-minimization form. ``BOUNDS`` maps each ``--set`` name to its bound, a
+the library functions, and what it reads is kept per live graph, so a sweep
+computes it once per graph for all bounds. ``spectral`` keeps the
+decomposition; the memos that only a bound reads (the max cut, the first
+induced 3-vertex path, the ``sdp-min`` gap and the vertex-deletion
+energies) live here. ``BOUNDS`` maps each ``--set`` name to its bound, a
 function of the graph alone; the exact searches take their default budget.
+
+The square energies have two semidefinite forms. The primal: s+ is the
+minimum of ||A + M||_F^2 over PSD M, attained at M = A-, and symmetrically
+s- minimizes ||A - M||_F^2 at M = A+; ``sdp-min`` reads the split halves and
+the energies and reports how far the halves miss this form. The dual writes
+s+/s- as a Rayleigh-style maximum of max(+-<A, M>, 0)^2 / <M, M> over
+nonzero PSD M, which no bound certifies yet (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -36,13 +43,13 @@ from .graphs import (
     isolated_vertices,
     per_graph,
 )
-from .oracles import SEARCH_BUDGET_N, _edges_between
+from .oracles import SEARCH_BUDGET_N, _edges_between, induces_p3
 from .partitions import degree_class_partition, domination_partition
-from .sdp import decompose_deletions, p3_removal_witness
 from .spectral import (
     EnergyReport,
     SpectralSplit,
     decompose_graphs,
+    eigen_decompose_stack,
     graph_inertia,
     numeric_tolerance,
     spectral_split,
@@ -318,6 +325,83 @@ def _sdp_min(g: Graph) -> list[BoundVerdict]:
     gap = _sdp_gap(g)
     holds = gap <= numeric_tolerance(g.n)
     return [BoundVerdict("sdp-min", 0.0, 0.0, 0.0, holds, {"equality_gap": gap})]
+
+
+@dataclass(frozen=True)
+class P3RemovalWitness:
+    """Vertices of an induced 3-path whose removal drops s- (resp. s+) the
+    most, with the achieved drops."""
+
+    vertex_minus: int
+    drop_minus: float
+    vertex_plus: int
+    drop_plus: float
+
+
+@per_graph
+def _deletion_energies(g: Graph) -> dict[int, EnergyReport]:
+    """The checked default-band energies of g - u by vertex u, for the
+    vertices asked for so far; ``decompose_deletions`` fills it."""
+    return {}
+
+
+def decompose_deletions(
+    graphs: Sequence[Graph], mats: np.ndarray, vertices: Iterable[Iterable[int]]
+) -> list[SquareEnergyError]:
+    """Seed the energies of graphs[i] - u for each vertex u in vertices[i]
+    not yet seeded, where mats[i] is the adjacency matrix of graphs[i]. No
+    vertex-deleted graph is built: deleting u leaves the principal submatrix
+    without u's row and column, with m - deg(u) edges, sliced from ``mats``
+    all at once and decomposed by one ``eigen_decompose_stack`` call. A
+    deletion that fails a check is not kept; its error is returned, in input
+    order."""
+    energies = [_deletion_energies(g) for g in graphs]
+    wanted = [
+        (i, u) for i, us in enumerate(vertices) for u in us if u not in energies[i]
+    ]
+    rows, us = np.array(wanted, dtype=np.intp).reshape(-1, 2).T
+    # Row j of keep lists the vertices other than us[j], in order.
+    cols = np.arange(mats.shape[1] - 1)
+    keep = cols + (cols >= us[:, None])
+    subs = mats[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+    ms = [graphs[i].m - graphs[i].degree(u) for i, u in wanted]
+    errors = []
+    for (i, u), out in zip(wanted, eigen_decompose_stack(subs, ms)):
+        if isinstance(out, SquareEnergyError):
+            errors.append(out)
+        else:
+            energies[i][u] = out[2]
+    return errors
+
+
+def p3_removal_witness(g: Graph, triple: tuple[int, int, int]) -> P3RemovalWitness:
+    """Search the three vertices of an induced 3-path for removal witnesses.
+
+    For each sign independently, returns the vertex maximizing the square
+    energy drop (ties to the least index) and that drop. Whether the drops
+    exceed 1 is the caller's verdict; this function does not check it.
+    ``seed_block`` seeds the deletions of each sweep block that selects
+    ``removal``; the witness's own block of one, of the vertices still
+    missing, is library-only.
+    """
+    if not induces_p3(g, triple):
+        raise ContractViolation(f"triple {triple} does not induce a 3-vertex path")
+    whole = square_energies(g)
+    rests = _deletion_energies(g)
+    if any(u not in rests for u in triple):
+        errors = decompose_deletions([g], g.adjacency_matrix()[None], [triple])
+        if errors:
+            raise errors[0]
+    drops_plus = [(whole.s_plus - rests[u].s_plus, u) for u in triple]
+    drops_minus = [(whole.s_minus - rests[u].s_minus, u) for u in triple]
+
+    def best(drops: list[tuple[float, int]]) -> tuple[int, float]:
+        drop, vertex = max(drops, key=lambda t: (t[0], -t[1]))
+        return vertex, drop
+
+    v_minus, d_minus = best(drops_minus)
+    v_plus, d_plus = best(drops_plus)
+    return P3RemovalWitness(v_minus, d_minus, v_plus, d_plus)
 
 
 def _removal(g: Graph) -> list[BoundVerdict]:

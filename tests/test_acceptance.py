@@ -35,6 +35,7 @@ from sqenergy.bounds import (
     bound_surplus,
     bound_triangle,
     certify_s_plus_pipeline,
+    p3_removal_witness,
 )
 from sqenergy.families import (
     cycle,
@@ -47,7 +48,6 @@ from sqenergy.families import (
 from sqenergy.graphs import is_regular
 from sqenergy.oracles import find_induced_p3
 from sqenergy.partitions import certify_superadditivity
-from sqenergy.sdp import p3_removal_witness
 from sqenergy.spectral import numeric_tolerance, spectral_split, spectrum, square_energies
 
 

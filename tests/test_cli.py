@@ -23,7 +23,6 @@ import pytest
 from _gen import gnp
 import sqenergy.bounds as bounds
 import sqenergy.harness as harness
-import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.cli import main
 from sqenergy.errors import BudgetExceeded, ContractViolation, NumericError
@@ -719,12 +718,12 @@ def test_a_pool_writes_the_serial_output_under_forkserver_and_spawn(tmp_path, ca
 
 def test_failed_removal_lemma_is_a_violation(tmp_path, monkeypatch, capsys):
     # Deleting nothing drops no square energy, so the removal lemma fails.
-    whole, decompose = cycle(5), sdp.eigen_decompose_stack
+    whole, decompose = cycle(5), bounds.eigen_decompose_stack
 
     def undeleted(mats, ms):
         return decompose(np.stack([whole.adjacency_matrix()] * len(mats)), [whole.m] * len(ms))
 
-    monkeypatch.setattr(sdp, "eigen_decompose_stack", undeleted)
+    monkeypatch.setattr(bounds, "eigen_decompose_stack", undeleted)
     out = tmp_path / "removal.jsonl"
     assert main(["bounds", "family:cycle:n=5", "--set", "removal", "--out", str(out)]) == 2
     [record] = _read_jsonl(out)
@@ -857,10 +856,10 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     code = (
         "import sys\n"
         "sys.modules['sympy'] = sys.modules['networkx'] = None\n"
-        "import sqenergy.cli, sqenergy.sdp\n"
+        "import sqenergy.cli, sqenergy.bounds\n"
         f"assert sqenergy.cli.main({argv!r}) == 0\n"
     )
-    src = str(Path(sdp.__file__).parents[1])
+    src = str(Path(bounds.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

@@ -13,7 +13,6 @@ import pytest
 from _gen import gnp
 import sqenergy.bounds as bounds
 import sqenergy.oracles as oracles
-import sqenergy.sdp as sdp
 import sqenergy.spectral as spectral
 from sqenergy.bounds import (
     ALL_BOUND_NAMES,
@@ -154,7 +153,7 @@ def test_one_evaluation_computes_the_default_band_energies_once(monkeypatch):
         return decompose(mats, ms)
 
     monkeypatch.setattr(spectral, "eigen_decompose_stack", counting)
-    monkeypatch.setattr(sdp, "eigen_decompose_stack", counting)
+    monkeypatch.setattr(bounds, "eigen_decompose_stack", counting)
     records = evaluate_graph(0, g, ALL_BOUND_NAMES)
     assert all(r["status"] != "error" for r in records)
     assert g in spectral._decomposition.memo
@@ -191,7 +190,7 @@ def test_bound_calls_after_an_evaluation_reuse_its_spectra_and_cut(monkeypatch):
 def test_energies_and_cut_are_freed_with_their_graph():
     memos = (
         spectral._decomposition.memo, bounds._shared_cut.memo,
-        bounds.first_induced_p3.memo, sdp._deletion_energies.memo, bounds._sdp_gap.memo,
+        bounds.first_induced_p3.memo, bounds._deletion_energies.memo, bounds._sdp_gap.memo,
     )
     gc.disable()
     try:
@@ -221,7 +220,7 @@ def _fresh_block(lines):
     gc.collect()
     block = [(i, parse_graph6(line)) for i, line in enumerate(lines)]
     assert not any(g in spectral._decomposition.memo for _, g in block)
-    assert not any(g in sdp._deletion_energies.memo for _, g in block)
+    assert not any(g in bounds._deletion_energies.memo for _, g in block)
     assert not any(g in bounds.first_induced_p3.memo for _, g in block)
     assert not any(g in bounds._sdp_gap.memo for _, g in block)
     return block
@@ -271,7 +270,7 @@ def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
     for line in lines:
         g = parse_graph6(line)
         triple = oracles.find_induced_p3(g)
-        alone.append(None if triple is None else sdp.p3_removal_witness(g, triple))
+        alone.append(None if triple is None else bounds.p3_removal_witness(g, triple))
     del g
     block = _fresh_block(lines)
     records = evaluate_block(("removal",), block)
@@ -279,8 +278,8 @@ def test_a_seeded_witness_equals_that_of_a_fresh_equal_graph():
         triple = oracles.find_induced_p3(g)
         if triple is None:
             continue
-        assert set(triple) <= set(sdp._deletion_energies.memo[g])
-        assert sdp.p3_removal_witness(g, triple) == want
+        assert set(triple) <= set(bounds._deletion_energies.memo[g])
+        assert bounds.p3_removal_witness(g, triple) == want
     assert len(list(records)) == len(block)
 
 

@@ -21,10 +21,11 @@ SRC = str(Path(sqenergy.__file__).parents[1])
 # The public names of ``sqenergy``, by the submodule that defines each.
 PUBLIC = {
     "bounds": (
-        "BOUNDS", "BoundVerdict", "bound_alon_boppana", "bound_dominating_vertex",
-        "bound_domination", "bound_efgw", "bound_inertia", "bound_ratio", "bound_regular",
-        "bound_surplus", "bound_triangle", "certify_s_plus_pipeline", "conjecture_checks",
-        "energy_wall_check",
+        "BOUNDS", "BoundVerdict", "P3RemovalWitness", "bound_alon_boppana",
+        "bound_dominating_vertex", "bound_domination", "bound_efgw", "bound_inertia",
+        "bound_ratio", "bound_regular", "bound_surplus", "bound_triangle",
+        "certify_s_plus_pipeline", "conjecture_checks", "energy_wall_check",
+        "p3_removal_witness",
     ),
     "errors": (
         "BudgetExceeded", "ContractViolation", "Graph6Error", "NumericError",
@@ -55,7 +56,6 @@ PUBLIC = {
         "Partition", "SuperadditivityReport", "certify_superadditivity",
         "degree_class_partition", "domination_partition", "star_clique_partition",
     ),
-    "sdp": ("P3RemovalWitness", "p3_removal_witness"),
     "spectral": (
         "EnergyReport", "Inertia", "SpectralSplit", "Spectrum", "graph_inertia",
         "numeric_tolerance", "spectral_split", "spectrum", "square_energies",
@@ -122,7 +122,7 @@ def test_a_per_graph_subcommand_loads_no_bound_module():
         "assert main(['spectrum', 'family:petersen', '--out', os.devnull]) == 0\n"
     )
     assert "sqenergy.harness" in loaded
-    bound_modules = {"sqenergy.bounds", "sqenergy.sdp", "sqenergy.partitions", "sqenergy.oracles"}
+    bound_modules = {"sqenergy.bounds", "sqenergy.partitions", "sqenergy.oracles"}
     assert not loaded & bound_modules
 
 

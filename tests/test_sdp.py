@@ -16,12 +16,11 @@ from _gen import (
     rayleigh_value,
     row_col_square_sum,
 )
-from sqenergy.bounds import BOUNDS
+from sqenergy.bounds import BOUNDS, p3_removal_witness
 from sqenergy.errors import ContractViolation
 from sqenergy.families import complete, cycle, cycle_with_triangles, path
 from sqenergy.graphs import VertexSet, enumerate_graphs, induced_subgraph
 from sqenergy.oracles import find_induced_p3
-from sqenergy.sdp import p3_removal_witness
 from sqenergy.spectral import spectral_split, square_energies
 
 
