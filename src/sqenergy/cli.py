@@ -15,6 +15,11 @@ subcommand imports its own modules when it runs. ``enumerate`` loads
 ``multiprocessing`` and ``concurrent.futures`` only on its way to a worker
 pool, so ``--jobs 1`` and a one-block source load neither (see
 ``harness._block_outputs``).
+
+``enumerate`` deals the classes on n - 1 vertices round-robin into one shard
+per usable CPU, as many as repay their fork, extends the first shard itself
+and each other one in an ``os.fork`` child, and merges the graph6 lines in
+parent order, so its output does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .errors import SquareEnergyError
 
@@ -146,13 +151,85 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _sweep(args, f"enumerate:{args.n}:connected", ("efgw",))
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .graphs import enumerate_graphs, write_graph6
+# A forked shard must hold this many parents to repay its fork, about 1.5 ms
+# with its pipe and reaping: a parent on 6 vertices takes ~0.45 ms to extend
+# to 7, one on 5 ~0.2 ms to 6. So enumeration forks from n = 7 on.
+_SHARD_MIN_PARENTS = 32
 
-    graphs = enumerate_graphs(args.n, connected_only=args.connected)
+
+def _shard_child(write: int, fn: Callable[[Any], str], items: Sequence[Any]) -> NoReturn:
+    """In a forked child: send ``fn`` of each item through the pipe end
+    ``write``, NUL-separated, and leave by ``os._exit``, so that the child
+    flushes none of the parent's buffers and runs none of its exit handlers.
+    Any failure exits 1."""
+    code = 1
+    try:
+        view = memoryview("\0".join(map(fn, items)).encode("ascii"))
+        while view:
+            view = view[os.write(write, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_map(fn: Callable[[Any], str], items: Sequence[Any], shards: int) -> list[str]:
+    """``[fn(item) for item in items]``, with the items dealt round-robin into
+    ``shards`` shards: shard 0 runs in this process and each other shard in a
+    forked child at the same time. A child that fails has its shard computed
+    here, so the result never depends on the children. Every child is reaped
+    before this returns, and killed and reaped if this raises. A child runs
+    only ``fn``, pure Python on its own copy of the items, so it takes no lock
+    that another thread of this process (numpy's BLAS threads, where numpy is
+    loaded) could hold at the fork."""
+    texts: list[str] = [""] * len(items)
+    children: list[tuple[int, int]] = []  # pid and pipe read end, by shard from 1
+    reaped = set()
+    try:
+        for shard in range(1, shards):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _shard_child(write, fn, items[shard::shards])
+            os.close(write)
+            children.append((pid, read))
+        texts[0::shards] = map(fn, items[0::shards])
+        for shard, (pid, read) in enumerate(children, 1):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            share = b"".join(chunks).decode("ascii").split("\0")
+            if status != 0 or len(share) != len(items[shard::shards]):
+                share = list(map(fn, items[shard::shards]))
+            texts[shard::shards] = share
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid not in reaped:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return texts
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .graphs import enumeration_parents, extension_graph6
+
+    parents = enumeration_parents(args.n)
+    shards = max(1, min(_usable_cpus(), len(parents) // _SHARD_MIN_PARENTS))
+    texts = _forked_map(
+        lambda parent: extension_graph6(parent, args.n, args.connected), parents, shards
+    )
     with open_out(args.out) as out:
-        for g in graphs:
-            out.write(write_graph6(g) + "\n")
+        out.write("".join(texts))
     return 0
 
 

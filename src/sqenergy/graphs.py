@@ -16,7 +16,10 @@ only the partial orders whose next column ties the least. The classes on n
 vertices are generated in ascending key order from those on n - 1: a last
 column that a one-vertex swap or an automorphism of the parent maps lower is
 refused before the search, and the search, told the candidate's own key, stops
-at the first order that beats it.
+at the first order that beats it. Each parent's extensions are found apart
+from every other parent's, so a level can be split by parent and the parts
+concatenated in parent order: ``enumeration_parents`` and
+``extension_graph6`` give those parts as graph6 text, uncached.
 """
 
 from __future__ import annotations
@@ -628,11 +631,12 @@ def _least_unbeaten_column(key: int, n: int) -> int:
     """The least last column on n vertices that no swap of the new vertex with
     an earlier one beats, for a parent of canonical ``key`` on n-1 vertices.
     The parent's column j is the j bits that start j(j-1)/2 bits from the top
-    of its (n-1)(n-2)/2-bit key."""
+    of its (n-1)(n-2)/2-bit key. On one vertex there is no swap."""
     width = (n - 1) * (n - 2) // 2
     return max(
-        (key >> (width - j * (j + 1) // 2) & ((1 << j) - 1)) << (n - 1 - j)
-        for j in range(n - 1)
+        ((key >> (width - j * (j + 1) // 2) & ((1 << j) - 1)) << (n - 1 - j)
+         for j in range(n - 1)),
+        default=0,
     )
 
 
@@ -669,41 +673,65 @@ def _orbit_least_columns(autos: Sequence[tuple[int, ...]], width: int) -> list[i
     return least
 
 
-@lru_cache(maxsize=None)
-def _isomorphism_classes(
-    n: int,
-) -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """The canonical key, rows and automorphism generators of every
-    isomorphism class on exactly n vertices in canonical form, ascending key,
-    by orderly generation from those on n-1. At ``CANONICAL_MAX_N`` no class
-    is extended, so none keeps automorphisms. Rows rather than graphs are
-    kept, so the cache holds no ``Graph`` and nothing keyed on one stays
-    alive with it."""
-    if n == 1:
-        return ((0, (0,), ()),)
+# An isomorphism class: its canonical key, rows and automorphism generators.
+_Class = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _extensions(parent: _Class, n: int) -> list[_Class]:
+    """The classes on n vertices whose canonical form extends the class
+    ``parent`` on n-1 by a last column, ascending key."""
+    key, rows_before, autos = parent
     identity = tuple(range(n))
+    base = key << (n - 1)
+    least = _least_unbeaten_column(key, n)
     classes = []
-    for key, parent, autos in _isomorphism_classes(n - 1):
-        base = key << (n - 1)
-        least = _least_unbeaten_column(key, n)
-        for c in _orbit_least_columns(autos, n - 1):
-            if c < least:
-                continue
-            # The last column c lists vertices 0..n-2 most significant first,
-            # so reversed it is the new vertex's row.
-            nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
-            rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(parent))
-            rows += (nbrs,)
-            # The identity order's key is base | c, so the search stops at the
-            # first order that beats it.
-            found = _canonical_search(rows, n, base | c)
-            if found is not None:
-                # The identity reaches the least key, so every order that
-                # does is an automorphism of rows. Only the classes one
-                # vertex larger read them, so the largest classes keep none.
-                kept = () if n == CANONICAL_MAX_N else tuple(o for o in found[1] if o != identity)
-                classes.append((base | c, rows, kept))
-    return tuple(classes)
+    for c in _orbit_least_columns(autos, n - 1):
+        if c < least:
+            continue
+        # The last column c lists vertices 0..n-2 most significant first,
+        # so reversed it is the new vertex's row.
+        nbrs = int(format(c, f"0{n - 1}b")[::-1], 2)
+        rows = tuple(row | ((nbrs >> i) & 1) << (n - 1) for i, row in enumerate(rows_before))
+        rows += (nbrs,)
+        # The identity order's key is base | c, so the search stops at the
+        # first order that beats it.
+        found = _canonical_search(rows, n, base | c)
+        if found is not None:
+            # The identity reaches the least key, so every order that does
+            # is an automorphism of rows. Only the classes one vertex larger
+            # read them, so the largest classes keep none.
+            kept = () if n == CANONICAL_MAX_N else tuple(o for o in found[1] if o != identity)
+            classes.append((base | c, rows, kept))
+    return classes
+
+
+@lru_cache(maxsize=None)
+def _isomorphism_classes(n: int) -> tuple[_Class, ...]:
+    """The canonical key, rows and automorphism generators of every
+    isomorphism class on exactly n vertices in canonical form, ascending key:
+    the extensions of each class on n-1 in turn, from the one graph on no
+    vertices. At ``CANONICAL_MAX_N`` no class is extended, so none keeps
+    automorphisms. Rows rather than graphs are kept, so the cache holds no
+    ``Graph`` and nothing keyed on one stays alive with it."""
+    if n == 0:
+        return ((0, (), ()),)
+    return tuple(c for parent in _isomorphism_classes(n - 1) for c in _extensions(parent, n))
+
+
+def _checked_size(n: int) -> int:
+    n = _integer(n, "vertex count")
+    if n < 1:
+        raise ContractViolation(f"enumeration needs n >= 1, got {n}")
+    if n > CANONICAL_MAX_N:
+        raise BudgetExceeded(f"enumeration supported for n <= {CANONICAL_MAX_N}")
+    return n
+
+
+def _kept_graphs(classes: Iterable[_Class], n: int, connected_only: bool) -> Iterator[Graph]:
+    for _, rows, _ in classes:
+        g = Graph._from_valid_rows(n, rows)
+        if not connected_only or is_connected(g):
+            yield g
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -712,16 +740,24 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     Deterministic order: ascending canonical key. The size is checked on the
     call, before any graph is asked for.
     """
-    n = _integer(n, "vertex count")
-    if n < 1:
-        raise ContractViolation(f"enumeration needs n >= 1, got {n}")
-    if n > CANONICAL_MAX_N:
-        raise BudgetExceeded(f"enumeration supported for n <= {CANONICAL_MAX_N}")
+    n = _checked_size(n)
 
     def stream() -> Iterator[Graph]:
-        for _, rows, _ in _isomorphism_classes(n):
-            g = Graph._from_valid_rows(n, rows)
-            if not connected_only or is_connected(g):
-                yield g
+        yield from _kept_graphs(_isomorphism_classes(n), n, connected_only)
 
     return stream()
+
+
+def enumeration_parents(n: int) -> tuple[_Class, ...]:
+    """The parents of the classes on n vertices: the classes on n-1, ascending
+    key, in the order whose ``extension_graph6`` texts, concatenated, are
+    ``enumerate_graphs(n)`` in graph6. The size is checked as there."""
+    return _isomorphism_classes(_checked_size(n) - 1)
+
+
+def extension_graph6(parent: _Class, n: int, connected_only: bool = False) -> str:
+    """One graph6 line, newline included, per class on n vertices that
+    extends ``parent``, one of ``enumeration_parents(n)``; connected ones
+    only if asked. Nothing on level n is cached."""
+    graphs = _kept_graphs(_extensions(parent, n), n, connected_only)
+    return "".join(write_graph6(g) + "\n" for g in graphs)

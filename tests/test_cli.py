@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -13,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,12 +24,13 @@ import pytest
 
 from _gen import gnp
 import sqenergy.bounds as bounds
+import sqenergy.cli as cli
 import sqenergy.harness as harness
 import sqenergy.spectral as spectral
 from sqenergy.cli import main
 from sqenergy.errors import BudgetExceeded, ContractViolation, NumericError
 from sqenergy.families import cycle, path, petersen
-from sqenergy.graphs import parse_graph6, write_graph6
+from sqenergy.graphs import _extensions, enumeration_parents, parse_graph6, write_graph6
 from sqenergy.harness import (
     RecordWriter,
     RunConfig,
@@ -96,11 +99,140 @@ def test_enumerate_command(tmp_path, capsys):
     ],
     ids=["all", "connected", "n8-all", "n8-connected"],
 )
-def test_enumeration_output_is_pinned(n, flags, digest, capsys):
+def test_enumeration_output_is_pinned(n, flags, digest, monkeypatch, capsys):
     # Integers only reach the output, so these digests hold on every platform;
-    # a faster generator must keep every byte.
-    assert main(["enumerate", "--n", n] + flags) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+    # a faster generator must keep every byte, whatever the CPU count.
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert main(["enumerate", "--n", n] + flags) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_output_is_the_same_for_any_shard_count(n, monkeypatch, capsys):
+    # Below n = 7 a shard is too small to fork for, unless every parent repays it.
+    monkeypatch.setattr(cli, "_SHARD_MIN_PARENTS", 1)
+    forks = _counted_forks(monkeypatch)
+    for flags in ([], ["--connected"]):
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert main(["enumerate", "--n", str(n)] + flags) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # A shard per parent at most, and each shard but the first is a child.
+    parents = len(enumeration_parents(n))
+    assert len(forks) == 2 * sum(min(cpus, parents) - 1 for cpus in (2, 3))
+    _assert_reaped(forks)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of each child it starts."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_failed_shard_child_is_reaped_and_its_shard_computed_here(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("shard child fails")
+        return _extensions(*args)
+
+    monkeypatch.setattr("sqenergy.graphs._extensions", failing_in_a_child)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = _counted_forks(monkeypatch)
+    assert main(["enumerate", "--n", "7"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == (
+        "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"
+    )
+    assert captured.err == ""
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_a_failed_fork_reaps_the_children_and_leaks_no_pipe(monkeypatch, tmp_path, capsys):
+    forks = _counted_forks(monkeypatch)
+    fork = os.fork
+
+    def second_fork_fails():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    enumeration_parents(7)
+    fds = set(os.listdir("/proc/self/fd"))
+    out = tmp_path / "out.g6"
+    assert main(["enumerate", "--n", "7", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert not out.exists()
+
+
+def test_an_interrupted_enumeration_kills_and_reaps_its_children(monkeypatch, tmp_path):
+    parent = os.getpid()
+    enumeration_parents(7)  # cached before the patch, which the last level alone meets
+
+    def stuck_in_a_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sqenergy.graphs._extensions", stuck_in_a_child)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = _counted_forks(monkeypatch)
+    out = tmp_path / "out.g6"
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "--n", "7", "--out", str(out)])
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    _assert_reaped(forks)
+    assert not out.exists()
+
+
+def test_shard_children_flush_no_parent_buffer_and_run_no_exit_handler():
+    # stdout is a pipe here, so the marker waits in the buffer across the forks.
+    code = (
+        "import atexit, sys\n"
+        "from sqenergy import cli\n"
+        "cli._usable_cpus = lambda: 3\n"
+        "atexit.register(lambda: print('exit handler'))\n"
+        "print('before', end='')\n"
+        "sys.exit(cli.main(['enumerate', '--n', '7']))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("before") and done.stdout.endswith("exit handler\n")
+    body = done.stdout[len("before"):-len("exit handler\n")]
+    assert hashlib.sha256(body.encode("ascii")).hexdigest() == (
+        "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"
+    )
 
 
 _REFUSED = [
@@ -124,12 +256,18 @@ _REFUSED = [
 ]
 
 
+def _no_fork():
+    raise AssertionError("a process was forked")
+
+
 @pytest.mark.parametrize(
     "argv, err", _REFUSED, ids=[f"argv{i}" for i in range(len(_REFUSED))]
 )
 def test_refused_enumeration_size_keeps_the_out_file(argv, err, tmp_path, monkeypatch, capsys):
-    # Each refusal comes before the output file is opened and truncated.
+    # Each refusal comes before any fork and before the output file is opened
+    # and truncated.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "fork", _no_fork)
     out = tmp_path / "keep.txt"
     out.write_bytes(b"keep\n")
     assert main(argv + ["--out", str(out)]) == 1
