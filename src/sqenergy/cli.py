@@ -16,10 +16,14 @@ subcommand imports its own modules when it runs. ``enumerate`` loads
 pool, so ``--jobs 1`` and a one-block source load neither (see
 ``harness._block_outputs``).
 
-``enumerate`` deals the classes on n - 1 vertices round-robin into one shard
-per usable CPU, as many as repay their fork, extends the first shard itself
-and each other one in an ``os.fork`` child, and merges the graph6 lines in
-parent order, so its output does not depend on the CPU count.
+``enumerate`` splits its work by the classes on n - 2 vertices, which stay
+cached: a shard generates a class's descendants on n - 1 and n vertices
+depth-first and packs their graph6 lines from their canonical keys, the
+graph6 bodies. The command runs one shard and forks one ``os.fork`` child per
+other usable CPU, as many as repay their fork; each takes the next class
+from one shared work queue, a pipe of indices, until it is empty. The texts
+are merged in class order, so the output depends on neither the CPU count
+nor the timing.
 """
 
 from __future__ import annotations
@@ -151,20 +155,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _sweep(args, f"enumerate:{args.n}:connected", ("efgw",))
 
 
-# A forked shard must hold this many parents to repay its fork, about 1.5 ms
-# with its pipe and reaping: a parent on 6 vertices takes ~0.45 ms to extend
-# to 7, one on 5 ~0.2 ms to 6. So enumeration forks from n = 7 on.
-_SHARD_MIN_PARENTS = 32
+# A forked shard must hold this many items to repay its fork, 2-4 ms with
+# its pipes and reaping: a class on 5 vertices takes ~1.9 ms on average to
+# extend two levels, one on 4 ~0.6 ms. So enumeration forks from n = 7 on.
+_SHARD_MIN_ITEMS = 8
+# The work queue takes item indices as 4-byte words, written at most 512
+# bytes at a time: POSIX makes a pipe write of up to 512 bytes whole, so no
+# reader ever gets part of a word.
+_INDEX_BYTES = 4
+_QUEUE_WRITE = 512
 
 
-def _shard_child(write: int, fn: Callable[[Any], str], items: Sequence[Any]) -> NoReturn:
-    """In a forked child: send ``fn`` of each item through the pipe end
-    ``write``, NUL-separated, and leave by ``os._exit``, so that the child
-    flushes none of the parent's buffers and runs none of its exit handlers.
-    Any failure exits 1."""
+def _queued_indices(queue: int) -> Iterator[int]:
+    """Item indices taken from the work queue's read end ``queue``, one at a
+    time, until it is empty and its write end closed."""
+    while len(word := os.read(queue, _INDEX_BYTES)) == _INDEX_BYTES:
+        yield int.from_bytes(word, "little")
+
+
+def _shard_child(
+    queue: int, write: int, fn: Callable[[Any], str], items: Sequence[Any]
+) -> NoReturn:
+    """In a forked child: take item indices from the work queue, compute
+    ``fn`` of each item, and at the end send every index and text through
+    the pipe end ``write``, each NUL-terminated. Leave by ``os._exit``, so
+    that the child flushes none of the parent's buffers and runs none of its
+    exit handlers. Any failure exits 1."""
     code = 1
     try:
-        view = memoryview("\0".join(map(fn, items)).encode("ascii"))
+        text = "".join(f"{i}\0{fn(items[i])}\0" for i in _queued_indices(queue))
+        view = memoryview(text.encode("ascii"))
         while view:
             view = view[os.write(write, view):]
         code = 0
@@ -173,19 +193,26 @@ def _shard_child(write: int, fn: Callable[[Any], str], items: Sequence[Any]) -> 
 
 
 def _forked_map(fn: Callable[[Any], str], items: Sequence[Any], shards: int) -> list[str]:
-    """``[fn(item) for item in items]``, with the items dealt round-robin into
-    ``shards`` shards: shard 0 runs in this process and each other shard in a
-    forked child at the same time. A child that fails has its shard computed
-    here, so the result never depends on the children. Every child is reaped
-    before this returns, and killed and reaped if this raises. A child runs
-    only ``fn``, pure Python on its own copy of the items, so it takes no lock
-    that another thread of this process (numpy's BLAS threads, where numpy is
-    loaded) could hold at the fork."""
-    texts: list[str] = [""] * len(items)
-    children: list[tuple[int, int]] = []  # pid and pipe read end, by shard from 1
+    """``[fn(item) for item in items]``, computed by this process and
+    ``shards - 1`` forked children at the same time (by this process alone
+    where ``os`` has no ``fork``). Each takes the index of the next item from
+    one shared work queue, a pipe, until it is empty, so a costly item holds
+    up no fixed share; the texts are merged in item order, whatever the
+    timing. ``fn`` returns ASCII text without NUL. An index that no child
+    returns, a failed child's included, is computed here, so the result never
+    depends on the children. Every child is reaped before this returns, and
+    killed and reaped if this raises. A child runs only ``fn``, pure Python
+    on its own copy of the items, so it takes no lock that another thread of
+    this process (numpy's BLAS threads, where numpy is loaded) could hold at
+    the fork."""
+    if shards < 2 or not hasattr(os, "fork"):
+        return list(map(fn, items))
+    texts: list[str | None] = [None] * len(items)
+    children: list[tuple[int, int]] = []  # pid and result pipe read end
     reaped = set()
+    queue, deal = os.pipe()
     try:
-        for shard in range(1, shards):
+        for _ in range(1, shards):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -195,38 +222,56 @@ def _forked_map(fn: Callable[[Any], str], items: Sequence[Any], shards: int) -> 
                 raise
             if pid == 0:
                 os.close(read)
-                _shard_child(write, fn, items[shard::shards])
+                os.close(deal)  # so that the queue ends once this process closes it
+                _shard_child(queue, write, fn, items)
             os.close(write)
             children.append((pid, read))
-        texts[0::shards] = map(fn, items[0::shards])
-        for shard, (pid, read) in enumerate(children, 1):
+        # Deal every index without blocking: the pipe need not hold them all,
+        # and while it is full this process computes the last undealt item.
+        os.set_blocking(deal, False)
+        dealt, end = 0, len(items)
+        while dealt < end:
+            stop = min(end, dealt + _QUEUE_WRITE // _INDEX_BYTES)
+            words = b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(dealt, stop))
+            try:
+                dealt += os.write(deal, words) // _INDEX_BYTES
+            except BlockingIOError:
+                end -= 1
+                texts[end] = fn(items[end])
+        os.close(deal)
+        deal = -1
+        for i in _queued_indices(queue):
+            texts[i] = fn(items[i])
+        for pid, read in children:
             chunks = []
             while chunk := os.read(read, 1 << 16):
                 chunks.append(chunk)
             status = os.waitpid(pid, 0)[1]
             reaped.add(pid)
-            share = b"".join(chunks).decode("ascii").split("\0")
-            if status != 0 or len(share) != len(items[shard::shards]):
-                share = list(map(fn, items[shard::shards]))
-            texts[shard::shards] = share
+            if status == 0:
+                fields = b"".join(chunks).decode("ascii").split("\0")
+                for i, text in zip(fields[0::2], fields[1::2]):
+                    texts[int(i)] = text
     finally:
-        for pid, read in children:
-            os.close(read)
+        for fd in (queue, deal, *(read for _, read in children)):
+            if fd >= 0:
+                os.close(fd)
+        for pid, _ in children:
             if pid not in reaped:
                 from signal import SIGKILL
 
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return texts
+    return [fn(item) if text is None else text for item, text in zip(items, texts)]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .graphs import enumeration_parents, extension_graph6
+    from .graphs import descendant_graph6, enumeration_roots
 
-    parents = enumeration_parents(args.n)
-    shards = max(1, min(_usable_cpus(), len(parents) // _SHARD_MIN_PARENTS))
+    roots = enumeration_roots(args.n)
+    shards = max(1, min(_usable_cpus(), len(roots) // _SHARD_MIN_ITEMS))
     texts = _forked_map(
-        lambda parent: extension_graph6(parent, args.n, args.connected), parents, shards
+        lambda root: descendant_graph6(root, args.n, args.connected), roots, shards
     )
     with open_out(args.out) as out:
         out.write("".join(texts))

@@ -17,9 +17,11 @@ vertices are generated in ascending key order from those on n - 1: a last
 column that a one-vertex swap or an automorphism of the parent maps lower is
 refused before the search, and the search, told the candidate's own key, stops
 at the first order that beats it. Each parent's extensions are found apart
-from every other parent's, so a level can be split by parent and the parts
-concatenated in parent order: ``enumeration_parents`` and
-``extension_graph6`` give those parts as graph6 text, uncached.
+from every other parent's, so the classes on n vertices are the descendants
+of the classes on n - 2, concatenated in their order: ``enumeration_roots``
+gives those roots from the cached levels, and ``descendant_graph6``
+generates one root's two levels above it depth-first, uncached, as graph6
+lines packed straight from each class's canonical key, the graph6 body.
 """
 
 from __future__ import annotations
@@ -287,15 +289,23 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 )
 
 
+def _graph6_line(n: int, body: int) -> str:
+    """The graph6 text of the graph on n vertices whose upper triangle, read
+    column-major, is the n(n-1)/2 bits of ``body``, the first pair most
+    significant."""
+    nbits = n * (n - 1) // 2
+    if not nbits:  # n <= 1 has no body
+        return _graph6_header(n)
+    nchars = -(-nbits // 6)
+    pad = -nbits % 24
+    packed = (body << pad).to_bytes((nbits + pad) // 8, "big")
+    text = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)
+    return _graph6_header(n) + text[:nchars].decode("ascii")
+
+
 def write_graph6(g: Graph) -> str:
     bits = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
-    if not bits:  # n <= 1 has no body
-        return _graph6_header(g.n)
-    nchars = -(-len(bits) // 6)
-    bits += "0" * (-len(bits) % 24)
-    packed = int(bits, 2).to_bytes(len(bits) // 8, "big")
-    body = binascii.b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)
-    return _graph6_header(g.n) + body[:nchars].decode("ascii")
+    return _graph6_line(g.n, int(bits or "0", 2))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -727,13 +737,6 @@ def _checked_size(n: int) -> int:
     return n
 
 
-def _kept_graphs(classes: Iterable[_Class], n: int, connected_only: bool) -> Iterator[Graph]:
-    for _, rows, _ in classes:
-        g = Graph._from_valid_rows(n, rows)
-        if not connected_only or is_connected(g):
-            yield g
-
-
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Stream one canonical representative per isomorphism class on n vertices.
 
@@ -743,21 +746,43 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     n = _checked_size(n)
 
     def stream() -> Iterator[Graph]:
-        yield from _kept_graphs(_isomorphism_classes(n), n, connected_only)
+        for _, rows, _ in _isomorphism_classes(n):
+            g = Graph._from_valid_rows(n, rows)
+            if not connected_only or is_connected(g):
+                yield g
 
     return stream()
 
 
-def enumeration_parents(n: int) -> tuple[_Class, ...]:
-    """The parents of the classes on n vertices: the classes on n-1, ascending
-    key, in the order whose ``extension_graph6`` texts, concatenated, are
-    ``enumerate_graphs(n)`` in graph6. The size is checked as there."""
-    return _isomorphism_classes(_checked_size(n) - 1)
+def enumeration_roots(n: int) -> tuple[_Class, ...]:
+    """The roots of the classes on n vertices: the classes on n-2 (on none
+    for n = 1), ascending key, in the order whose ``descendant_graph6``
+    texts, concatenated, are ``enumerate_graphs(n)`` in graph6. The size is
+    checked as there."""
+    return _isomorphism_classes(max(_checked_size(n) - 2, 0))
 
 
-def extension_graph6(parent: _Class, n: int, connected_only: bool = False) -> str:
+def _descendants(parent: _Class, n: int) -> Iterator[_Class]:
+    """The classes on n vertices that descend from the class ``parent`` on
+    fewer, ascending key, generated depth-first: each child's descendants
+    come before its next sibling's, so one list of siblings per level is
+    held at a time and no level is kept."""
+    size = len(parent[1]) + 1
+    for child in _extensions(parent, size):
+        if size == n:
+            yield child
+        else:
+            yield from _descendants(child, n)
+
+
+def descendant_graph6(root: _Class, n: int, connected_only: bool = False) -> str:
     """One graph6 line, newline included, per class on n vertices that
-    extends ``parent``, one of ``enumeration_parents(n)``; connected ones
-    only if asked. Nothing on level n is cached."""
-    graphs = _kept_graphs(_extensions(parent, n), n, connected_only)
-    return "".join(write_graph6(g) + "\n" for g in graphs)
+    descends from ``root``, one of ``enumeration_roots(n)``; connected ones
+    only if asked. Each line is packed from the class's canonical key, which
+    is its graph6 body. Nothing above the root's level is cached."""
+    full = (1 << n) - 1
+    return "".join(
+        _graph6_line(n, key) + "\n"
+        for key, rows, _ in _descendants(root, n)
+        if not connected_only or _least_component(rows, full) == full
+    )

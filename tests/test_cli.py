@@ -30,7 +30,14 @@ import sqenergy.spectral as spectral
 from sqenergy.cli import main
 from sqenergy.errors import BudgetExceeded, ContractViolation, NumericError
 from sqenergy.families import cycle, path, petersen
-from sqenergy.graphs import _extensions, enumeration_parents, parse_graph6, write_graph6
+from sqenergy.graphs import (
+    _extensions,
+    descendant_graph6,
+    enumerate_graphs,
+    enumeration_roots,
+    parse_graph6,
+    write_graph6,
+)
 from sqenergy.harness import (
     RecordWriter,
     RunConfig,
@@ -110,8 +117,8 @@ def test_enumeration_output_is_pinned(n, flags, digest, monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_output_is_the_same_for_any_shard_count(n, monkeypatch, capsys):
-    # Below n = 7 a shard is too small to fork for, unless every parent repays it.
-    monkeypatch.setattr(cli, "_SHARD_MIN_PARENTS", 1)
+    # Below n = 7 a shard is too small to fork for, unless every item repays it.
+    monkeypatch.setattr(cli, "_SHARD_MIN_ITEMS", 1)
     forks = _counted_forks(monkeypatch)
     for flags in ([], ["--connected"]):
         outputs = []
@@ -120,9 +127,9 @@ def test_enumeration_output_is_the_same_for_any_shard_count(n, monkeypatch, caps
             assert main(["enumerate", "--n", str(n)] + flags) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    # A shard per parent at most, and each shard but the first is a child.
-    parents = len(enumeration_parents(n))
-    assert len(forks) == 2 * sum(min(cpus, parents) - 1 for cpus in (2, 3))
+    # A shard per root at most, and each shard but the command's is a child.
+    roots = len(enumeration_roots(n))
+    assert len(forks) == 2 * sum(min(cpus, roots) - 1 for cpus in (2, 3))
     _assert_reaped(forks)
 
 
@@ -168,6 +175,79 @@ def test_a_failed_shard_child_is_reaped_and_its_shard_computed_here(monkeypatch,
     _assert_reaped(forks)
 
 
+def test_a_child_that_dies_mid_queue_has_its_items_computed_here(monkeypatch, capsys):
+    parent = os.getpid()
+    taken = []
+
+    def dies_on_its_second_item(*args):
+        if os.getpid() == parent:
+            time.sleep(0.01)  # so that each child takes several items
+        else:
+            taken.append(args)
+            if len(taken) == 2:
+                os._exit(3)
+        return descendant_graph6(*args)
+
+    monkeypatch.setattr("sqenergy.graphs.descendant_graph6", dies_on_its_second_item)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = _counted_forks(monkeypatch)
+    codes = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        result = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(result[1]))
+        return result
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    enumeration_roots(7)
+    fds = set(os.listdir("/proc/self/fd"))
+    assert main(["enumerate", "--n", "7"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == (
+        "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"
+    )
+    assert captured.err == ""
+    assert len(forks) == 2 and 3 in codes
+    _assert_reaped(forks)
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def test_the_work_queue_deals_more_indices_than_its_pipe_holds(monkeypatch):
+    # 200000 four-byte indices overfill a pipe (64 KiB by default on Linux),
+    # so the command computes undealt items while it waits for room.
+    forks = _counted_forks(monkeypatch)
+    items = range(200000)
+    assert cli._forked_map(str, items, 3) == list(map(str, items))
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_enumeration_runs_one_shard_where_os_has_no_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    assert main(["enumerate", "--n", "7"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == (
+        "e3eee2a6b5beecaa47bee1b0d67a6a982c0e5e2c0067993d735036d3c9d6512f"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_output_is_the_library_enumeration_in_graph6(n, monkeypatch, capsys):
+    # The command generates its top two levels depth-first per root and packs
+    # each line from its class's key; the library caches every level and
+    # writes each Graph.
+    for connected in (False, True):
+        graphs = enumerate_graphs(n, connected_only=connected)
+        expected = "".join(write_graph6(g) + "\n" for g in graphs)
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert main(["enumerate", "--n", str(n)] + ["--connected"] * connected) == 0
+            assert capsys.readouterr().out == expected
+
+
 def test_a_failed_fork_reaps_the_children_and_leaks_no_pipe(monkeypatch, tmp_path, capsys):
     forks = _counted_forks(monkeypatch)
     fork = os.fork
@@ -179,7 +259,7 @@ def test_a_failed_fork_reaps_the_children_and_leaks_no_pipe(monkeypatch, tmp_pat
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    enumeration_parents(7)
+    enumeration_roots(7)
     fds = set(os.listdir("/proc/self/fd"))
     out = tmp_path / "out.g6"
     assert main(["enumerate", "--n", "7", "--out", str(out)]) == 1
@@ -192,7 +272,7 @@ def test_a_failed_fork_reaps_the_children_and_leaks_no_pipe(monkeypatch, tmp_pat
 
 def test_an_interrupted_enumeration_kills_and_reaps_its_children(monkeypatch, tmp_path):
     parent = os.getpid()
-    enumeration_parents(7)  # cached before the patch, which the last level alone meets
+    enumeration_roots(7)  # cached before the patch, which the two levels above alone meet
 
     def stuck_in_a_child(*args):
         if os.getpid() != parent:
